@@ -29,6 +29,7 @@ from .pie import (
     fidelity,
     pie_correction_step,
     pie_run,
+    pie_run_batch,
     random_estimate,
     trace_distance,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "normalize_dataset",
     "pie_correction_step",
     "pie_run",
+    "pie_run_batch",
     "projector_ids",
     "qft_apply",
     "random_arbitrary",

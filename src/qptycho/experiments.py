@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pie import PieConfig, pie_run
+from .pie import PieConfig, pie_run, pie_run_batch
 from .protocol import generate_dataset
 from .seeding import derive_seed
 from .stateprep import random_arbitrary, random_separable, table_states
@@ -80,13 +80,21 @@ def _resolve_unitary(cfg: SweepConfig, n: int, state_idx: int) -> UnitarySpec:
     )
 
 
+def _final_fidelities(dataset, pie: PieConfig, seeds, state) -> list:
+    """Final fidelity of each start, all starts reconstructed in one batch."""
+    return [
+        trace.final_fidelity()
+        for _, trace in pie_run_batch(dataset, pie, seeds, reference=state)
+    ]
+
+
 def run_fidelity_sweep(cfg: SweepConfig):
     """Mean/std of reconstruction fidelity per (n, shots) grid cell.
 
-    For each state the engine runs ``runs_per_state`` times from distinct
-    starting guesses and the fidelities are averaged; the returned mean and
-    sample standard deviation are then taken across states. Rows are
-    ``(n, shots, mean_fidelity, std_fidelity)``.
+    For each state the engine reconstructs ``runs_per_state`` distinct
+    starting guesses in one batch and the fidelities are averaged; the
+    returned mean and sample standard deviation are then taken across
+    states. Rows are ``(n, shots, mean_fidelity, std_fidelity)``.
     """
     rows = []
     for n in cfg.n_values:
@@ -101,16 +109,11 @@ def run_fidelity_sweep(cfg: SweepConfig):
                     shots,
                     seed=derive_seed(cfg.master_seed, "data", n, idx, shots),
                 )
-                fids = []
-                for run in range(cfg.runs_per_state):
-                    pie_cfg = replace(
-                        cfg.pie,
-                        init_seed=derive_seed(
-                            cfg.master_seed, "init", n, idx, shots, run
-                        ),
-                    )
-                    _, trace = pie_run(dataset, pie_cfg, reference=state)
-                    fids.append(trace.final_fidelity())
+                seeds = [
+                    derive_seed(cfg.master_seed, "init", n, idx, shots, run)
+                    for run in range(cfg.runs_per_state)
+                ]
+                fids = _final_fidelities(dataset, cfg.pie, seeds, state)
                 state_means.append(float(np.mean(fids)))
             mean = float(np.mean(state_means))
             std = float(np.std(state_means, ddof=1)) if len(state_means) > 1 else 0.0
@@ -147,14 +150,11 @@ def run_aqft_study(
                     shots,
                     seed=derive_seed(master_seed, "aqft-data", n, tag, m),
                 )
-                fids = []
-                for run in range(runs_per_state):
-                    pie_cfg = replace(
-                        pie,
-                        init_seed=derive_seed(master_seed, "aqft-init", n, tag, m, run),
-                    )
-                    _, trace = pie_run(dataset, pie_cfg, reference=state)
-                    fids.append(trace.final_fidelity())
+                seeds = [
+                    derive_seed(master_seed, "aqft-init", n, tag, m, run)
+                    for run in range(runs_per_state)
+                ]
+                fids = _final_fidelities(dataset, pie, seeds, state)
                 mean = float(np.mean(fids))
                 std = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
                 rows.append((tag, n, m, mean, std))
@@ -172,7 +172,9 @@ def run_timing_bench(
 
     Times ``pie_run`` on a pre-generated dataset (generation excluded) for a
     random state per qubit count. Rows are ``(n, mean_seconds, std_seconds)``
-    over ``repeats`` runs.
+    over ``repeats`` runs. Each repeat is its own single-start ``pie_run``,
+    not one row of a batch: the rows report the time of one reconstruction
+    and its spread, which a batch would share out and hide.
     """
     if repeats < 2:
         raise ValueError("repeats must be >= 2 to report a spread")

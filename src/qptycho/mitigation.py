@@ -222,6 +222,21 @@ def load_calibration(path) -> CalibrationMatrix:
     with open(path) as fh:
         doc = json.load(fh)
     n = doc["n"]
-    intermediate = np.array(doc["M1"]).reshape(2, 2)
-    register = np.array(doc["Mn"]).reshape(1 << n, 1 << n)
-    return CalibrationMatrix(intermediate, register, doc.get("provenance"))
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"calibration file {path}: n must be an integer >= 1, got {n!r}")
+    entries = {}
+    for key, size in (("M1", 4), ("Mn", 4**n)):
+        values = np.array(doc[key], dtype=np.float64).ravel()
+        if values.size != size:
+            raise ValueError(
+                f"calibration file {path}: {key} has {values.size} entries, "
+                f"expected {size} for n={n}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"calibration file {path}: {key} holds non-finite entries")
+        entries[key] = values
+    return CalibrationMatrix(
+        entries["M1"].reshape(2, 2),
+        entries["Mn"].reshape(1 << n, 1 << n),
+        doc.get("provenance"),
+    )

@@ -29,6 +29,10 @@ from .protocol import PtychoDataset, normalize_dataset
 from .states import ProjectorId, StateVector, _project_amps, projector_ids
 from .transforms import UnitarySpec
 
+#: Most amplitudes one batched engine pass holds; pie_run_batch splits larger
+#: batches into chunks of whole rows, so memory stays O(2^n) at large n.
+_CHUNK_AMPS = 1 << 16
+
 
 @dataclass(frozen=True)
 class PieConfig:
@@ -118,22 +122,28 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    if not math.isfinite(nrm):
+        raise ValueError(f"cannot normalize a vector of norm {nrm}; amplitudes must be finite")
     return amps / nrm
+
+
+def _overlap(a: StateVector, b: StateVector) -> float:
+    """|<a|b>| between the normalized versions of a and b, which are finite,
+    so the overlap is too."""
+    if a.n != b.n:
+        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
+    return abs(np.vdot(_normalized(a.amps), _normalized(b.amps)))
 
 
 def trace_distance(a: StateVector, b: StateVector) -> float:
     """sqrt(1 - |<a|b>|^2) between the normalized versions of a and b."""
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    overlap = abs(np.vdot(_normalized(a.amps), _normalized(b.amps)))
+    overlap = _overlap(a, b)
     return math.sqrt(max(0.0, 1.0 - min(1.0, overlap * overlap)))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 between the normalized versions of a and b."""
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    overlap = abs(np.vdot(_normalized(a.amps), _normalized(b.amps)))
+    overlap = _overlap(a, b)
     return min(1.0, overlap * overlap)
 
 
@@ -195,7 +205,29 @@ def pie_run(
     projectors once per iteration with the scheduled beta, and records the
     trace distance between consecutive normalized iterates (plus the fidelity
     against ``reference`` when given). Returns the normalized final estimate
-    and the convergence trace. Deterministic given (dataset, config).
+    and the convergence trace. Deterministic given (dataset, config). This is
+    :func:`pie_run_batch` with the single seed ``config.init_seed``.
+    """
+    return pie_run_batch(dataset, config, (config.init_seed,), reference)[0]
+
+
+def pie_run_batch(
+    dataset: PtychoDataset,
+    config: PieConfig,
+    init_seeds,
+    reference: StateVector | None = None,
+):
+    """Reconstruct one dataset from several starting guesses at once.
+
+    Row r of an ``(R, 2^n)`` estimate array starts from
+    ``random_estimate(n, init_seeds[r])`` (``config.init_seed`` is not used)
+    and all rows are corrected together, sharing the beta schedule and, when
+    ``config.shuffle_seed`` is set, the projector order of each iteration.
+    A row that meets ``config.early_stop_distance`` is frozen and its trace
+    ends there; the others go on. Returns one ``(estimate, trace)`` pair per
+    seed, each equal to ``pie_run`` with that ``init_seed`` up to rounding.
+    Rows are processed in chunks of at most ``_CHUNK_AMPS`` amplitudes, and
+    each chunk restarts the shuffled order exactly as a lone run would.
     """
     dataset.validate()
     n = dataset.n
@@ -207,18 +239,47 @@ def pie_run(
     if reference is not None and reference.n != n:
         raise ValueError(f"reference has n={reference.n}, dataset has n={n}")
     ref = _normalized(reference.amps) if reference is not None else None
+    seeds = list(init_seeds)
+    if not seeds:
+        raise ValueError("init_seeds must hold at least one seed")
+    per_chunk = max(1, _CHUNK_AMPS >> n)
+    results = []
+    for first in range(0, len(seeds), per_chunk):
+        results += _run_rows(
+            n, unitary, ids, target_list, config, seeds[first : first + per_chunk], ref
+        )
+    return results
+
+
+def _normalized_rows(amps: np.ndarray, iteration: int) -> np.ndarray:
+    """Unit-norm copy of each row; raises on a non-finite or zero row, so no
+    metric is ever reported for such an estimate."""
+    norms = np.linalg.norm(amps, axis=-1)
+    bad = ~np.isfinite(norms) | (norms == 0.0)
+    if np.any(bad):
+        raise ValueError(
+            f"estimate norm became {norms[np.argmax(bad)]} at iteration {iteration}"
+        )
+    return amps / norms[:, None]
+
+
+def _run_rows(n, unitary, ids, target_list, config, seeds, ref):
+    """The engine loop on one chunk of rows; see :func:`pie_run_batch`."""
+    amps = np.stack([random_estimate(n, seed).amps for seed in seeds])
+    live = list(range(len(seeds)))  # original row of each row of ``amps``
+    current = _normalized_rows(amps, 0)
     order_rng = (
         np.random.default_rng(config.shuffle_seed)
         if config.shuffle_seed is not None
         else None
     )
-
-    amps = random_estimate(n, config.init_seed).amps
-    rows = []
+    stop = config.early_stop_distance
+    last_iteration = config.resolved_iterations()
+    rows = [[] for _ in seeds]
+    results = [None] * len(seeds)
     started = time.perf_counter()
-    for iteration in range(1, config.resolved_iterations() + 1):
+    for iteration in range(1, last_iteration + 1):
         beta = beta_schedule(iteration, config)
-        previous = _normalized(amps)
         order = (
             range(len(ids))
             if order_rng is None
@@ -226,17 +287,26 @@ def pie_run(
         )
         for idx in order:
             amps = _correction_amps(amps, n, ids[idx], target_list[idx], unitary, beta)
-        current = _normalized(amps)
-        overlap = abs(np.vdot(previous, current))
-        distance = math.sqrt(max(0.0, 1.0 - min(1.0, overlap * overlap)))
-        fid = None
-        if ref is not None:
-            fid = min(1.0, abs(np.vdot(ref, current)) ** 2)
-        rows.append(TraceRow(iteration, beta, distance, fid))
-        if (
-            config.early_stop_distance is not None
-            and distance < config.early_stop_distance
-        ):
-            break
-    total = time.perf_counter() - started
-    return StateVector(n, _normalized(amps)), PieTrace(rows, total)
+        previous, current = current, _normalized_rows(amps, iteration)
+        overlap = np.abs(np.einsum("ij,ij->i", previous.conj(), current))
+        distance = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, overlap * overlap)))
+        fid = None if ref is None else np.minimum(1.0, np.abs(current @ ref.conj()) ** 2)
+        for k, row in enumerate(live):
+            rows[row].append(TraceRow(
+                iteration, beta, float(distance[k]), None if fid is None else float(fid[k])
+            ))
+        done = np.full(len(live), iteration == last_iteration)
+        if stop is not None:
+            done |= distance < stop
+        if np.any(done):
+            elapsed = time.perf_counter() - started
+            for k in np.flatnonzero(done):
+                results[live[k]] = (
+                    StateVector(n, current[k]), PieTrace(rows[live[k]], elapsed)
+                )
+            keep = ~done
+            live = [row for row, kept in zip(live, keep) if kept]
+            if not live:
+                break
+            amps, current = amps[keep], current[keep]
+    return results

@@ -69,6 +69,11 @@ class PtychoDataset:
                     f"record ({rec.axis}, {rec.qubit}) has length {rec.counts.size}, "
                     f"expected {2 << self.n}"
                 )
+            if not np.all(np.isfinite(rec.counts)):
+                raise ValueError(f"record ({rec.axis}, {rec.qubit}) holds non-finite counts")
+            # Only mitigation may leave negative entries (normalize_dataset clips them).
+            if not self.mitigated and np.any(rec.counts < 0):
+                raise ValueError(f"record ({rec.axis}, {rec.qubit}) holds negative counts")
             total = rec.counts.sum()
             if shots == 0:
                 if abs(total - 1.0) > _SUM_ATOL:
@@ -88,12 +93,6 @@ class PtychoDataset:
                         f"summing to exactly {shots}"
                     )
         return self
-
-    def record(self, axis: str, qubit: int) -> CircuitRecord:
-        for rec in self.records:
-            if rec.axis == axis and rec.qubit == qubit:
-                return rec
-        raise KeyError(f"no record for circuit ({axis}, {qubit})")
 
 
 def exact_joint_distribution(

@@ -11,7 +11,6 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,10 +214,3 @@ def load_state(path) -> StateVector:
     with open(path) as fh:
         return state_from_dict(json.load(fh))
 
-
-def num_qubits_for_dim(dim: int) -> int:
-    """Qubit count for a vector length, rejecting non powers of two."""
-    n = int(math.log2(dim)) if dim > 0 else 0
-    if dim <= 0 or (1 << n) != dim:
-        raise ValueError(f"length {dim} is not a power of two")
-    return n

@@ -53,12 +53,15 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
 # Kernels on raw amplitude arrays
 # ---------------------------------------------------------------------------
 
+# Every kernel acts on the trailing axis, so a (R, 2^n) array of R states is
+# transformed row by row in one call.
+
 def _qft_amps(amps: np.ndarray, adjoint: bool) -> np.ndarray:
     # Forward is out_j = 2^{-n/2} sum_k e^{+2 pi i jk / 2^n} in_k, which is the
     # orthonormal inverse DFT; the FFT realizes it in O(n 2^n).
     if adjoint:
-        return np.fft.fft(amps, norm="ortho")
-    return np.fft.ifft(amps, norm="ortho")
+        return np.fft.fft(amps, axis=-1, norm="ortho")
+    return np.fft.ifft(amps, axis=-1, norm="ortho")
 
 
 @lru_cache(maxsize=32)
@@ -84,12 +87,17 @@ def aqft_matrix(n: int, m: int) -> np.ndarray:
 
 
 def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
+    # Each state is a (1, 2^n) row times the matrix: numpy then runs one
+    # matrix-vector product per state, so a batched state rounds exactly as a
+    # lone one (a matrix-matrix product would round differently, and the
+    # engine amplifies that). The adjoint conj(mat).T @ x is taken as
+    # conj(conj(x) @ mat), which copies no matrix; mat is symmetric in (j, k)
+    # only for m = n, so the transpose cannot be dropped.
     mat = aqft_matrix(n, m)
+    rows = amps[..., None, :]
     if adjoint:
-        # conj(mat).T @ x == conj(mat.T @ conj(x)); mat is symmetric in (j,k)
-        # only for m = n, so take the honest conjugate transpose product.
-        return mat.conj().T @ amps
-    return mat @ amps
+        return np.conj(np.conj(rows) @ mat)[..., 0, :]
+    return (rows @ mat.T)[..., 0, :]
 
 
 def _hadamard_amps(amps: np.ndarray, n: int) -> np.ndarray:

@@ -82,6 +82,72 @@ class TestAqftStudy:
         assert a == b
 
 
+# Rows of the serial engine (one pie_run per start) before starts were
+# batched; the batched sweep and study must reproduce them to 1e-12.
+SERIAL_SWEEP_ROWS = [(2, 0, 1.0, 0.0), (3, 0, 1.0, 0.0)]
+SERIAL_SWEEP_ROWS_512 = [
+    (2, 512, 0.9992961308062419, 0.0002953343264858195),
+    (3, 512, 0.9977028454249489, 0.0009094603340665046),
+]
+SERIAL_SWEEP_ROWS_SEPARABLE_SHUFFLED = [
+    (2, 256, 0.9974965462511537, 0.0028757401533122356),
+    (3, 256, 0.9931872311560875, 0.002810978460181802),
+]
+SERIAL_AQFT_ROWS = [
+    ("psi1_n", 3, 2, 0.9981266847703103, 0.0),
+    ("psi2_n", 3, 2, 0.99740057166856, 1.5700924586837752e-16),
+    ("psi3_n", 3, 2, 0.9986217001495729, 0.0),
+    ("psi4_n", 3, 2, 0.999640565656621, 0.0),
+    ("psi5_n", 3, 2, 0.998751323482195, 1.5700924586837752e-16),
+]
+SERIAL_AQFT_ROWS_5_ITERATIONS = [
+    ("psi1_n", 3, 2, 0.9611853407819798, 0.020716483299220344),
+    ("psi2_n", 3, 2, 0.9747353953143164, 0.012816967331108773),
+    ("psi3_n", 3, 2, 0.9889531817975262, 0.002521573675385041),
+    ("psi4_n", 3, 2, 0.9955861622040869, 9.001880537520159e-06),
+    ("psi5_n", 3, 2, 0.9950412335223463, 7.033959687075556e-06),
+]
+
+
+def assert_rows_close(rows, expected):
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        labels = [v for v in row if not isinstance(v, float)]
+        assert labels == [v for v in want if not isinstance(v, float)]
+        floats = [v for v in row if isinstance(v, float)]
+        np.testing.assert_allclose(
+            floats, [v for v in want if isinstance(v, float)], rtol=0, atol=1e-12
+        )
+
+
+class TestSerialRowsReproduced:
+    def test_sweep(self):
+        assert_rows_close(run_fidelity_sweep(small_sweep()), SERIAL_SWEEP_ROWS)
+
+    def test_sweep_with_shots(self):
+        assert_rows_close(run_fidelity_sweep(small_sweep(shots=(512,))), SERIAL_SWEEP_ROWS_512)
+
+    def test_sweep_separable_shuffled_early_stop(self):
+        cfg = small_sweep(
+            shots=(256,),
+            ensemble="separable",
+            unitary_family="separable",
+            pie=PieConfig(delta_beta=0.1, shuffle_seed=3, early_stop_distance=1e-3),
+        )
+        assert_rows_close(run_fidelity_sweep(cfg), SERIAL_SWEEP_ROWS_SEPARABLE_SHUFFLED)
+
+    def test_aqft_study(self):
+        rows = run_aqft_study((3,), (2,), shots=1024, runs_per_state=2, master_seed=2)
+        assert_rows_close(rows, SERIAL_AQFT_ROWS)
+
+    def test_aqft_study_short_runs(self):
+        rows = run_aqft_study(
+            (3,), (2,), shots=1024, runs_per_state=3, master_seed=2,
+            pie=PieConfig(delta_beta=0.1, iterations=5),
+        )
+        assert_rows_close(rows, SERIAL_AQFT_ROWS_5_ITERATIONS)
+
+
 class TestTimingBench:
     def test_rows_and_positive_times(self):
         rows = run_timing_bench((2, 4), iterations=5, repeats=3, shots=256)

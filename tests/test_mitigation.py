@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,23 @@ class TestCalibrationFile:
         np.testing.assert_allclose(loaded.register, cal.register)
         np.testing.assert_allclose(loaded.intermediate, cal.intermediate)
         assert loaded.provenance["shots"] == 500
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"Mn": [1.0] * 15}, "Mn has 15 entries, expected 16"),
+            ({"M1": [1.0, 0.0, 0.0]}, "M1 has 3 entries, expected 4"),
+            ({"n": 3}, "Mn has 16 entries, expected 64"),
+            ({"n": 0}, "n must be an integer"),
+            ({"Mn": [float("nan")] + [0.0] * 15}, "Mn holds non-finite"),
+            ({"M1": [1.0, float("inf"), 0.0, 1.0]}, "M1 holds non-finite"),
+        ],
+    )
+    def test_bad_files_rejected(self, tmp_path, change, message):
+        path = tmp_path / "cal.json"
+        save_calibration(CalibrationMatrix(np.eye(2), np.eye(4)), path)
+        doc = json.loads(path.read_text())
+        doc.update(change)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_calibration(path)

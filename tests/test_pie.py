@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qptycho import (
     PieConfig,
@@ -16,11 +19,13 @@ from qptycho import (
     normalize_dataset,
     pie_correction_step,
     pie_run,
+    pie_run_batch,
     projector_ids,
     random_estimate,
     trace_distance,
 )
-from qptycho.pie import _correction_amps
+from qptycho import pie
+from qptycho.pie import _correction_amps, _normalized_rows
 
 from oracles import haar_state
 
@@ -103,6 +108,13 @@ class TestMetrics:
             fidelity(zero, basis_state(1, 0))
         with pytest.raises(ValueError):
             trace_distance(zero, basis_state(1, 0))
+
+    def test_non_finite_state_rejected(self):
+        nan = StateVector(1, np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            fidelity(nan, basis_state(1, 0))
+        with pytest.raises(ValueError, match="finite"):
+            trace_distance(basis_state(1, 0), nan)
 
 
 class TestCorrectionStep:
@@ -266,3 +278,120 @@ class TestPieTrace:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         assert path.read_text().strip().splitlines()[1].endswith(",")
+
+
+KINDS = ("qft", "aqft", "hadamard", "separable")
+
+
+def spec_for(kind, n, seed=12):
+    return {
+        "qft": UnitarySpec.qft,
+        "aqft": lambda: UnitarySpec.aqft(min(2, n)),
+        "hadamard": UnitarySpec.hadamard,
+        "separable": lambda: UnitarySpec.random_separable(n, seed),
+    }[kind]()
+
+
+def assert_rows_match_lone_runs(dataset, config, seeds, reference=None):
+    """Each batched row equals pie_run with its seed, to 1e-12; returns the
+    trace lengths."""
+    batch = pie_run_batch(dataset, config, seeds, reference=reference)
+    assert len(batch) == len(seeds)
+    for seed, (estimate, trace) in zip(seeds, batch):
+        lone_estimate, lone_trace = pie_run(
+            dataset, replace(config, init_seed=seed), reference=reference
+        )
+        np.testing.assert_allclose(estimate.amps, lone_estimate.amps, rtol=0, atol=1e-12)
+        assert len(trace.rows) == len(lone_trace.rows)
+        for row, lone in zip(trace.rows, lone_trace.rows):
+            assert (row.iteration, row.beta) == (lone.iteration, lone.beta)
+            assert row.distance == pytest.approx(lone.distance, rel=0, abs=1e-12)
+            if reference is None:
+                assert row.fidelity is None
+            else:
+                assert row.fidelity == pytest.approx(lone.fidelity, rel=0, abs=1e-12)
+    return [len(trace.rows) for _, trace in batch]
+
+
+class TestPieRunBatch:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_match_lone_runs_for_every_kind(self, n, kind):
+        spec = spec_for(kind, n)
+        state = StateVector(n, haar_state(n, np.random.default_rng(100 + n)))
+        dataset = generate_dataset(state, spec, 1024, seed=101)
+        assert_rows_match_lone_runs(dataset, PieConfig(delta_beta=0.1), [3, 1, 4, 1, 5], state)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shared_shuffled_order(self, kind):
+        state = StateVector(3, haar_state(3, np.random.default_rng(102)))
+        dataset = generate_dataset(state, spec_for(kind, 3), 512, seed=103)
+        cfg = PieConfig(delta_beta=0.1, shuffle_seed=17)
+        assert_rows_match_lone_runs(dataset, cfg, [0, 1, 2, 3], state)
+
+    def test_rows_stop_early_at_their_own_iteration(self):
+        state = named_state("w", 3)
+        dataset = generate_dataset(state, QFT, 0)
+        cfg = PieConfig(delta_beta=0.04, shuffle_seed=5, early_stop_distance=1e-4)
+        lengths = assert_rows_match_lone_runs(dataset, cfg, list(range(8)), state)
+        assert len(set(lengths)) > 1
+        assert max(lengths) < cfg.resolved_iterations()
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # 16 amplitudes per chunk at n=3 is 2 rows: 5 rows make 3 chunks, the
+        # last one partial, and each chunk restarts the shuffled order.
+        monkeypatch.setattr(pie, "_CHUNK_AMPS", 16)
+        state = named_state("ghz", 3)
+        dataset = generate_dataset(state, UnitarySpec.aqft(2), 2048, seed=104)
+        cfg = PieConfig(delta_beta=0.04, shuffle_seed=6, early_stop_distance=1e-3)
+        assert_rows_match_lone_runs(dataset, cfg, [9, 8, 7, 6, 5], state)
+
+    def test_chunks_do_not_change_rows(self, monkeypatch):
+        dataset = generate_dataset(named_state("psi1_n", 3), QFT, 1024, seed=105)
+        cfg = PieConfig(delta_beta=0.1, shuffle_seed=2)
+        whole = pie_run_batch(dataset, cfg, range(6))
+        monkeypatch.setattr(pie, "_CHUNK_AMPS", 24)  # 3 rows per chunk at n=3
+        split = pie_run_batch(dataset, cfg, range(6))
+        for (a, _), (b, _) in zip(whole, split):
+            np.testing.assert_array_equal(a.amps, b.amps)
+
+    def test_needs_a_seed(self):
+        dataset = generate_dataset(named_state("psi5", 2), QFT, 0)
+        with pytest.raises(ValueError):
+            pie_run_batch(dataset, PieConfig(), [])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        kind=st.sampled_from(KINDS),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        data_seed=st.integers(0, 2**32 - 1),
+        shuffle_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    def test_property_rows_match_lone_runs(self, n, kind, seeds, data_seed, shuffle_seed):
+        spec = spec_for(kind, n, data_seed)
+        rng = np.random.default_rng(data_seed)
+        state = StateVector(n, haar_state(n, rng))
+        dataset = generate_dataset(state, spec, 256, seed=data_seed)
+        cfg = PieConfig(delta_beta=0.2, shuffle_seed=shuffle_seed, early_stop_distance=1e-3)
+        assert_rows_match_lone_runs(dataset, cfg, seeds, state)
+
+
+class TestNonFiniteEstimates:
+    def test_diverging_run_raises_naming_the_iteration(self):
+        dataset = generate_dataset(named_state("w", 3), QFT, 0)
+        cfg = PieConfig(beta0=1e200, delta_beta=0.0, iterations=3)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="iteration 1"):
+            pie_run(dataset, cfg)
+
+    def test_zero_row_rejected(self):
+        amps = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="iteration 7"):
+            _normalized_rows(amps, 7)
+
+    def test_nan_dataset_never_reports_a_fidelity(self):
+        state = named_state("psi5", 2)
+        dataset = generate_dataset(state, QFT, 0)
+        dataset.records[0].counts[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            pie_run(dataset, PieConfig(), reference=state)

@@ -198,6 +198,29 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             dataset.validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        for shots, mitigated in ((0, False), (1000, False), (1000, True)):
+            dataset = generate_dataset(named_state("ghz", 2), QFT, shots, seed=3)
+            dataset.mitigated = mitigated
+            dataset.records[2].counts[1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                dataset.validate()
+
+    def test_negative_raw_and_exact_entries_rejected(self):
+        # Same totals as a valid record, so only the sign check can fire.
+        raw = np.array([600.0, 500.0, -100.0, 0.0])
+        exact = np.array([0.6, 0.5, -0.1, 0.0])
+        for shots, counts in ((1000, raw), (0, exact)):
+            dataset = PtychoDataset(
+                n=1,
+                unitary=QFT,
+                shots_per_circuit=shots,
+                records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
+            )
+            with pytest.raises(ValueError, match="negative"):
+                dataset.validate()
+
     def test_mitigated_sum_tolerance(self):
         counts = np.array([600.0, 500.0, -50.0, -49.0])
         dataset = PtychoDataset(

@@ -176,6 +176,18 @@ class TestApplyPauliProjector:
                 np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
 
+    @pytest.mark.parametrize("axis,sign", AXES_SIGNS)
+    def test_rows_project_exactly_as_lone_states(self, axis, sign):
+        from qptycho.states import _project_amps
+
+        rng = np.random.default_rng(25)
+        rows = np.stack([haar_state(3, rng) for _ in range(4)])
+        for q in range(3):
+            batched = _project_amps(rows, axis, q, sign)
+            lone = np.stack([_project_amps(row, axis, q, sign) for row in rows])
+            np.testing.assert_array_equal(batched, lone)
+
+
 class TestInnerProductAndBorn:
     def test_inner_product_basics(self):
         zero, one = basis_state(1, 0), basis_state(1, 1)

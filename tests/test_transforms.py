@@ -190,6 +190,26 @@ class TestUnitarySpec:
         back = spec.apply(forward, adjoint=True)
         np.testing.assert_allclose(back.amps, state.amps, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            UnitarySpec.qft(),
+            UnitarySpec.aqft(2),
+            UnitarySpec.aqft(4),
+            UnitarySpec.hadamard(),
+            UnitarySpec.random_separable(4, 8),
+        ],
+    )
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_rows_transform_exactly_as_lone_states(self, spec, adjoint):
+        # The engine transforms an (R, 2^n) batch in one call; every row must
+        # round exactly as the same state transformed alone.
+        rng = np.random.default_rng(50)
+        rows = np.stack([haar_state(4, rng) for _ in range(5)])
+        batched = spec.apply_amps(rows, 4, adjoint=adjoint)
+        lone = np.stack([spec.apply_amps(row, 4, adjoint=adjoint) for row in rows])
+        np.testing.assert_array_equal(batched, lone)
+
     def test_hadamard_equals_separable_h_triples(self):
         n = 3
         rng = np.random.default_rng(49)

@@ -2,9 +2,9 @@
 
 Readout noise is modeled per measured bit by a 2x2 column-stochastic
 confusion matrix C with C[i][j] = p(read i | prepared j); independent bits
-combine as a tensor product. Mitigation estimates those matrices from
-simulated calibration circuits and applies the inverse of the global matrix
-to measured count vectors via a linear solve.
+combine as a tensor product. Mitigation estimates the matrices M1 (mid-circuit
+bit) and Mn (register) from simulated calibration circuits and inverts
+M1 (x) Mn through its factors, never forming the 2^(n+1)-square product.
 """
 from __future__ import annotations
 
@@ -106,9 +106,10 @@ def corrupt_counts(p: np.ndarray, model: ReadoutNoiseModel) -> np.ndarray:
 class CalibrationMatrix:
     """Estimated confusion matrices for the protocol's n+1 measured bits.
 
-    ``intermediate`` is the 2x2 matrix of the mid-circuit bit, ``register``
-    the 2^n x 2^n matrix of the final register; the mitigation step uses
-    their tensor product with the intermediate bit most significant.
+    ``intermediate`` is the 2x2 matrix M1 of the mid-circuit bit, ``register``
+    the 2^n x 2^n matrix Mn of the final register; they model the channel
+    M1 (x) Mn, intermediate bit most significant. Its singular values are
+    products of the factors', so cond(M1 (x) Mn) = cond(M1) * cond(Mn).
     """
 
     intermediate: np.ndarray
@@ -123,18 +124,17 @@ class CalibrationMatrix:
         dim = self.register.shape[0]
         if self.register.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
             raise ValueError("register calibration matrix must be square with 2^n rows")
+        for name in ("intermediate", "register"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} calibration matrix holds non-finite entries")
 
     @property
     def n(self) -> int:
         return int(self.register.shape[0]).bit_length() - 1
 
     @cached_property
-    def global_matrix(self) -> np.ndarray:
-        return np.kron(self.intermediate, self.register)
-
-    @cached_property
     def condition_number(self) -> float:
-        return float(np.linalg.cond(self.global_matrix))
+        return float(np.linalg.cond(self.intermediate) * np.linalg.cond(self.register))
 
 
 def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -> CalibrationMatrix:
@@ -161,21 +161,15 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
             raise RuntimeError("calibration circuit produced no counts")
         return counts / shots
 
-    register_model = model.subset(range(n))
-    dim = 1 << n
-    register = np.empty((dim, dim))
-    for j in range(dim):
-        delta = np.zeros(dim)
-        delta[j] = 1.0
-        register[:, j] = estimated_column(corrupt_counts(delta, register_model))
+    def estimated_matrix(bits) -> np.ndarray:
+        bit_model, dim = model.subset(bits), 1 << len(bits)
+        mat = np.empty((dim, dim))
+        for j in range(dim):  # column j: basis state j through the channel
+            mat[:, j] = estimated_column(corrupt_counts(np.eye(1, dim, j)[0], bit_model))
+        return mat
 
-    intermediate_model = model.subset([n])
-    intermediate = np.empty((2, 2))
-    for j in range(2):
-        delta = np.zeros(2)
-        delta[j] = 1.0
-        intermediate[:, j] = estimated_column(corrupt_counts(delta, intermediate_model))
-
+    register = estimated_matrix(range(n))  # spends the first 2^n seed children
+    intermediate = estimated_matrix([n])
     provenance = {
         "model_id": model.label,
         "shots": shots,
@@ -185,21 +179,24 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
 
 
 def mitigate(record: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
-    """Invert the readout channel on one joint count vector.
+    """Invert the readout channel on joint count vectors of shape (..., 2^(n+1)).
 
-    Solves M x = record for the global calibration matrix M; the result may
-    contain negative entries and preserves the total count.
+    Solves (M1 (x) Mn) x = record for all of them at once: one solve against
+    Mn with every register block as a right-hand side, then M1 on the sign
+    axis. The result may contain negative entries and preserves the total count.
     """
     record = np.asarray(record, dtype=np.float64)
-    m = cal.global_matrix
-    if record.shape != (m.shape[0],):
-        raise ValueError(f"record length {record.shape} does not match calibration {m.shape}")
+    dim = cal.register.shape[0]
+    if record.ndim == 0 or record.shape[-1] != 2 * dim:
+        raise ValueError(f"record shape {record.shape} does not match calibration n={cal.n}")
     if not np.isfinite(cal.condition_number) or cal.condition_number > MAX_CONDITION_NUMBER:
         raise np.linalg.LinAlgError(
             f"calibration matrix condition number {cal.condition_number:.3g} exceeds "
             f"{MAX_CONDITION_NUMBER:g}; re-calibrate with more shots"
         )
-    return np.linalg.solve(m, record)
+    blocks = record.reshape(-1, dim).T  # one column per (record, sign)
+    solved = np.linalg.solve(cal.register, blocks).T.reshape(-1, 2, dim)
+    return np.linalg.solve(cal.intermediate, solved).reshape(record.shape)
 
 
 # ---------------------------------------------------------------------------

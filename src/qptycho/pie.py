@@ -127,23 +127,33 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
     return amps / nrm
 
 
-def _overlap(a: StateVector, b: StateVector) -> float:
-    """|<a|b>| between the normalized versions of a and b, which are finite,
-    so the overlap is too."""
+def _unit_pair(a: StateVector, b: StateVector):
+    """The normalized amplitudes of a and b, which are finite."""
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    return abs(np.vdot(_normalized(a.amps), _normalized(b.amps)))
+    return _normalized(a.amps), _normalized(b.amps)
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sqrt(1 - |<a|b>|^2) of unit vectors (or rows), to full precision.
+
+    Computed as d * sqrt(1 - d^2/4) with d = ||a - e^{i phi} b|| and
+    phi = arg <b|a>, the phase that minimises d. The direct form has a
+    rounding floor near 1.5e-8, because 1 - |<a|b>|^2 cancels.
+    """
+    inner = np.einsum("...j,...j->...", b.conj(), a)
+    d = np.linalg.norm(a - np.exp(1j * np.angle(inner))[..., None] * b, axis=-1)
+    return d * np.sqrt(np.maximum(0.0, 1.0 - d * d / 4))
 
 
 def trace_distance(a: StateVector, b: StateVector) -> float:
     """sqrt(1 - |<a|b>|^2) between the normalized versions of a and b."""
-    overlap = _overlap(a, b)
-    return math.sqrt(max(0.0, 1.0 - min(1.0, overlap * overlap)))
+    return float(_distance(*_unit_pair(a, b)))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 between the normalized versions of a and b."""
-    overlap = _overlap(a, b)
+    overlap = abs(np.vdot(*_unit_pair(a, b)))
     return min(1.0, overlap * overlap)
 
 
@@ -288,8 +298,7 @@ def _run_rows(n, unitary, ids, target_list, config, seeds, ref):
         for idx in order:
             amps = _correction_amps(amps, n, ids[idx], target_list[idx], unitary, beta)
         previous, current = current, _normalized_rows(amps, iteration)
-        overlap = np.abs(np.einsum("ij,ij->i", previous.conj(), current))
-        distance = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, overlap * overlap)))
+        distance = _distance(current, previous)
         fid = None if ref is None else np.minimum(1.0, np.abs(current @ ref.conj()) ** 2)
         for k, row in enumerate(live):
             rows[row].append(TraceRow(

@@ -38,6 +38,8 @@ class CircuitRecord:
 
     def __post_init__(self):
         self.counts = np.array(self.counts, dtype=np.float64)
+        if not np.all(np.isfinite(self.counts)):
+            raise ValueError(f"record ({self.axis}, {self.qubit}) counts must be finite")
 
 
 @dataclass
@@ -171,15 +173,13 @@ def generate_dataset(
 
 
 def mitigate_dataset(dataset: PtychoDataset, cal: CalibrationMatrix) -> PtychoDataset:
-    """Apply calibration-matrix mitigation to every record of a dataset."""
+    """Apply calibration-matrix mitigation to all records of a dataset in one call."""
     if cal.n != dataset.n:
         raise ValueError(f"calibration is for n={cal.n}, dataset has n={dataset.n}")
     if dataset.mitigated:
         raise ValueError("dataset is already mitigated")
-    records = [
-        CircuitRecord(rec.axis, rec.qubit, mitigate(rec.counts, cal))
-        for rec in dataset.records
-    ]
+    counts = mitigate(np.stack([rec.counts for rec in dataset.validate().records]), cal)
+    records = [CircuitRecord(rec.axis, rec.qubit, row) for rec, row in zip(dataset.records, counts)]
     return PtychoDataset(
         n=dataset.n,
         unitary=dataset.unitary,

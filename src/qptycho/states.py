@@ -45,6 +45,8 @@ class StateVector:
             raise ValueError(
                 f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state amplitudes (amps) must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "amps", amps)

@@ -80,3 +80,9 @@ def dense_joint_distribution(amps, axis, sign, q, unitary_matrix, n):
 def haar_state(n: int, rng) -> np.ndarray:
     z = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return z / np.linalg.norm(z)
+
+
+def dense_calibration(cal) -> np.ndarray:
+    """The full 2^(n+1)-square readout matrix M1 (x) Mn of a calibration,
+    intermediate bit most significant."""
+    return np.kron(cal.intermediate, cal.register)

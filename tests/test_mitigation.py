@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qptycho import (
     CalibrationMatrix,
@@ -12,6 +14,9 @@ from qptycho import (
     mitigate,
     save_calibration,
 )
+from qptycho.mitigation import MAX_CONDITION_NUMBER
+
+from oracles import dense_calibration
 
 
 class TestReadoutNoiseModel:
@@ -68,7 +73,7 @@ class TestBuildCalibration:
         cal = build_calibration(2, ReadoutNoiseModel.identity(3), shots=0)
         np.testing.assert_array_equal(cal.register, np.eye(4))
         np.testing.assert_array_equal(cal.intermediate, np.eye(2))
-        np.testing.assert_array_equal(cal.global_matrix, np.eye(8))
+        np.testing.assert_array_equal(dense_calibration(cal), np.eye(8))
 
     def test_symmetric_exact_single_qubit(self):
         cal = build_calibration(1, ReadoutNoiseModel.symmetric(2, 0.1), shots=0)
@@ -77,7 +82,7 @@ class TestBuildCalibration:
 
     def test_exact_columns_are_stochastic(self):
         cal = build_calibration(3, ReadoutNoiseModel.symmetric(4, 0.025), shots=0)
-        np.testing.assert_allclose(cal.global_matrix.sum(axis=0), np.ones(16), atol=1e-12)
+        np.testing.assert_allclose(dense_calibration(cal).sum(axis=0), np.ones(16), atol=1e-12)
 
     def test_sampled_estimates_concentrate(self):
         shots = 100_000
@@ -112,7 +117,7 @@ class TestMitigate:
         rng = np.random.default_rng(64)
         cal = build_calibration(2, ReadoutNoiseModel.symmetric(3, 0.08), shots=0)
         x = rng.random(8) * 1000
-        record = cal.global_matrix @ x
+        record = dense_calibration(cal) @ x
         np.testing.assert_allclose(mitigate(record, cal), x, rtol=1e-9)
 
     def test_two_level_toy(self):
@@ -143,6 +148,87 @@ class TestMitigate:
         cal = CalibrationMatrix(np.eye(2), np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(np.linalg.LinAlgError, match="re-calibrate"):
             mitigate(np.ones(4), cal)
+
+
+def sampled_calibration(n, seed, max_flip=0.15, shots=2000):
+    """Sampled calibration of a random asymmetric per-bit readout model."""
+    rng = np.random.default_rng(seed)
+    model = ReadoutNoiseModel.from_flip_probabilities(
+        rng.uniform(0, max_flip, n + 1), rng.uniform(0, max_flip, n + 1)
+    )
+    return build_calibration(n, model, shots=shots, seed=seed)
+
+
+class TestFactoredMitigation:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stack_matches_per_record_and_dense_solve(self, n):
+        cal = sampled_calibration(n, 70 + n)
+        rng = np.random.default_rng(80 + n)
+        stack = rng.integers(0, 5000, size=(3 * n, 2 << n)).astype(float)
+        dense = np.linalg.solve(dense_calibration(cal), stack.T).T
+        atol = 1e-12 * np.abs(dense).max()
+        out = mitigate(stack, cal)
+        assert out.shape == stack.shape
+        np.testing.assert_allclose(out, dense, rtol=0, atol=atol)
+        for record, row in zip(stack, out):
+            np.testing.assert_allclose(mitigate(record, cal), row, rtol=0, atol=atol)
+        nested = mitigate(stack.reshape(3, n, -1), cal)
+        np.testing.assert_allclose(nested.reshape(stack.shape), out, rtol=0, atol=atol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        max_flip=st.sampled_from([0.05, 0.2, 0.45]),
+        shots=st.sampled_from([0, 100, 2000]),
+    )
+    def test_condition_number_is_the_dense_one(self, n, seed, max_flip, shots):
+        cal = sampled_calibration(n, seed, max_flip, shots)
+        dense = np.linalg.cond(dense_calibration(cal))
+        if dense <= 1e4:
+            assert cal.condition_number == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "intermediate, register",
+        [([[0.5, 0.5], [0.5, 0.5]], np.eye(4)), (np.eye(2), np.full((4, 4), 0.25))],
+        ids=["singular-M1", "singular-Mn"],
+    )
+    def test_singular_factor_rejected_before_any_solve(self, monkeypatch, intermediate, register):
+        cal = CalibrationMatrix(intermediate, register)
+        assert not cal.condition_number <= MAX_CONDITION_NUMBER
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the guard let a solve run")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        with pytest.raises(np.linalg.LinAlgError, match="re-calibrate"):
+            mitigate(np.ones((6, 8)), cal)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (16,), (6, 4), (8, 1)])
+    def test_wrong_record_length_rejected(self, shape):
+        cal = CalibrationMatrix(np.eye(2), np.eye(4))
+        with pytest.raises(ValueError, match="does not match calibration n=2"):
+            mitigate(np.ones(shape), cal)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_exact_calibration_inverts_corruption(self, n, seed):
+        rng = np.random.default_rng(seed)
+        model = ReadoutNoiseModel.from_flip_probabilities(
+            rng.uniform(0, 0.2, n + 1), rng.uniform(0, 0.2, n + 1)
+        )
+        cal = build_calibration(n, model, shots=0)
+        p = rng.random((3 * n, 2 << n))
+        corrupted = np.stack([corrupt_counts(row, model) for row in p])
+        np.testing.assert_allclose(mitigate(corrupted, cal), p, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("field", ["intermediate", "register"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_calibration_rejected(self, field, bad):
+        mats = {"intermediate": np.eye(2), "register": np.eye(4)}
+        mats[field][1, 0] = bad
+        with pytest.raises(ValueError, match=f"{field} calibration matrix holds non-finite"):
+            CalibrationMatrix(**mats)
 
 
 class TestCalibrationFile:

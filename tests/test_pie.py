@@ -102,6 +102,19 @@ class TestMetrics:
         assert fidelity(a, b) == pytest.approx(0.0)
         assert trace_distance(a, a) == pytest.approx(0.0)
 
+    def test_distance_has_no_rounding_floor(self):
+        # 1 - |<a|b>|^2 would cancel to ~1e-16 here, leaving a distance near 1e-8.
+        rng = np.random.default_rng(94)
+        rows_a, rows_b = [], []
+        for _ in range(20):
+            a = haar_state(4, rng)
+            b = a + 1e-16 * haar_state(4, rng)
+            b /= np.linalg.norm(b)
+            assert trace_distance(StateVector(4, a), StateVector(4, b)) < 1e-12
+            rows_a.append(a)
+            rows_b.append(b)
+        assert np.all(pie._distance(np.array(rows_a), np.array(rows_b)) < 1e-12)
+
     def test_zero_vector_rejected(self):
         zero = StateVector(1, np.zeros(2))
         with pytest.raises(ValueError):
@@ -109,8 +122,11 @@ class TestMetrics:
         with pytest.raises(ValueError):
             trace_distance(zero, basis_state(1, 0))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_state_rejected(self):
-        nan = StateVector(1, np.array([np.nan, 1.0]))
+        # StateVector refuses NaN amplitudes itself; finite amplitudes whose
+        # norm overflows to inf still reach the metrics' own check.
+        nan = StateVector(1, np.array([1e308, 1e308]))
         with pytest.raises(ValueError, match="finite"):
             fidelity(nan, basis_state(1, 0))
         with pytest.raises(ValueError, match="finite"):

@@ -187,6 +187,11 @@ class TestNormalizeDataset:
 
 
 class TestDatasetValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_record_rejects_non_finite_counts(self, bad):
+        with pytest.raises(ValueError, match=r"record \(y, 1\) counts must be finite"):
+            CircuitRecord("y", 1, [10.0, bad, 0.0, 0.0])
+
     def test_noninteger_unmitigated_counts_rejected(self):
         counts = np.full(4, 2.5)
         dataset = PtychoDataset(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -43,6 +44,13 @@ class TestStateVector:
     def test_normalized_flag_tolerance(self):
         assert basis_state(3, 5).is_normalized
         assert not StateVector(1, np.array([1.0, 1.0])).is_normalized
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        amps = np.array([0.6, 0.8, 0.0, 0.0], dtype=complex)
+        amps[2] = bad
+        with pytest.raises(ValueError, match=r"amplitudes \(amps\) must be finite"):
+            StateVector(2, amps)
 
     def test_normalized_copy(self):
         state = StateVector(1, np.array([3.0, 4.0]))
@@ -229,6 +237,15 @@ class TestStateFile:
     def test_dict_fields(self):
         doc = state_to_dict(basis_state(1, 0))
         assert doc == {"n": 1, "amps": [[1.0, 0.0], [0.0, 0.0]], "normalized": True}
+
+    def test_reader_rejects_non_finite_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        save_state(basis_state(1, 0), path)
+        doc = json.loads(path.read_text())
+        doc["amps"][1] = [float("nan"), 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="must be finite"):
+            load_state(path)
 
     def test_reader_rejects_wrong_length(self):
         with pytest.raises(ValueError):

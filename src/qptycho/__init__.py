@@ -30,7 +30,6 @@ from .pie import (
     pie_correction_step,
     pie_run,
     pie_run_batch,
-    random_estimate,
     trace_distance,
 )
 from .protocol import (
@@ -68,12 +67,7 @@ from .states import (
 )
 from .transforms import (
     UnitarySpec,
-    aqft_apply,
     aqft_matrix,
-    dense_unitary,
-    hadamard_apply,
-    qft_apply,
-    separable_apply,
     u3_matrix,
 )
 
@@ -92,7 +86,6 @@ __all__ = [
     "UnitarySpec",
     "apply_pauli_projector",
     "apply_single_qubit",
-    "aqft_apply",
     "aqft_matrix",
     "basis_state",
     "beta_schedule",
@@ -101,12 +94,10 @@ __all__ = [
     "circuit_settings",
     "corrupt_counts",
     "dataset_to_csv",
-    "dense_unitary",
     "exact_joint_distribution",
     "fidelity",
     "generate_dataset",
     "ghz_state",
-    "hadamard_apply",
     "inner_product",
     "load_calibration",
     "load_dataset",
@@ -119,9 +110,7 @@ __all__ = [
     "pie_run",
     "pie_run_batch",
     "projector_ids",
-    "qft_apply",
     "random_arbitrary",
-    "random_estimate",
     "random_separable",
     "run_aqft_study",
     "run_fidelity_sweep",
@@ -130,7 +119,6 @@ __all__ = [
     "save_calibration",
     "save_dataset",
     "save_state",
-    "separable_apply",
     "table_states",
     "trace_distance",
     "u3_matrix",

@@ -15,6 +15,7 @@ import sys
 from .experiments import (
     AQFT_HEADER,
     BENCH_HEADER,
+    ENSEMBLES,
     SWEEP_HEADER,
     SweepConfig,
     run_aqft_study,
@@ -46,6 +47,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _aqft_degree(text: str) -> int:
+    """The degree m of ``aqft:<m>``."""
+    try:
+        return int(text.split(":", 1)[1])
+    except ValueError:
+        raise CliError(f"bad aqft degree in {text!r}; use aqft:<m>")
+
+
 def parse_unitary(text: str, n: int, seed) -> UnitarySpec:
     """Parse qft | aqft:<m> | hadamard | separable into a spec for n qubits.
 
@@ -58,11 +67,7 @@ def parse_unitary(text: str, n: int, seed) -> UnitarySpec:
     if text == "hadamard":
         return UnitarySpec.hadamard()
     if text.startswith("aqft:"):
-        try:
-            m = int(text.split(":", 1)[1])
-        except ValueError:
-            raise CliError(f"bad aqft degree in {text!r}; use aqft:<m>")
-        return UnitarySpec.aqft(m)
+        return UnitarySpec.aqft(_aqft_degree(text))
     if text == "separable":
         return UnitarySpec.random_separable(
             n, derive_seed(seed if seed is not None else 0, "separable-unitary", n)
@@ -146,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="fidelity sweep over qubit counts and shot budgets")
     p.add_argument("-n", "--qubits", type=int, nargs="+", default=None)
     p.add_argument("--shots", type=int, nargs="+", default=None)
-    p.add_argument("--ensemble", choices=("separable", "arbitrary", "table"), default=None)
+    p.add_argument("--ensemble", choices=ENSEMBLES, default=None)
     p.add_argument("--states", type=int, default=None, help="states per qubit count")
     p.add_argument("--runs", type=int, default=None, help="engine runs per state")
     p.add_argument("--unitary", default=None)
@@ -278,7 +283,7 @@ def _cmd_sweep(args, cfg):
     unitary = _resolve(args, cfg, "unitary", "qft").lower()
     family, aqft_m = unitary, None
     if unitary.startswith("aqft:"):
-        family, aqft_m = "aqft", int(unitary.split(":", 1)[1])
+        family, aqft_m = "aqft", _aqft_degree(unitary)
     full_scale = bool(_resolve(args, cfg, "full_scale", False))
     default_count = 100 if full_scale else 20
     sweep_cfg = SweepConfig(

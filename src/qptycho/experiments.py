@@ -17,7 +17,7 @@ from .pie import PieConfig, pie_run, pie_run_batch
 from .protocol import generate_dataset
 from .seeding import derive_seed
 from .stateprep import random_arbitrary, random_separable, table_states
-from .transforms import UnitarySpec
+from .transforms import KINDS, UnitarySpec
 
 MAX_QUBITS = 16
 
@@ -51,7 +51,7 @@ class SweepConfig:
             raise ValueError(f"qubit counts must be within 1..{MAX_QUBITS}")
         if any(s < 0 for s in self.shots):
             raise ValueError("shot counts must be >= 0 (0 means exact)")
-        if self.unitary_family not in ("qft", "aqft", "hadamard", "separable"):
+        if self.unitary_family not in KINDS:
             raise ValueError(f"unknown unitary family {self.unitary_family!r}")
         if self.unitary_family == "aqft" and (self.aqft_m is None or self.aqft_m < 1):
             raise ValueError("aqft family needs aqft_m >= 1")

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
-
-from .seeding import as_generator
 
 #: Refuse to mitigate through a calibration matrix worse-conditioned than this.
 MAX_CONDITION_NUMBER = 1e12
@@ -82,12 +80,6 @@ class ReadoutNoiseModel:
         ]
         return cls(tuple(mats), label=label)
 
-    def subset(self, bit_indices) -> "ReadoutNoiseModel":
-        """Model restricted to the given bits, re-indexed from 0."""
-        return ReadoutNoiseModel(
-            tuple(self.bit_confusions[i] for i in bit_indices), label=self.label
-        )
-
 
 def corrupt_counts(p: np.ndarray, model: ReadoutNoiseModel) -> np.ndarray:
     """Push a distribution (or count vector) through the independent-bit channel."""
@@ -152,20 +144,19 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
     ss = np.random.SeedSequence(seed)
     children = iter(ss.spawn((1 << n) + 2))
 
-    def estimated_column(exact: np.ndarray) -> np.ndarray:
-        if shots == 0:
-            return exact
-        rng = as_generator(next(children))
-        counts = rng.multinomial(shots, exact / exact.sum())
-        if counts.sum() == 0:
-            raise RuntimeError("calibration circuit produced no counts")
-        return counts / shots
-
     def estimated_matrix(bits) -> np.ndarray:
-        bit_model, dim = model.subset(bits), 1 << len(bits)
-        mat = np.empty((dim, dim))
-        for j in range(dim):  # column j: basis state j through the channel
-            mat[:, j] = estimated_column(corrupt_counts(np.eye(1, dim, j)[0], bit_model))
+        # Exact channel: the Kronecker product of the bits' confusion
+        # matrices, highest bit leftmost, multiplied in corrupt_counts' order.
+        mats = [model.bit_confusions[i] for i in bits]
+        mat = reduce(lambda acc, c: np.kron(c, acc), mats, np.ones((1, 1)))
+        if shots == 0:
+            return mat
+        for j in range(mat.shape[1]):  # column j: basis state j through the channel
+            exact = mat[:, j]
+            counts = np.random.default_rng(next(children)).multinomial(shots, exact / exact.sum())
+            if counts.sum() == 0:
+                raise RuntimeError("calibration circuit produced no counts")
+            mat[:, j] = counts / shots
         return mat
 
     register = estimated_matrix(range(n))  # spends the first 2^n seed children

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .protocol import PtychoDataset, normalize_dataset
+from .stateprep import random_arbitrary
 from .states import ProjectorId, StateVector, _project_amps, projector_ids
 from .transforms import UnitarySpec
 
@@ -52,10 +53,13 @@ class PieConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.beta0 <= 0:
-            raise ValueError(f"beta0 must be positive, got {self.beta0}")
-        if self.delta_beta < 0:
-            raise ValueError(f"delta_beta must be >= 0, got {self.delta_beta}")
+        if not (math.isfinite(self.beta0) and self.beta0 > 0):
+            raise ValueError(f"beta0 must be finite and positive, got {self.beta0}")
+        if not (math.isfinite(self.delta_beta) and self.delta_beta >= 0):
+            raise ValueError(f"delta_beta must be finite and >= 0, got {self.delta_beta}")
+        stop = self.early_stop_distance
+        if stop is not None and not (math.isfinite(stop) and stop > 0):
+            raise ValueError(f"early_stop_distance must be None or finite and > 0, got {stop}")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         last = self.beta0 - (self.resolved_iterations() - 1) * self.delta_beta
@@ -157,14 +161,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return min(1.0, overlap * overlap)
 
 
-def random_estimate(n: int, seed=None) -> StateVector:
-    """Haar-uniform starting guess: normalized i.i.d. complex Gaussians."""
-    rng = np.random.default_rng(seed)
-    dim = 1 << n
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(n, z / np.linalg.norm(z))
-
-
 def _correction_amps(
     amps: np.ndarray,
     n: int,
@@ -230,7 +226,7 @@ def pie_run_batch(
     """Reconstruct one dataset from several starting guesses at once.
 
     Row r of an ``(R, 2^n)`` estimate array starts from
-    ``random_estimate(n, init_seeds[r])`` (``config.init_seed`` is not used)
+    ``random_arbitrary(n, init_seeds[r])`` (``config.init_seed`` is not used)
     and all rows are corrected together, sharing the beta schedule and, when
     ``config.shuffle_seed`` is set, the projector order of each iteration.
     A row that meets ``config.early_stop_distance`` is frozen and its trace
@@ -275,7 +271,7 @@ def _normalized_rows(amps: np.ndarray, iteration: int) -> np.ndarray:
 
 def _run_rows(n, unitary, ids, target_list, config, seeds, ref):
     """The engine loop on one chunk of rows; see :func:`pie_run_batch`."""
-    amps = np.stack([random_estimate(n, seed).amps for seed in seeds])
+    amps = np.stack([random_arbitrary(n, seed).amps for seed in seeds])
     live = list(range(len(seeds)))  # original row of each row of ``amps``
     current = _normalized_rows(amps, 0)
     order_rng = (

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mitigation import CalibrationMatrix, ReadoutNoiseModel, corrupt_counts, mitigate
-from .seeding import as_generator
 from .states import PAULI_AXES, SIGNS, ProjectorId, StateVector, _project_amps
 from .transforms import UnitarySpec
 
@@ -129,7 +128,7 @@ def sample_shots(p: np.ndarray, shots: int, rng=None) -> np.ndarray:
     if abs(total - 1.0) > _SUM_ATOL:
         raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
     p = np.clip(p, 0.0, None)
-    return as_generator(rng).multinomial(shots, p / p.sum())
+    return np.random.default_rng(rng).multinomial(shots, p / p.sum())
 
 
 def generate_dataset(
@@ -159,7 +158,7 @@ def generate_dataset(
         if noise is not None:
             p = corrupt_counts(p, noise)
         child = next(children)
-        counts = p if shots == 0 else sample_shots(p, shots, as_generator(child))
+        counts = p if shots == 0 else sample_shots(p, shots, child)
         records.append(CircuitRecord(axis, q, counts))
     return PtychoDataset(
         n=n,

@@ -1,22 +1,17 @@
 """Deterministic RNG plumbing shared across the package.
 
-Every stochastic operation takes either an integer seed, an existing
-``numpy.random.Generator``, or ``None`` (fresh OS entropy). Nested
-experiments derive child seeds from a master seed plus a structured key,
-so partial re-runs of a sweep see the same streams.
+Every stochastic operation takes either an integer seed, a
+``SeedSequence``, an existing ``numpy.random.Generator``, or ``None`` (fresh
+OS entropy), and passes it to ``numpy.random.default_rng``, which returns a
+Generator unaltered. Nested experiments derive child seeds from a master
+seed plus a structured key, so partial re-runs of a sweep see the same
+streams.
 """
 from __future__ import annotations
 
 import zlib
 
 import numpy as np
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, Generator, or None into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _key_to_int(part) -> int:

@@ -10,9 +10,8 @@ import math
 
 import numpy as np
 
-from .seeding import as_generator
 from .states import StateVector
-from .transforms import u3_matrix
+from .transforms import _haar_u3_angles, u3_matrix
 
 # The benchmark set contains two unspecified random states at n=2 and one
 # random separable n-qubit state; these seeds pin them for reproducibility.
@@ -56,19 +55,15 @@ def random_separable(n: int, rng=None) -> StateVector:
     The per-qubit unitary is drawn in the (theta, phi, lam) chart with
     cos(theta) uniform on [-1, 1] and phi, lam uniform on [0, 2 pi).
     """
-    rng = as_generator(rng)
     amps = np.array([1.0 + 0.0j])
-    for _ in range(n):
-        theta = math.acos(1.0 - 2.0 * rng.random())
-        phi, lam = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        factor = u3_matrix(theta, phi, lam)[:, 0]
-        amps = np.kron(factor, amps)
+    for triple in _haar_u3_angles(n, rng):
+        amps = np.kron(u3_matrix(*triple)[:, 0], amps)
     return StateVector(n, amps)
 
 
 def random_arbitrary(n: int, rng=None) -> StateVector:
     """Haar-uniform state: 2^n i.i.d. complex Gaussians, normalized."""
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     dim = 1 << n
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(n, z / np.linalg.norm(z))

@@ -100,49 +100,16 @@ def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
     return (rows @ mat.T)[..., 0, :]
 
 
-def _hadamard_amps(amps: np.ndarray, n: int) -> np.ndarray:
-    out = amps
-    for q in range(n):
-        out = _apply_single_qubit_amps(out, q, _H)
-    return out
-
-
-def _separable_amps(amps: np.ndarray, n: int, angles, adjoint: bool) -> np.ndarray:
-    out = amps
-    for q, (theta, phi, lam) in enumerate(angles):
-        g = u3_matrix(theta, phi, lam)
-        if adjoint:
-            g = g.conj().T
-        out = _apply_single_qubit_amps(out, q, g)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# StateVector-level operations
-# ---------------------------------------------------------------------------
-
-def qft_apply(state: StateVector, adjoint: bool = False) -> StateVector:
-    """Fourier transform on basis indices; ``adjoint`` flips the phase sign."""
-    return StateVector(state.n, _qft_amps(state.amps, adjoint))
-
-
-def aqft_apply(state: StateVector, m: int, adjoint: bool = False) -> StateVector:
-    """Degree-m approximate Fourier transform; m = n is exact."""
-    return StateVector(state.n, _aqft_amps(state.amps, state.n, m, adjoint))
-
-
-def hadamard_apply(state: StateVector, adjoint: bool = False) -> StateVector:
-    """H on every qubit (self-adjoint, so ``adjoint`` is accepted and ignored)."""
-    del adjoint
-    return StateVector(state.n, _hadamard_amps(state.amps, state.n))
-
-
-def separable_apply(state: StateVector, angles, adjoint: bool = False) -> StateVector:
-    """Apply the per-qubit unitary u3(theta_l, phi_l, lam_l) to qubit l for all l."""
-    angles = tuple(angles)
-    if len(angles) != state.n:
-        raise ValueError(f"expected {state.n} angle triples, got {len(angles)}")
-    return StateVector(state.n, _separable_amps(state.amps, state.n, angles, adjoint))
+def _haar_u3_angles(n: int, rng) -> list:
+    """n Haar-random (theta, phi, lam) triples: cos(theta) uniform on [-1, 1],
+    phi and lam uniform on [0, 2 pi), drawn qubit by qubit."""
+    rng = np.random.default_rng(rng)
+    angles = []
+    for _ in range(n):
+        theta = math.acos(1.0 - 2.0 * rng.random())
+        phi, lam = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        angles.append((theta, float(phi), float(lam)))
+    return angles
 
 
 @dataclass(frozen=True)
@@ -195,15 +162,7 @@ class UnitarySpec:
     @classmethod
     def random_separable(cls, n: int, rng) -> "UnitarySpec":
         """Haar-random per-qubit unitaries: cos(theta) uniform, phases uniform."""
-        from .seeding import as_generator
-
-        rng = as_generator(rng)
-        angles = []
-        for _ in range(n):
-            theta = math.acos(1.0 - 2.0 * rng.random())
-            phi, lam = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            angles.append((theta, float(phi), float(lam)))
-        return cls.separable(angles)
+        return cls.separable(_haar_u3_angles(n, rng))
 
     def validate_for(self, n: int):
         if self.kind == "aqft" and not self.m <= n:
@@ -218,9 +177,16 @@ class UnitarySpec:
             return _qft_amps(amps, adjoint)
         if self.kind == "aqft":
             return _aqft_amps(amps, n, self.m, adjoint)
+        # Hadamard and separable: one 2x2 gate per qubit, qubit 0 first.
         if self.kind == "hadamard":
-            return _hadamard_amps(amps, n)
-        return _separable_amps(amps, n, self.angles, adjoint)
+            gates = (_H,) * n  # self-adjoint
+        else:
+            gates = [u3_matrix(*triple) for triple in self.angles]
+            if adjoint:
+                gates = [g.conj().T for g in gates]
+        for q, gate in enumerate(gates):
+            amps = _apply_single_qubit_amps(amps, q, gate)
+        return amps
 
     def apply(self, state: StateVector, adjoint: bool = False) -> StateVector:
         self.validate_for(state.n)
@@ -247,14 +213,3 @@ class UnitarySpec:
             m=data.get("m"),
             angles=tuple(tuple(t) for t in angles) if angles is not None else None,
         )
-
-
-def dense_unitary(spec: UnitarySpec, n: int) -> np.ndarray:
-    """Materialize the 2^n x 2^n matrix by applying the spec to basis columns."""
-    spec.validate_for(n)
-    dim = 1 << n
-    cols = np.eye(dim, dtype=np.complex128)
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for k in range(dim):
-        out[:, k] = spec.apply_amps(cols[:, k], n)
-    return out

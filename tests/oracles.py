@@ -4,6 +4,8 @@ Everything here is built from explicit 2^n x 2^n matrices and plain tensor
 products, deliberately sharing no code path with the package's matrix-free
 kernels. Qubit k owns bit weight 2**k throughout.
 """
+from functools import reduce
+
 import numpy as np
 
 _EIGENVECTORS = {
@@ -86,3 +88,9 @@ def dense_calibration(cal) -> np.ndarray:
     """The full 2^(n+1)-square readout matrix M1 (x) Mn of a calibration,
     intermediate bit most significant."""
     return np.kron(cal.intermediate, cal.register)
+
+
+def dense_readout_channel(bit_confusions) -> np.ndarray:
+    """C_{k-1} (x) ... (x) C_0 for per-bit confusion matrices listed bit 0
+    first, folded from the most significant bit down."""
+    return reduce(np.kron, reversed([np.asarray(c) for c in bit_confusions]))

@@ -171,3 +171,34 @@ def test_flag_overrides_config(tmp_path):
         "prepare-state", "--config", str(config), "--tag", "psi7", "--out", str(out)
     ) == 0
     np.testing.assert_allclose(load_state(out).amps, named_state("psi7", 2).amps)
+
+
+def test_estimate_rejects_nan_beta0(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    data_path = tmp_path / "data.json"
+    run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2", "--out", str(state_path))
+    run_cli("run-protocol", "--state", str(state_path), "--shots", "0", "--out", str(data_path))
+    capsys.readouterr()
+    code = run_cli(
+        "estimate", "--data", str(data_path), "--beta0", "nan", "--out", str(tmp_path / "e.json")
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert "beta0" in json.loads(lines[0])["error"]
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_aqft_degree_error_is_the_same_for_every_command(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2", "--out", str(state_path))
+    capsys.readouterr()
+    commands = [
+        ("run-protocol", "--state", str(state_path), "--unitary", "aqft:x",
+         "--out", str(tmp_path / "d.json")),
+        ("sweep", "-n", "2", "--unitary", "aqft:x", "--out", str(tmp_path / "s.csv")),
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 2
+        error = json.loads(capsys.readouterr().err.strip())["error"]
+        assert "bad aqft degree in 'aqft:x'; use aqft:<m>" in error

@@ -16,7 +16,7 @@ from qptycho import (
 )
 from qptycho.mitigation import MAX_CONDITION_NUMBER
 
-from oracles import dense_calibration
+from oracles import dense_calibration, dense_readout_channel
 
 
 class TestReadoutNoiseModel:
@@ -105,6 +105,45 @@ class TestBuildCalibration:
     def test_model_size_mismatch(self):
         with pytest.raises(ValueError):
             build_calibration(2, ReadoutNoiseModel.identity(2), shots=0)
+
+    def test_sampled_matrices_pinned(self):
+        # Literals captured before build_calibration formed its exact matrix
+        # as a Kronecker product instead of one corrupt_counts call per column.
+        model = ReadoutNoiseModel.from_flip_probabilities(
+            [0.02, 0.05, 0.1], [0.06, 0.01, 0.15]
+        )
+        cal = build_calibration(2, model, 100, seed=7)
+        assert np.array_equal(cal.intermediate, np.array([[0.87, 0.16], [0.13, 0.84]]))
+        assert np.array_equal(
+            cal.register,
+            np.array(
+                [
+                    [0.91, 0.05, 0.01, 0.01],
+                    [0.0, 0.93, 0.0, 0.0],
+                    [0.09, 0.0, 0.99, 0.01],
+                    [0.0, 0.02, 0.0, 0.98],
+                ]
+            ),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_exact_matrices_match_dense_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        model = ReadoutNoiseModel.from_flip_probabilities(
+            rng.uniform(0, 0.3, n + 1), rng.uniform(0, 0.3, n + 1)
+        )
+        cal = build_calibration(n, model, shots=0)
+        register = dense_readout_channel(model.bit_confusions[:n])
+        np.testing.assert_allclose(cal.register, register, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            cal.intermediate, model.bit_confusions[n], rtol=0, atol=1e-15
+        )
+        # Bit for bit the channel corrupt_counts applies to each basis state.
+        register_model = ReadoutNoiseModel(model.bit_confusions[:n])
+        for j in range(1 << n):
+            column = corrupt_counts(np.eye(1, 1 << n, j)[0], register_model)
+            assert np.array_equal(cal.register[:, j], column)
 
 
 class TestMitigate:

@@ -21,7 +21,7 @@ from qptycho import (
     pie_run,
     pie_run_batch,
     projector_ids,
-    random_estimate,
+    random_arbitrary,
     trace_distance,
 )
 from qptycho import pie
@@ -50,6 +50,23 @@ class TestPieConfig:
     def test_rejects_nonpositive_beta0(self):
         with pytest.raises(ValueError):
             PieConfig(beta0=0.0)
+
+    @pytest.mark.parametrize("beta0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta0(self, beta0):
+        with pytest.raises(ValueError, match="beta0 must be finite"):
+            PieConfig(beta0=beta0, iterations=10)
+        with pytest.raises(ValueError, match="beta0 must be finite"):
+            PieConfig(beta0=beta0)
+
+    @pytest.mark.parametrize("delta_beta", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_delta_beta(self, delta_beta):
+        with pytest.raises(ValueError, match="delta_beta must be finite"):
+            PieConfig(delta_beta=delta_beta, iterations=10)
+
+    @pytest.mark.parametrize("stop", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_bad_early_stop_distance(self, stop):
+        with pytest.raises(ValueError, match="early_stop_distance"):
+            PieConfig(early_stop_distance=stop)
 
 
 class TestBetaSchedule:
@@ -235,7 +252,7 @@ class TestPieRun:
         targets = normalize_dataset(dataset)
         cfg = PieConfig(iterations=1, init_seed=3)
         estimate, _ = pie_run(dataset, cfg)
-        amps = random_estimate(2, 3).amps
+        amps = random_arbitrary(2, 3).amps
         for pid in projector_ids(2):
             amps = _correction_amps(amps, 2, pid, targets[pid], QFT, 2.0)
         np.testing.assert_allclose(

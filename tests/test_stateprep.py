@@ -134,3 +134,34 @@ class TestRandomArbitrary:
         c = random_arbitrary(3, 8)
         np.testing.assert_array_equal(a.amps, b.amps)
         assert np.abs(a.amps - c.amps).max() > 1e-3
+
+
+class TestRandomStreamsPinned:
+    # Literals captured before random_separable shared its angle draw with
+    # UnitarySpec.random_separable and before random_estimate (the engine's
+    # starting guess) was merged into random_arbitrary.
+    def test_random_separable_amps(self):
+        expected = [
+            (0.2870190773739293 + 0j),
+            (0.20764612090518578 - 0.5449502344493208j),
+            (0.1712408792025603 + 0.060354005523410484j),
+            (0.23847694861610116 - 0.28146380679591254j),
+            (0.228923586729815 + 0.06693790712348345j),
+            (0.29270849769747126 - 0.38622020012722047j),
+            (0.12250441945276284 + 0.08807415073946921j),
+            (0.2558491834737419 - 0.1688757304645784j),
+        ]
+        assert np.array_equal(random_separable(3, 5).amps, np.array(expected))
+
+    def test_random_arbitrary_amps(self):
+        expected = [
+            (-0.19919327750466118 + 0.18598239125401536j),
+            (-0.3289600589583796 + 0.4060668806351438j),
+            (-0.0616910174032539 + 0.06775355691326403j),
+            (0.10443519526003102 - 0.30634886112748505j),
+            (0.2821847667746634 - 0.2380253235856982j),
+            (0.027250181943224913 + 0.39743179575114806j),
+            (-0.13727312288203405 + 0.0503943566749262j),
+            (-0.19493309051069319 - 0.43024827994053916j),
+        ]
+        assert np.array_equal(random_arbitrary(3, 5).amps, np.array(expected))

@@ -6,13 +6,9 @@ import pytest
 from qptycho import (
     StateVector,
     UnitarySpec,
-    aqft_apply,
     aqft_matrix,
     basis_state,
-    dense_unitary,
-    hadamard_apply,
-    qft_apply,
-    separable_apply,
+    random_arbitrary,
     u3_matrix,
 )
 from qptycho.transforms import rotation_y, rotation_z
@@ -27,6 +23,18 @@ from oracles import (
 
 SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 H_TRIPLE = (math.pi / 2, 0.0, math.pi)
+QFT = UnitarySpec.qft()
+
+
+def dense_unitary(spec: UnitarySpec, n: int) -> np.ndarray:
+    """Materialize the 2^n x 2^n matrix by applying the spec to basis columns."""
+    spec.validate_for(n)
+    dim = 1 << n
+    cols = np.eye(dim, dtype=np.complex128)
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for k in range(dim):
+        out[:, k] = spec.apply_amps(cols[:, k], n)
+    return out
 
 
 def assert_equal_up_to_phase(a, b, atol=1e-12):
@@ -39,15 +47,15 @@ def assert_equal_up_to_phase(a, b, atol=1e-12):
 class TestQft:
     def test_zero_maps_to_uniform(self):
         for n in (1, 2, 4):
-            out = qft_apply(basis_state(n, 0))
+            out = QFT.apply(basis_state(n, 0))
             np.testing.assert_allclose(out.amps, np.full(1 << n, 2**(-n / 2)), atol=1e-13)
 
     def test_n1_is_hadamard(self):
-        out = qft_apply(basis_state(1, 0))
+        out = QFT.apply(basis_state(1, 0))
         np.testing.assert_allclose(out.amps, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_n2_basis_one(self):
-        out = qft_apply(basis_state(2, 1))
+        out = QFT.apply(basis_state(2, 1))
         np.testing.assert_allclose(out.amps, np.array([1, 1j, -1, -1j]) / 2, atol=1e-14)
 
     def test_matches_dense_oracle(self):
@@ -55,10 +63,10 @@ class TestQft:
         for n in range(1, 6):
             state = StateVector(n, haar_state(n, rng))
             np.testing.assert_allclose(
-                qft_apply(state).amps, dense_qft(n) @ state.amps, atol=1e-12
+                QFT.apply(state).amps, dense_qft(n) @ state.amps, atol=1e-12
             )
             np.testing.assert_allclose(
-                qft_apply(state, adjoint=True).amps,
+                QFT.apply(state, adjoint=True).amps,
                 dense_qft(n).conj().T @ state.amps,
                 atol=1e-12,
             )
@@ -70,7 +78,7 @@ class TestAqft:
         for n in range(1, 6):
             state = StateVector(n, haar_state(n, rng))
             np.testing.assert_allclose(
-                aqft_apply(state, n).amps, qft_apply(state).amps, atol=1e-12
+                UnitarySpec.aqft(n).apply(state).amps, QFT.apply(state).amps, atol=1e-12
             )
 
     def test_dense_degree_n_equals_dense_qft_exactly(self):
@@ -78,7 +86,7 @@ class TestAqft:
             assert np.abs(aqft_matrix(n, n) - dense_qft(n)).max() < 1e-12
 
     def test_zero_maps_to_uniform(self):
-        out = aqft_apply(basis_state(2, 0), 1)
+        out = UnitarySpec.aqft(1).apply(basis_state(2, 0))
         np.testing.assert_allclose(out.amps, [0.5] * 4, atol=1e-15)
 
     def test_degree_one_is_hadamard_with_bit_reversal(self):
@@ -92,7 +100,7 @@ class TestAqft:
             state = StateVector(n, haar_state(n, rng))
             for m in range(1, n + 1):
                 np.testing.assert_allclose(
-                    aqft_apply(state, m).amps, dense_aqft(n, m) @ state.amps, atol=1e-12
+                    UnitarySpec.aqft(m).apply(state).amps, dense_aqft(n, m) @ state.amps, atol=1e-12
                 )
 
     def test_unitarity_all_degrees(self):
@@ -105,9 +113,9 @@ class TestAqft:
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
-            aqft_apply(basis_state(2, 0), 3)
+            UnitarySpec.aqft(3).apply(basis_state(2, 0))
         with pytest.raises(ValueError):
-            aqft_apply(basis_state(2, 0), 0)
+            UnitarySpec.aqft(0).apply(basis_state(2, 0))
 
 
 class TestU3:
@@ -147,11 +155,11 @@ class TestSeparable:
     def test_zero_triples_are_identity(self):
         rng = np.random.default_rng(46)
         state = StateVector(3, haar_state(3, rng))
-        out = separable_apply(state, [(0, 0, 0)] * 3)
+        out = UnitarySpec.separable([(0, 0, 0)] * 3).apply(state)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-15)
 
     def test_h_triple_on_zero(self):
-        out = separable_apply(basis_state(1, 0), [H_TRIPLE])
+        out = UnitarySpec.separable([H_TRIPLE]).apply(basis_state(1, 0))
         assert_equal_up_to_phase(out.amps, np.array([1, 1]) / math.sqrt(2))
 
     def test_forward_then_adjoint_is_identity(self):
@@ -163,11 +171,13 @@ class TestSeparable:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            separable_apply(basis_state(2, 0), [(0, 0, 0)])
+            UnitarySpec.separable([(0, 0, 0)]).apply(basis_state(2, 0))
 
     def test_acts_on_correct_qubit(self):
         # X-like triple (theta=pi) on qubit 1 only: |00> -> index 2 up to phase
-        out = separable_apply(basis_state(2, 0), [(0, 0, 0), (math.pi, 0, 0)])
+        out = UnitarySpec.separable([(0, 0, 0), (math.pi, 0, 0)]).apply(
+            basis_state(2, 0)
+        )
         assert abs(out.amps[2]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -214,8 +224,8 @@ class TestUnitarySpec:
         n = 3
         rng = np.random.default_rng(49)
         state = StateVector(n, haar_state(n, rng))
-        viaspec = hadamard_apply(state)
-        viasep = separable_apply(state, [H_TRIPLE] * n)
+        viaspec = UnitarySpec.hadamard().apply(state)
+        viasep = UnitarySpec.separable([H_TRIPLE] * n).apply(state)
         assert_equal_up_to_phase(viaspec.amps, viasep.amps)
 
     def test_validation(self):
@@ -229,6 +239,45 @@ class TestUnitarySpec:
             UnitarySpec("dft")
         with pytest.raises(ValueError):
             UnitarySpec.aqft(4).apply(basis_state(2, 0))
+
+    def test_random_separable_angles_pinned(self):
+        # Literals captured before the angle draw was shared with
+        # stateprep.random_separable.
+        expected = (
+            (2.2268642971960175, 5.076441699143409, 3.237885993554064),
+            (1.1280780655228884, 0.3388565968102988, 2.4087777189814505),
+            (1.3867046955726339, 0.28447243310755027, 0.30635373165265484),
+        )
+        assert np.array_equal(UnitarySpec.random_separable(3, 5).angles, expected)
+
+    def test_per_qubit_kinds_pinned(self):
+        # Literals captured before the Hadamard and separable kernels became
+        # one per-qubit gate loop; Hadamard uses the exact H, not H triples.
+        x = random_arbitrary(3, 5).amps
+        hadamard = [
+            (-0.17966891168415886 + 0.04702490490601215j),
+            (0.09766386371906936 - 0.0002816243893262113j),
+            (0.025011656539372873 + 0.48433454747658444j),
+            (0.17436108111289492 - 0.6046776487224015j),
+            (-0.16356719601638656 + 0.20290479247422727j),
+            (-0.1233738640874396 + 0.10918874616884985j),
+            (-0.42869716027746013 + 0.10301986504194086j),
+            (0.034866861532829335 + 0.1845240571921287j),
+        ]
+        separable_adjoint = [
+            (-0.32855621435273963 - 0.14116171761143625j),
+            (0.10219946727996859 + 0.09439108934054452j),
+            (-0.5107030809866954 - 0.12395224243460326j),
+            (0.4042626340970803 - 0.06025456571324929j),
+            (0.08429498501139748 - 0.05567325699877259j),
+            (0.06349510159238177 - 0.3508308756411078j),
+            (0.09734164282829616 + 0.33268374768858744j),
+            (0.21332618983375706 - 0.32641701447049243j),
+        ]
+        out = UnitarySpec.hadamard().apply_amps(x, 3)
+        assert np.array_equal(out, np.array(hadamard))
+        out = UnitarySpec.random_separable(3, 5).apply_amps(x, 3, adjoint=True)
+        assert np.array_equal(out, np.array(separable_adjoint))
 
     def test_serialization_round_trip(self):
         specs = [

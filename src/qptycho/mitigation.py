@@ -14,6 +14,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .states import _decode_array, _encode_array, _qubit_count
+
 #: Refuse to mitigate through a calibration matrix worse-conditioned than this.
 MAX_CONDITION_NUMBER = 1e12
 
@@ -191,14 +193,14 @@ def mitigate(record: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# File format: {"n", "M1": 4 entries row-major, "Mn": row-major, "provenance"}
+# File format: {"n", "M1": 2x2, "Mn": 2^n x 2^n (array payloads), "provenance"}
 # ---------------------------------------------------------------------------
 
 def save_calibration(cal: CalibrationMatrix, path):
     doc = {
         "n": cal.n,
-        "M1": [float(x) for x in cal.intermediate.ravel()],
-        "Mn": [float(x) for x in cal.register.ravel()],
+        "M1": _encode_array(cal.intermediate),
+        "Mn": _encode_array(cal.register),
         "provenance": cal.provenance,
     }
     with open(path, "w") as fh:
@@ -207,21 +209,17 @@ def save_calibration(cal: CalibrationMatrix, path):
 
 
 def load_calibration(path) -> CalibrationMatrix:
+    where = f"calibration file {path}"
     with open(path) as fh:
         doc = json.load(fh)
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"calibration file {path}: n must be an integer >= 1, got {n!r}")
+    n = _qubit_count(doc, where)
     entries = {}
     for key, size in (("M1", 4), ("Mn", 4**n)):
-        values = np.array(doc[key], dtype=np.float64).ravel()
+        values = _decode_array(doc.get(key), f"{where}: {key}").ravel()
         if values.size != size:
-            raise ValueError(
-                f"calibration file {path}: {key} has {values.size} entries, "
-                f"expected {size} for n={n}"
-            )
+            raise ValueError(f"{where}: {key} has {values.size} entries, expected {size} for n={n}")
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"calibration file {path}: {key} holds non-finite entries")
+            raise ValueError(f"{where}: {key} holds non-finite entries")
         entries[key] = values
     return CalibrationMatrix(
         entries["M1"].reshape(2, 2),

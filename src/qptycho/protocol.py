@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mitigation import CalibrationMatrix, ReadoutNoiseModel, corrupt_counts, mitigate
-from .states import PAULI_AXES, SIGNS, ProjectorId, StateVector, _project_amps
+from .states import (
+    PAULI_AXES,
+    SIGNS,
+    ProjectorId,
+    StateVector,
+    _decode_array,
+    _encode_array,
+    _project_amps,
+    _qubit_count,
+)
 from .transforms import UnitarySpec
 
 _SUM_ATOL = 1e-9
@@ -224,23 +233,35 @@ def dataset_to_dict(dataset: PtychoDataset) -> dict:
         "noise_model_id": dataset.noise_model_id,
         "mitigated": dataset.mitigated,
         "records": [
-            {"xi": rec.axis, "q": rec.qubit, "counts": [float(c) for c in rec.counts]}
+            {"xi": rec.axis, "q": rec.qubit, "counts": _encode_array(rec.counts)}
             for rec in dataset.records
         ],
     }
 
 
-def dataset_from_dict(doc: dict) -> PtychoDataset:
-    records = [
-        CircuitRecord(entry["xi"], entry["q"], np.array(entry["counts"]))
-        for entry in doc["records"]
-    ]
+def dataset_from_dict(doc: dict, where: str = "dataset") -> PtychoDataset:
+    n = _qubit_count(doc, where)
+    shots, mitigated, entries = doc.get("shots"), doc.get("mitigated", False), doc.get("records")
+    if type(shots) is not int or shots < 0:
+        raise ValueError(f"{where}: shots must be an integer >= 0, got {shots!r}")
+    if not isinstance(mitigated, bool):
+        raise ValueError(f"{where}: mitigated must be true or false, got {mitigated!r}")
+    if not isinstance(doc.get("unitary"), dict):
+        raise ValueError(f"{where}: unitary must be an object")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{where}: records must be a list of objects")
+    records = []
+    for i, entry in enumerate(entries):
+        if type(entry.get("q")) is not int:
+            raise ValueError(f"{where}: records[{i}].q must be an integer")
+        counts = _decode_array(entry.get("counts"), f"{where}: records[{i}].counts")
+        records.append(CircuitRecord(entry.get("xi"), entry["q"], counts))
     return PtychoDataset(
-        n=doc["n"],
+        n=n,
         unitary=UnitarySpec.from_dict(doc["unitary"]),
-        shots_per_circuit=doc["shots"],
+        shots_per_circuit=shots,
         records=records,
-        mitigated=doc.get("mitigated", False),
+        mitigated=mitigated,
         seed=doc.get("seed"),
         noise_model_id=doc.get("noise_model_id"),
     ).validate()
@@ -254,7 +275,7 @@ def save_dataset(dataset: PtychoDataset, path):
 
 def load_dataset(path) -> PtychoDataset:
     with open(path) as fh:
-        return dataset_from_dict(json.load(fh))
+        return dataset_from_dict(json.load(fh), f"dataset file {path}")
 
 
 def dataset_to_csv(dataset: PtychoDataset, path):

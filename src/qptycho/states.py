@@ -10,7 +10,9 @@ Conventions used everywhere in this package:
 """
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +186,64 @@ def born_distribution(state: StateVector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# File helpers shared by the state, dataset and calibration readers
+# ---------------------------------------------------------------------------
+
+_PAYLOAD_DTYPE = "<f8"
+
+
+def _encode_array(values) -> dict:
+    """JSON payload of a float64 array: its dtype, shape and the base64 of its
+    little-endian bytes. Exact, and far cheaper than a list of JSON floats."""
+    arr = np.ascontiguousarray(values, dtype=_PAYLOAD_DTYPE)
+    return {
+        "dtype": _PAYLOAD_DTYPE,
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr).decode("ascii"),
+    }
+
+
+def _decode_array(value, where: str) -> np.ndarray:
+    """Owned, writable float64 array from a payload object or from a plain
+    JSON list of numbers, the form that older files hold."""
+    if isinstance(value, list):
+        try:
+            arr = np.array(value)
+        except ValueError:
+            arr = None  # ragged nesting
+        if arr is None or arr.dtype.kind not in "fiu":
+            raise ValueError(f"{where} must be a list of numbers")
+        return arr.astype(np.float64)
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a payload object or a list of numbers")
+    if value.get("dtype") != _PAYLOAD_DTYPE:
+        raise ValueError(f"{where}: dtype must be {_PAYLOAD_DTYPE!r}, got {value.get('dtype')!r}")
+    shape = value.get("shape")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"{where}: shape must be a list of integers >= 0, got {shape!r}")
+    try:
+        raw = base64.b64decode(value.get("data"), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: data is not valid base64 ({exc})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(
+            f"{where}: data holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}"
+        )
+    return np.frombuffer(raw, dtype=_PAYLOAD_DTYPE).reshape(shape).astype(np.float64)
+
+
+def _qubit_count(doc, where: str) -> int:
+    """Check that a file document is a JSON object and return its ``n``,
+    an integer >= 1 (a JSON ``true`` is not an integer here)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    n = doc.get("n")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{where}: n must be an integer >= 1, got {n!r}")
+    return n
+
+
+# ---------------------------------------------------------------------------
 # File format: {"n": int, "amps": [[re, im], ...], "normalized": bool}
 # ---------------------------------------------------------------------------
 
@@ -195,12 +255,16 @@ def state_to_dict(state: StateVector) -> dict:
     }
 
 
-def state_from_dict(data: dict) -> StateVector:
-    n = data["n"]
-    amps = data["amps"]
-    if len(amps) != (1 << n):
-        raise ValueError(f"state file has {len(amps)} amplitudes, expected {1 << n} for n={n}")
-    return StateVector(n, np.array([complex(re, im) for re, im in amps]))
+def state_from_dict(data: dict, where: str = "state") -> StateVector:
+    n = _qubit_count(data, where)
+    pairs = _decode_array(data.get("amps"), f"{where}: amps")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"{where}: amps must be a list of [re, im] pairs")
+    if len(pairs) != (1 << n):
+        raise ValueError(
+            f"{where}: amps holds {len(pairs)} amplitudes, expected {1 << n} for n={n}"
+        )
+    return StateVector(n, pairs.view(np.complex128)[:, 0])
 
 
 def save_state(state: StateVector, path, provenance: dict | None = None):
@@ -214,5 +278,4 @@ def save_state(state: StateVector, path, provenance: dict | None = None):
 
 def load_state(path) -> StateVector:
     with open(path) as fh:
-        return state_from_dict(json.load(fh))
-
+        return state_from_dict(json.load(fh), f"state file {path}")

@@ -31,6 +31,7 @@ from qptycho import (
     mitigate_dataset,
     named_state,
     pie_run,
+    pie_run_batch,
     run_aqft_study,
     run_fidelity_sweep,
     table_states,
@@ -59,10 +60,8 @@ def test_01_exact_data_reconstruction():
     for n in (2, 3, 4, 5):
         for tag, state in table_states(n):
             dataset = generate_dataset(state, QFT, 0)
-            for init_seed in range(10):
-                _, trace = pie_run(
-                    dataset, PieConfig(delta_beta=0.04, init_seed=init_seed), reference=state
-                )
+            runs = pie_run_batch(dataset, PieConfig(delta_beta=0.04), range(10), reference=state)
+            for init_seed, (_, trace) in enumerate(runs):
                 fid = trace.final_fidelity()
                 worst = min(worst, fid)
                 if not fid > 1 - 1e-4:
@@ -251,17 +250,13 @@ def test_07_variable_beta_superiority():
     state = named_state("psi5", 2)
     noise = ReadoutNoiseModel.symmetric(3, 0.05)
     dataset = generate_dataset(state, QFT, 100_000, noise=noise, seed=707)
-    var_f, const_f, var_d = [], [], []
-    for seed in range(20):
-        _, trace_v = pie_run(dataset, PieConfig(delta_beta=0.04, init_seed=seed), reference=state)
-        _, trace_c = pie_run(
-            dataset,
-            PieConfig(beta0=1.5, delta_beta=0.0, iterations=50, init_seed=seed),
-            reference=state,
-        )
-        var_f.append(trace_v.final_fidelity())
-        const_f.append(trace_c.final_fidelity())
-        var_d.append(trace_v.final_distance())
+    variable = pie_run_batch(dataset, PieConfig(delta_beta=0.04), range(20), reference=state)
+    constant = pie_run_batch(
+        dataset, PieConfig(beta0=1.5, delta_beta=0.0, iterations=50), range(20), reference=state
+    )
+    var_f = [trace.final_fidelity() for _, trace in variable]
+    const_f = [trace.final_fidelity() for _, trace in constant]
+    var_d = [trace.final_distance() for _, trace in variable]
     mean_var, mean_const = float(np.mean(var_f)), float(np.mean(const_f))
     max_var_d = max(var_d)
     passed = mean_var >= mean_const and max_var_d < 0.05

@@ -202,3 +202,26 @@ def test_aqft_degree_error_is_the_same_for_every_command(tmp_path, capsys):
         assert run_cli(*argv) == 2
         error = json.loads(capsys.readouterr().err.strip())["error"]
         assert "bad aqft degree in 'aqft:x'; use aqft:<m>" in error
+
+
+def test_bad_payload_is_one_json_error_line(tmp_path, capsys):
+    state_path, data_path = tmp_path / "state.json", tmp_path / "data.json"
+    cal_path = tmp_path / "cal.json"
+    run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2", "--out", str(state_path))
+    run_cli("run-protocol", "--state", str(state_path), "--shots", "64", "--out", str(data_path))
+    run_cli("calibrate", "-n", "2", "--shots", "0", "--out", str(cal_path))
+    doc = json.loads(data_path.read_text())
+    doc["records"][0]["counts"]["data"] = "not base64!"
+    data_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run_cli(
+        "mitigate", "--data", str(data_path), "--calibration", str(cal_path),
+        "--out", str(tmp_path / "m.json"),
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error.startswith("ValueError: dataset file ")
+    assert "records[0].counts: data is not valid base64" in error
+    assert not (tmp_path / "m.json").exists()

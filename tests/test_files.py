@@ -1,0 +1,360 @@
+"""File formats: float64 array payloads, reader checks, exact round trips,
+files in the older list form, and a pinned end-to-end CLI chain."""
+import base64
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qptycho import (
+    CalibrationMatrix,
+    ReadoutNoiseModel,
+    StateVector,
+    UnitarySpec,
+    build_calibration,
+    generate_dataset,
+    load_calibration,
+    load_dataset,
+    load_state,
+    mitigate_dataset,
+    save_calibration,
+    save_dataset,
+    save_state,
+)
+from qptycho.cli import main
+from qptycho.protocol import dataset_to_dict
+from qptycho.states import _decode_array, _encode_array
+
+from oracles import haar_state
+
+#: Values a text format tends to lose: signed zero, subnormals, extremes.
+SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308]
+
+
+def payload(values, **change):
+    doc = _encode_array(np.asarray(values, dtype=np.float64))
+    doc.update(change)
+    return doc
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def small_dataset(mitigated=False):
+    data = generate_dataset(StateVector(1, [1, 0]), UnitarySpec.qft(), 10, seed=1)
+    data.mitigated = mitigated
+    return data
+
+
+class TestArrayPayload:
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from(SPECIALS), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_exact(self, values):
+        arr = np.array(values, dtype=np.float64)
+        doc = json.loads(json.dumps(_encode_array(arr)))
+        back = _decode_array(doc, "x")
+        assert np.array_equal(back, arr)
+        assert np.array_equal(np.signbit(back), np.signbit(arr))
+
+    def test_keeps_shape_and_little_endian_bytes(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        doc = _encode_array(arr)
+        assert doc["dtype"] == "<f8" and doc["shape"] == [2, 3]
+        assert base64.b64decode(doc["data"]) == arr.astype("<f8").tobytes()
+        assert np.array_equal(_decode_array(doc, "x"), arr)
+
+    def test_returns_owned_writable_float64(self):
+        for value in (payload([1.0, 2.0]), [1, 2]):
+            arr = _decode_array(value, "x")
+            assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
+            arr[0] = 7.0
+
+    def test_list_form_still_reads(self):
+        assert np.array_equal(_decode_array([[1, 2.5], [0, -3]], "x"), [[1, 2.5], [0, -3]])
+
+    def test_rejects_other_dtype(self):
+        with pytest.raises(ValueError, match="x: dtype must be '<f8', got '>f8'"):
+            _decode_array(payload([1.0], dtype=">f8"), "x")
+
+    @pytest.mark.parametrize(
+        "data", ["AAAA AAAAAAA=", "AAAAAAAAAAA=\n", "AAAA*AAAAAA=", "AAAAAAAAAAA", "é", None, 5]
+    )
+    def test_rejects_invalid_base64(self, data):
+        with pytest.raises(ValueError, match="x: data is not valid base64"):
+            _decode_array(payload([1.0], data=data), "x")
+
+    @pytest.mark.parametrize("shape", [None, 1, "1", [-1], [1.0], [True], [[1]]])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="x: shape must be a list of integers >= 0"):
+            _decode_array(payload([1.0], shape=shape), "x")
+
+    @pytest.mark.parametrize("shape", [[2], [1, 0], [3, 1]])
+    def test_rejects_byte_count_other_than_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"x: data holds 8 bytes, shape {shape} needs")):
+            _decode_array(payload([1.0], shape=shape), "x")
+
+    @pytest.mark.parametrize("value", [["1.0"], [1.0, "a"], [[1.0], [1.0, 2.0]], [{"a": 1}], "AAAA", 3])
+    def test_rejects_non_numeric_values(self, value):
+        with pytest.raises(ValueError, match="x must be"):
+            _decode_array(value, "x")
+
+
+class TestReaderChecks:
+    def test_state_rejects_bool_qubit_count(self, tmp_path):
+        path = write_json(tmp_path / "s.json", {"n": True, "amps": [[1, 0], [0, 0]]})
+        with pytest.raises(ValueError, match=r"state file .*s\.json: n must be an integer >= 1, got True"):
+            load_state(path)
+
+    def test_state_rejects_negative_qubit_count(self, tmp_path):
+        path = write_json(tmp_path / "s.json", {"n": -1, "amps": []})
+        with pytest.raises(ValueError, match=r"s\.json: n must be an integer >= 1, got -1"):
+            load_state(path)
+
+    def test_state_rejects_string_amplitudes(self, tmp_path):
+        path = write_json(tmp_path / "s.json", {"n": 1, "amps": [["1", "0"], ["0", "0"]]})
+        with pytest.raises(ValueError, match=r"s\.json: amps must be a list of numbers"):
+            load_state(path)
+
+    def test_state_rejects_amplitudes_that_are_not_pairs(self, tmp_path):
+        path = write_json(tmp_path / "s.json", {"n": 1, "amps": [1.0, 0.0]})
+        with pytest.raises(ValueError, match=r"s\.json: amps must be a list of \[re, im\] pairs"):
+            load_state(path)
+
+    @pytest.mark.parametrize("doc", [[], [1, 2], "state", 3, None])
+    def test_every_reader_rejects_a_non_object_document(self, tmp_path, doc):
+        path = write_json(tmp_path / "f.json", doc)
+        for reader, kind in ((load_state, "state"), (load_dataset, "dataset"),
+                             (load_calibration, "calibration")):
+            with pytest.raises(ValueError, match=rf"{kind} file .*f\.json: expected a JSON object"):
+                reader(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", True, "n must be an integer >= 1, got True"),
+        ("n", 0, "n must be an integer >= 1, got 0"),
+        ("mitigated", "yes", "mitigated must be true or false, got 'yes'"),
+        ("mitigated", 1, "mitigated must be true or false, got 1"),
+        ("shots", 10.0, "shots must be an integer >= 0, got 10.0"),
+        ("shots", -10, "shots must be an integer >= 0, got -10"),
+        ("unitary", "qft", "unitary must be an object"),
+        ("records", {}, "records must be a list of objects"),
+    ])
+    def test_dataset_rejects_bad_fields(self, tmp_path, field, value, message):
+        doc = dataset_to_dict(small_dataset())
+        doc[field] = value
+        path = write_json(tmp_path / "d.json", doc)
+        with pytest.raises(ValueError, match=rf"dataset file .*d\.json: {message}"):
+            load_dataset(path)
+
+    def test_dataset_rejects_bool_qubit_index(self, tmp_path):
+        doc = dataset_to_dict(generate_dataset(StateVector(2, [1, 0, 0, 0]), UnitarySpec.qft(), 10, seed=1))
+        doc["records"][1]["q"] = True
+        path = write_json(tmp_path / "d.json", doc)
+        with pytest.raises(ValueError, match=r"d\.json: records\[1\]\.q must be an integer"):
+            load_dataset(path)
+
+    def test_calibration_rejects_bool_qubit_count(self, tmp_path):
+        path = tmp_path / "c.json"
+        save_calibration(CalibrationMatrix(np.eye(2), np.eye(2)), path)
+        doc = json.loads(path.read_text())
+        doc["n"] = True
+        write_json(path, doc)
+        with pytest.raises(ValueError, match=r"calibration file .*c\.json: n must be an integer >= 1, got True"):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"dtype": "<f4"}, "dtype must be '<f8'"),
+        ({"data": "not base64!"}, "data is not valid base64"),
+        ({"shape": [-4]}, "shape must be a list of integers >= 0"),
+        ({"shape": [3]}, "data holds 32 bytes, shape \\[3\\] needs 24"),
+    ])
+    def test_bad_payloads_name_the_file_and_field(self, tmp_path, change, message):
+        data_path, cal_path = tmp_path / "d.json", tmp_path / "c.json"
+        doc = dataset_to_dict(small_dataset())
+        doc["records"][2]["counts"].update(change)
+        write_json(data_path, doc)
+        with pytest.raises(ValueError, match=rf"d\.json: records\[2\]\.counts: {message}"):
+            load_dataset(data_path)
+        save_calibration(CalibrationMatrix(np.eye(2), np.eye(2)), cal_path)
+        doc = json.loads(cal_path.read_text())
+        doc["Mn"].update(change)
+        write_json(cal_path, doc)
+        with pytest.raises(ValueError, match=rf"c\.json: Mn: {message}"):
+            load_calibration(cal_path)
+
+    def test_length_and_finiteness_checks_run_after_decoding(self, tmp_path):
+        path = tmp_path / "d.json"
+        doc = dataset_to_dict(small_dataset(mitigated=True))
+        doc["records"][0]["counts"] = payload([np.inf, 0, 0, 10.0])
+        write_json(path, doc)
+        with pytest.raises(ValueError, match="counts must be finite"):
+            load_dataset(path)
+        doc["records"][0]["counts"] = payload([0, 10.0])
+        write_json(path, doc)
+        with pytest.raises(ValueError, match="has length 2, expected 4"):
+            load_dataset(path)
+        cal_path = tmp_path / "c.json"
+        save_calibration(CalibrationMatrix(np.eye(2), np.eye(4)), cal_path)
+        doc = json.loads(cal_path.read_text())
+        for key, values, message in (("Mn", [1.0] * 15, "Mn has 15 entries, expected 16"),
+                                     ("M1", [1.0, np.nan, 0.0, 1.0], "M1 holds non-finite")):
+            write_json(cal_path, dict(doc, **{key: payload(values)}))
+            with pytest.raises(ValueError, match=message):
+                load_calibration(cal_path)
+
+
+def assert_datasets_equal(a, b):
+    assert (a.n, a.unitary, a.shots_per_circuit, a.mitigated, a.seed, a.noise_model_id) == (
+        b.n, b.unitary, b.shots_per_circuit, b.mitigated, b.seed, b.noise_model_id)
+    assert [(r.axis, r.qubit) for r in a.records] == [(r.axis, r.qubit) for r in b.records]
+    for ra, rb in zip(a.records, b.records):
+        assert np.array_equal(ra.counts, rb.counts)
+        assert np.array_equal(np.signbit(ra.counts), np.signbit(rb.counts))
+
+
+def assert_round_trips(save, load, obj, path):
+    """Load returns what was saved; saving the loaded value repeats the bytes."""
+    save(obj, path)
+    first = path.read_bytes()
+    loaded = load(path)
+    save(loaded, path)
+    assert path.read_bytes() == first
+    return loaded
+
+
+def with_specials(dataset):
+    """Plant a negative entry, -0.0 and subnormals in each mitigated record,
+    moving what they replace onto its last entry so that its sum holds."""
+    for rec in dataset.records:
+        counts = rec.counts
+        for k, value in enumerate((-2.5, -0.0, 5e-324, -5e-324)[: counts.size - 1]):
+            counts[-1] += counts[k] - value
+            counts[k] = value
+    return dataset.validate()
+
+
+KINDS = st.sampled_from([UnitarySpec.qft(), UnitarySpec.hadamard(), UnitarySpec.aqft(1)])
+
+
+class TestRoundTrips:
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), unitary=KINDS,
+           shots=st.sampled_from([0, 1, 1000]))
+    @settings(max_examples=25, deadline=None)
+    def test_raw_and_exact_datasets(self, tmp_path_factory, n, seed, unitary, shots):
+        state = StateVector(n, haar_state(n, np.random.default_rng(seed)))
+        noise = ReadoutNoiseModel.symmetric(n + 1, 0.03, label="sym")
+        dataset = generate_dataset(state, unitary, shots, noise=noise, seed=seed)
+        path = tmp_path_factory.mktemp("rt") / "data.json"
+        assert_datasets_equal(assert_round_trips(save_dataset, load_dataset, dataset, path), dataset)
+
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_mitigated_datasets_with_negative_entries(self, tmp_path_factory, n, seed):
+        state = StateVector(n, haar_state(n, np.random.default_rng(seed)))
+        noise = ReadoutNoiseModel.symmetric(n + 1, 0.05)
+        raw = generate_dataset(state, UnitarySpec.qft(), 500, noise=noise, seed=seed)
+        cal = build_calibration(n, noise, shots=200, seed=seed)
+        dataset = with_specials(mitigate_dataset(raw, cal))
+        path = tmp_path_factory.mktemp("rt") / "mitigated.json"
+        assert_datasets_equal(assert_round_trips(save_dataset, load_dataset, dataset, path), dataset)
+
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), shots=st.sampled_from([0, 1, 300]),
+           specials=st.lists(st.sampled_from(SPECIALS), min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_calibrations(self, tmp_path_factory, n, seed, shots, specials):
+        model = ReadoutNoiseModel.symmetric(n + 1, 0.04, label="sym")
+        cal = build_calibration(n, model, shots=shots, seed=seed)
+        path = tmp_path_factory.mktemp("rt") / "cal.json"
+        for _ in range(2):
+            loaded = assert_round_trips(save_calibration, load_calibration, cal, path)
+            for a, b in ((loaded.intermediate, cal.intermediate), (loaded.register, cal.register)):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+            assert loaded.provenance == cal.provenance
+            for mat in (cal.intermediate, cal.register):  # the second pass has extreme entries
+                mat.flat[: len(specials)] = specials
+
+    def test_state_file_bytes_repeat(self, tmp_path):
+        amps = haar_state(3, np.random.default_rng(4))
+        amps[:2] = [complex(-0.0, -0.0), complex(5e-324, -0.0)]
+        state = StateVector(3, amps)
+        loaded = assert_round_trips(save_state, load_state, state, tmp_path / "s.json")
+        pairs = lambda s: s.amps.view(np.float64)
+        assert np.array_equal(pairs(loaded), pairs(state))
+        assert np.array_equal(np.signbit(pairs(loaded)), np.signbit(pairs(state)))
+
+
+class TestListFormFiles:
+    """Files written before the array payload hold plain JSON lists."""
+
+    def test_dataset(self, tmp_path):
+        state = StateVector(2, haar_state(2, np.random.default_rng(9)))
+        noise = ReadoutNoiseModel.symmetric(3, 0.05)
+        raw = generate_dataset(state, UnitarySpec.qft(), 4096, noise=noise, seed=9)
+        mitigated = mitigate_dataset(raw, build_calibration(2, noise, shots=500, seed=9))
+        for dataset in (raw, mitigated):
+            doc = dataset_to_dict(dataset)
+            for entry, rec in zip(doc["records"], dataset.records):
+                entry["counts"] = [float(c) for c in rec.counts]
+            legacy, new = tmp_path / "legacy.json", tmp_path / "new.json"
+            legacy.write_text(json.dumps(doc, indent=2) + "\n")
+            save_dataset(dataset, new)
+            assert_datasets_equal(load_dataset(legacy), load_dataset(new))
+            assert_datasets_equal(load_dataset(legacy), dataset)
+
+    def test_calibration(self, tmp_path):
+        cal = build_calibration(3, ReadoutNoiseModel.symmetric(4, 0.05), shots=700, seed=3)
+        doc = {
+            "n": 3,
+            "M1": [float(x) for x in cal.intermediate.ravel()],
+            "Mn": [float(x) for x in cal.register.ravel()],
+            "provenance": cal.provenance,
+        }
+        legacy, new = tmp_path / "legacy.json", tmp_path / "new.json"
+        legacy.write_text(json.dumps(doc, indent=2) + "\n")
+        save_calibration(cal, new)
+        a, b = load_calibration(legacy), load_calibration(new)
+        assert np.array_equal(a.intermediate, b.intermediate)
+        assert np.array_equal(a.register, b.register)
+        assert np.array_equal(a.register, cal.register)
+        assert a.provenance == b.provenance == cal.provenance
+
+
+#: Estimate of the n=4 README chain below, written by the list-format code.
+README_CHAIN_N4_ESTIMATE = [
+    complex(-0.038591778644525, 0.15974439871963494),
+    complex(0.2688794139745245, 0.037163106838097607),
+    complex(0.2414067280493895, 0.03998333569032591),
+    complex(-0.13367955655002833, 0.10058141810313087),
+    complex(-0.006779287452940065, -0.18340883321669327),
+    complex(-0.015809600121973952, -0.31836444628239846),
+    complex(0.08668014016681615, 0.10489884753657419),
+    complex(0.02627899430039755, -0.12897429179583775),
+    complex(0.24563742624494675, -0.32234562948161716),
+    complex(-0.30686616346388895, -0.25761423776092124),
+    complex(0.3239988536470972, -0.0022569274935974677),
+    complex(0.04923186976012895, -0.23140966586724585),
+    complex(0.21182982021348212, -0.2471856318987724),
+    complex(-0.027784569648326284, -0.0005916500250077283),
+    complex(-0.12121703006269673, 0.14870168683084903),
+    complex(0.10351815459046708, -0.017944201557282196),
+]
+
+
+def test_readme_chain_estimate_is_pinned(tmp_path):
+    f = {name: str(tmp_path / f"{name}.json") for name in ("state", "data", "cal", "mitigated", "estimate")}
+    for argv in (
+        ["prepare-state", "--kind", "arbitrary", "-n", "4", "--seed", "11", "--out", f["state"]],
+        ["run-protocol", "--state", f["state"], "--unitary", "qft", "--shots", "100000",
+         "--readout-error", "0.025", "--seed", "12", "--out", f["data"]],
+        ["calibrate", "-n", "4", "--readout-error", "0.025", "--shots", "20000", "--seed", "13",
+         "--out", f["cal"]],
+        ["mitigate", "--data", f["data"], "--calibration", f["cal"], "--out", f["mitigated"]],
+        ["estimate", "--data", f["mitigated"], "--reference", f["state"], "--seed", "14",
+         "--out", f["estimate"], "--trace-out", str(tmp_path / "trace.csv")],
+    ):
+        assert main(argv) == 0
+    assert np.array_equal(load_state(f["estimate"]).amps, README_CHAIN_N4_ESTIMATE)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pie import PieConfig, pie_run, pie_run_batch
+from .pie import PieConfig, _datasets_per_pass, _run_datasets, pie_run
 from .protocol import generate_dataset
 from .seeding import derive_seed
 from .stateprep import random_arbitrary, random_separable, table_states
@@ -80,32 +80,42 @@ def _resolve_unitary(cfg: SweepConfig, n: int, state_idx: int) -> UnitarySpec:
     )
 
 
-def _final_fidelities(dataset, pie: PieConfig, seeds, state) -> list:
-    """Final fidelity of each start, all starts reconstructed in one batch."""
-    return [
-        trace.final_fidelity()
-        for _, trace in pie_run_batch(dataset, pie, seeds, reference=state)
-    ]
+def _final_fidelities(n: int, count: int, job, pie: PieConfig, starts: int, group: bool = True):
+    """Final fidelity of every start of ``count`` datasets of one cell.
+
+    ``job(i)`` returns the i-th ``(dataset, seeds, state)``; all share n,
+    the unitary (when ``group``) and ``starts`` seeds. Datasets are made
+    and reconstructed one engine pass at a time, so memory stays bounded by
+    one pass. Returns one list of fidelities per dataset.
+    """
+    per_pass = _datasets_per_pass(n, starts) if group else 1
+    fids = []
+    for first in range(0, count, per_pass):
+        datasets, seeds, states = zip(*(job(i) for i in range(first, min(count, first + per_pass))))
+        for runs in _run_datasets(datasets, pie, seeds, states):
+            fids.append([trace.final_fidelity() for _, trace in runs])
+    return fids
 
 
 def run_fidelity_sweep(cfg: SweepConfig):
     """Mean/std of reconstruction fidelity per (n, shots) grid cell.
 
-    For each state the engine reconstructs ``runs_per_state`` distinct
-    starting guesses in one batch and the fidelities are averaged; the
-    returned mean and sample standard deviation are then taken across
-    states. Rows are ``(n, shots, mean_fidelity, std_fidelity)``.
+    The engine reconstructs ``runs_per_state`` distinct starting guesses of
+    each state, the states of a cell grouped into shared engine passes, and
+    each state's fidelities are averaged; the returned mean and sample
+    standard deviation are then taken across states. Rows are
+    ``(n, shots, mean_fidelity, std_fidelity)``.
     """
     rows = []
     for n in cfg.n_values:
         states = _draw_states(cfg, n)
         for shots in cfg.shots:
-            state_means = []
-            for idx, (tag, state) in enumerate(states):
-                unitary = _resolve_unitary(cfg, n, idx)
+
+            def job(idx):
+                state = states[idx][1]
                 dataset = generate_dataset(
                     state,
-                    unitary,
+                    _resolve_unitary(cfg, n, idx),
                     shots,
                     seed=derive_seed(cfg.master_seed, "data", n, idx, shots),
                 )
@@ -113,8 +123,12 @@ def run_fidelity_sweep(cfg: SweepConfig):
                     derive_seed(cfg.master_seed, "init", n, idx, shots, run)
                     for run in range(cfg.runs_per_state)
                 ]
-                fids = _final_fidelities(dataset, cfg.pie, seeds, state)
-                state_means.append(float(np.mean(fids)))
+                return dataset, seeds, state
+
+            # The separable family draws a unitary per state: one per pass.
+            fids = _final_fidelities(n, len(states), job, cfg.pie, cfg.runs_per_state,
+                                     group=cfg.unitary_family != "separable")
+            state_means = [float(np.mean(f)) for f in fids]
             mean = float(np.mean(state_means))
             std = float(np.std(state_means, ddof=1)) if len(state_means) > 1 else 0.0
             rows.append((n, shots, mean, std))
@@ -133,17 +147,21 @@ def run_aqft_study(
 
     Rows are ``(state_tag, n, m, mean_fidelity, std_fidelity)`` with mean and
     sample std across ``runs_per_state`` engine runs on one dataset of
-    ``shots`` shots per circuit. Degrees larger than n are skipped.
+    ``shots`` shots per circuit. Degrees larger than n are skipped. The
+    states of one (n, m) cell share engine passes.
     """
     pie = pie if pie is not None else PieConfig(delta_beta=0.04)
     rows = []
     for n in n_values:
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit counts must be within 1..{MAX_QUBITS}")
-        for tag, state in table_states(n):
-            for m in m_values:
-                if m > n:
-                    continue
+        states = table_states(n)
+        degrees = [m for m in m_values if m <= n]
+        cells = {}
+        for m in dict.fromkeys(degrees):
+
+            def job(idx):
+                tag, state = states[idx]
                 dataset = generate_dataset(
                     state,
                     UnitarySpec.aqft(m),
@@ -154,7 +172,12 @@ def run_aqft_study(
                     derive_seed(master_seed, "aqft-init", n, tag, m, run)
                     for run in range(runs_per_state)
                 ]
-                fids = _final_fidelities(dataset, pie, seeds, state)
+                return dataset, seeds, state
+
+            cells[m] = _final_fidelities(n, len(states), job, pie, runs_per_state)
+        for idx, (tag, _) in enumerate(states):
+            for m in degrees:
+                fids = cells[m][idx]
                 mean = float(np.mean(fids))
                 std = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
                 rows.append((tag, n, m, mean, std))

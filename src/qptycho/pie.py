@@ -30,9 +30,11 @@ from .stateprep import random_arbitrary
 from .states import ProjectorId, StateVector, _project_amps, projector_ids
 from .transforms import UnitarySpec
 
-#: Most amplitudes one batched engine pass holds; pie_run_batch splits larger
-#: batches into chunks of whole rows, so memory stays O(2^n) at large n.
-_CHUNK_AMPS = 1 << 16
+#: Most amplitudes one engine pass holds. Passes group whole datasets and
+#: split larger batches into chunks of whole rows, so memory stays O(2^n) at
+#: large n. Per-row cost falls with the pass size up to about this many
+#: amplitudes and rises beyond it (at n=10, 64 rows cost 10% more each than 32).
+_CHUNK_AMPS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -235,45 +237,96 @@ def pie_run_batch(
     Rows are processed in chunks of at most ``_CHUNK_AMPS`` amplitudes, and
     each chunk restarts the shuffled order exactly as a lone run would.
     """
-    dataset.validate()
-    n = dataset.n
-    unitary = dataset.unitary
+    references = None if reference is None else [reference]
+    return _run_datasets([dataset], config, [init_seeds], references)[0]
+
+
+def _datasets_per_pass(n: int, starts: int) -> int:
+    """How many datasets of ``starts`` starts each one engine pass holds."""
+    return max(1, (_CHUNK_AMPS >> n) // starts)
+
+
+def _run_datasets(datasets, config: PieConfig, init_seeds, references=None):
+    """Reconstruct datasets that share n and the unitary, each from its own
+    starts, in engine passes of whole datasets x starts.
+
+    ``init_seeds[s]`` are the starts of ``datasets[s]``; every dataset has the
+    same number K of them. A pass holds as many whole datasets as fit in
+    ``_CHUNK_AMPS`` amplitudes; a dataset whose K starts alone do not fit is
+    split into chunks of starts, as :func:`pie_run_batch` does. Rows never mix
+    in any kernel, so every row equals the row :func:`pie_run_batch` gives for
+    its dataset alone, bit for bit. Returns one list of ``(estimate, trace)``
+    pairs per dataset; each trace's ``total_seconds`` is its pass's time.
+    """
+    n, unitary = datasets[0].n, datasets[0].unitary
+    for dataset in datasets:
+        dataset.validate()
+        if (dataset.n, dataset.unitary) != (n, unitary):
+            raise ValueError("datasets of one engine pass must share n and the unitary")
     unitary.validate_for(n)
-    targets = normalize_dataset(dataset)
-    ids = projector_ids(n)
-    target_list = [targets[pid] for pid in ids]
-    if reference is not None and reference.n != n:
-        raise ValueError(f"reference has n={reference.n}, dataset has n={n}")
-    ref = _normalized(reference.amps) if reference is not None else None
-    seeds = list(init_seeds)
-    if not seeds:
+    seeds = [list(starts) for starts in init_seeds]
+    if not seeds[0]:
         raise ValueError("init_seeds must hold at least one seed")
-    per_chunk = max(1, _CHUNK_AMPS >> n)
+    if any(len(starts) != len(seeds[0]) for starts in seeds):
+        raise ValueError("every dataset of one engine pass needs the same number of seeds")
+    refs = None
+    if references is not None:
+        for reference in references:
+            if reference.n != n:
+                raise ValueError(f"reference has n={reference.n}, dataset has n={n}")
+        refs = np.stack([_normalized(reference.amps) for reference in references])
+    ids = projector_ids(n)
+    rows_per_pass = max(1, _CHUNK_AMPS >> n)
+    per_pass = _datasets_per_pass(n, len(seeds[0]))
     results = []
-    for first in range(0, len(seeds), per_chunk):
-        results += _run_rows(
-            n, unitary, ids, target_list, config, seeds[first : first + per_chunk], ref
-        )
+    for lo in range(0, len(datasets), per_pass):
+        group = range(lo, min(lo + per_pass, len(datasets)))
+        targets = [normalize_dataset(datasets[s]) for s in group]
+        # One (S, 1, 2^n) block per projector, broadcast over the starts.
+        target_list = [np.stack([t[pid] for t in targets])[:, None, :] for pid in ids]
+        group_refs = None if refs is None else refs[lo : group.stop]
+        group_results = [[] for _ in group]
+        for first in range(0, len(seeds[0]), rows_per_pass):
+            chunk = [seeds[s][first : first + rows_per_pass] for s in group]
+            runs = _run_rows(n, unitary, ids, target_list, config, chunk, group_refs)
+            for acc, rows in zip(group_results, runs):
+                acc += rows
+        results += group_results
     return results
 
 
-def _normalized_rows(amps: np.ndarray, iteration: int) -> np.ndarray:
-    """Unit-norm copy of each row; raises on a non-finite or zero row, so no
-    metric is ever reported for such an estimate."""
+def _normalized_rows(amps: np.ndarray, iteration: int, live=None) -> np.ndarray:
+    """Unit-norm copy of each row (last axis); raises on a non-finite or zero
+    row, so no metric is ever reported for such an estimate. With a boolean
+    ``live`` mask only those rows are checked; the others are not reported."""
     norms = np.linalg.norm(amps, axis=-1)
     bad = ~np.isfinite(norms) | (norms == 0.0)
+    if live is not None:
+        bad &= live
+        norms = np.where(live, norms, 1.0)
     if np.any(bad):
         raise ValueError(
-            f"estimate norm became {norms[np.argmax(bad)]} at iteration {iteration}"
+            f"estimate norm became {norms[bad][0]} at iteration {iteration}"
         )
-    return amps / norms[:, None]
+    return amps / norms[..., None]
 
 
-def _run_rows(n, unitary, ids, target_list, config, seeds, ref):
-    """The engine loop on one chunk of rows; see :func:`pie_run_batch`."""
-    amps = np.stack([random_arbitrary(n, seed).amps for seed in seeds])
-    live = list(range(len(seeds)))  # original row of each row of ``amps``
+def _run_rows(n, unitary, ids, target_list, config, seeds, refs):
+    """The engine loop on one pass of S datasets x K starts, laid out as an
+    ``(S, K, 2^n)`` array. ``target_list`` holds one ``(S, 1, 2^n)`` target
+    block per projector, ``seeds`` the S lists of K starts and ``refs`` the
+    S unit references (or None). Returns S lists of K ``(estimate, trace)``.
+
+    A finished row is reported and then ignored. Its dataset leaves the
+    array once all its rows are done, and a start column once it is done in
+    every dataset left; until then the row is still corrected, unread.
+    """
+    amps = np.stack([[random_arbitrary(n, seed).amps for seed in starts] for starts in seeds])
+    sets = np.arange(len(seeds))  # original dataset of each entry of axis 0
+    cols = np.arange(len(seeds[0]))  # original start of each entry of axis 1
+    live = np.ones(amps.shape[:2], dtype=bool)
     current = _normalized_rows(amps, 0)
+    ref_conj = None if refs is None else refs.conj()
     order_rng = (
         np.random.default_rng(config.shuffle_seed)
         if config.shuffle_seed is not None
@@ -281,8 +334,8 @@ def _run_rows(n, unitary, ids, target_list, config, seeds, ref):
     )
     stop = config.early_stop_distance
     last_iteration = config.resolved_iterations()
-    rows = [[] for _ in seeds]
-    results = [None] * len(seeds)
+    rows = [[[] for _ in starts] for starts in seeds]
+    results = [[None] * len(starts) for starts in seeds]
     started = time.perf_counter()
     for iteration in range(1, last_iteration + 1):
         beta = beta_schedule(iteration, config)
@@ -293,25 +346,36 @@ def _run_rows(n, unitary, ids, target_list, config, seeds, ref):
         )
         for idx in order:
             amps = _correction_amps(amps, n, ids[idx], target_list[idx], unitary, beta)
-        previous, current = current, _normalized_rows(amps, iteration)
+        previous, current = current, _normalized_rows(amps, iteration, live)
         distance = _distance(current, previous)
-        fid = None if ref is None else np.minimum(1.0, np.abs(current @ ref.conj()) ** 2)
-        for k, row in enumerate(live):
-            rows[row].append(TraceRow(
-                iteration, beta, float(distance[k]), None if fid is None else float(fid[k])
-            ))
-        done = np.full(len(live), iteration == last_iteration)
+        done = live & (iteration == last_iteration)
         if stop is not None:
-            done |= distance < stop
+            done |= live & (distance < stop)
+        for s, ds in enumerate(sets):
+            ks = np.flatnonzero(live[s])
+            fid = None
+            if ref_conj is not None:
+                # The same matrix-vector product a lone pie_run_batch makes.
+                cur = current[s] if len(ks) == len(cols) else current[s, ks]
+                fid = np.minimum(1.0, np.abs(cur @ ref_conj[ds]) ** 2)
+            for j, k in enumerate(ks):
+                rows[ds][cols[k]].append(TraceRow(
+                    iteration, beta, float(distance[s, k]), None if fid is None else float(fid[j])
+                ))
         if np.any(done):
             elapsed = time.perf_counter() - started
-            for k in np.flatnonzero(done):
-                results[live[k]] = (
-                    StateVector(n, current[k]), PieTrace(rows[live[k]], elapsed)
+            for s, k in zip(*np.nonzero(done)):
+                ds, col = sets[s], cols[k]
+                results[ds][col] = (
+                    StateVector(n, current[s, k]), PieTrace(rows[ds][col], elapsed)
                 )
-            keep = ~done
-            live = [row for row, kept in zip(live, keep) if kept]
-            if not live:
+            live &= ~done
+            keep_s, keep_k = live.any(axis=1), live.any(axis=0)
+            if not keep_s.any():
                 break
-            amps, current = amps[keep], current[keep]
+            if not (keep_s.all() and keep_k.all()):
+                amps, current = amps[keep_s][:, keep_k], current[keep_s][:, keep_k]
+                live, sets, cols = live[keep_s][:, keep_k], sets[keep_s], cols[keep_k]
+                if not keep_s.all():
+                    target_list = [t[keep_s] for t in target_list]
     return results

@@ -248,6 +248,13 @@ def dataset_from_dict(doc: dict, where: str = "dataset") -> PtychoDataset:
         raise ValueError(f"{where}: mitigated must be true or false, got {mitigated!r}")
     if not isinstance(doc.get("unitary"), dict):
         raise ValueError(f"{where}: unitary must be an object")
+    seed, noise_model_id = doc.get("seed"), doc.get("noise_model_id")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"{where}: seed must be an integer or null, got {seed!r}")
+    if noise_model_id is not None and not isinstance(noise_model_id, str):
+        raise ValueError(
+            f"{where}: noise_model_id must be a string or null, got {noise_model_id!r}"
+        )
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"{where}: records must be a list of objects")
     records = []
@@ -258,12 +265,12 @@ def dataset_from_dict(doc: dict, where: str = "dataset") -> PtychoDataset:
         records.append(CircuitRecord(entry.get("xi"), entry["q"], counts))
     return PtychoDataset(
         n=n,
-        unitary=UnitarySpec.from_dict(doc["unitary"]),
+        unitary=UnitarySpec.from_dict(doc["unitary"], f"{where}: unitary"),
         shots_per_circuit=shots,
         records=records,
         mitigated=mitigated,
-        seed=doc.get("seed"),
-        noise_model_id=doc.get("noise_model_id"),
+        seed=seed,
+        noise_model_id=noise_model_id,
     ).validate()
 
 

@@ -100,6 +100,13 @@ def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
     return (rows @ mat.T)[..., 0, :]
 
 
+def _angle(value) -> float:
+    """A finite angle in radians; TypeError for anything else (a bool too)."""
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise TypeError(f"not a finite angle: {value!r}")
+    return float(value)
+
+
 def _haar_u3_angles(n: int, rng) -> list:
     """n Haar-random (theta, phi, lam) triples: cos(theta) uniform on [-1, 1],
     phi and lam uniform on [0, 2 pi), drawn qubit by qubit."""
@@ -129,14 +136,22 @@ class UnitarySpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "aqft":
-            if self.m is None or self.m < 1:
-                raise ValueError(f"aqft requires an integer degree m >= 1, got {self.m!r}")
+            m = self.m
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+                raise ValueError(f"aqft requires an integer degree m >= 1, got {m!r}")
+            object.__setattr__(self, "m", int(m))
         elif self.m is not None:
             raise ValueError(f"degree m is only valid for aqft, not {self.kind!r}")
         if self.kind == "separable":
             if not self.angles:
                 raise ValueError("separable requires one angle triple per qubit")
-            angles = tuple(tuple(float(a) for a in triple) for triple in self.angles)
+            try:
+                angles = tuple(tuple(_angle(a) for a in triple) for triple in self.angles)
+            except TypeError:
+                raise ValueError(
+                    f"separable angles must be (theta, phi, lam) triples of finite numbers, "
+                    f"got {self.angles!r}"
+                ) from None
             if any(len(triple) != 3 for triple in angles):
                 raise ValueError("each separable angle entry must be a (theta, phi, lam) triple")
             object.__setattr__(self, "angles", angles)
@@ -206,10 +221,12 @@ class UnitarySpec:
         return doc
 
     @classmethod
-    def from_dict(cls, data: dict) -> "UnitarySpec":
-        angles = data.get("angles")
-        return cls(
-            data["kind"],
-            m=data.get("m"),
-            angles=tuple(tuple(t) for t in angles) if angles is not None else None,
-        )
+    def from_dict(cls, data: dict, where: str = "unitary") -> "UnitarySpec":
+        """Inverse of :meth:`to_dict`. A malformed document raises a
+        ValueError that starts with ``where`` and names the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{where} must be an object, got {type(data).__name__}")
+        try:
+            return cls(data.get("kind"), m=data.get("m"), angles=data.get("angles"))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None

@@ -1,3 +1,7 @@
+import pytest
+
+from qptycho import pie
+
 ACCEPTANCE_LINES = []
 
 
@@ -6,3 +10,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def engine_passes(monkeypatch):
+    """The (n, datasets, starts) of every engine pass made during the test."""
+    shapes, run = [], pie._run_rows
+
+    def spy(n, unitary, ids, target_list, config, seeds, refs):
+        shapes.append((n, len(seeds), len(seeds[0])))
+        return run(n, unitary, ids, target_list, config, seeds, refs)
+
+    monkeypatch.setattr(pie, "_run_rows", spy)
+    return shapes

@@ -122,6 +122,7 @@ def test_02b_shot_limited_ensemble_means_full_scale():
 
 def test_03_shot_scaling_monotonicity():
     """More shots never hurt (within one pooled std) at n = 6 and 8."""
+    started = time.perf_counter()
     details = []
     passed = True
     for n in (6, 8):
@@ -142,6 +143,7 @@ def test_03_shot_scaling_monotonicity():
             if means[k + 1] < means[k] - pooled:
                 passed = False
         details.append(f"n={n}: " + " -> ".join(f"{m:.4f}" for m in means))
+    details.append(f"{time.perf_counter() - started:.0f} s")
     report(3, "shot-scaling monotonicity", passed, "; ".join(details))
     assert passed
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qptycho import PieConfig, SweepConfig, run_aqft_study, run_fidelity_sweep, run_timing_bench
+from qptycho import pie
 from qptycho.experiments import AQFT_HEADER, SWEEP_HEADER, write_csv
 
 
@@ -168,3 +169,71 @@ class TestCsvWriter:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "state,n,m,mean_fidelity,std_fidelity"
         assert lines[1] == "ghz,3,2,0.99,0.001"
+
+
+# Rows of the per-dataset engine (one pie_run_batch per state) before the
+# states of a cell shared engine passes; the grouped rows must equal them
+# exactly.
+PER_DATASET_SWEEP_ROWS = [
+    (4, 1024, 0.9978111562424123, 0.0010320864900241508),
+    (6, 1024, 0.9927515150251697, 0.00098387774148269),
+]
+PER_DATASET_AQFT_ROWS = [
+    ("psi1_n", 3, 2, 0.9981440803903641, 4.849735384191193e-11),
+    ("psi1_n", 3, 3, 0.9982047281249998, 3.338028360244911e-11),
+    ("psi2_n", 3, 2, 0.9979961848614266, 4.175332609913867e-11),
+    ("psi2_n", 3, 3, 0.9989357200314597, 1.1633625298007656e-11),
+    ("psi3_n", 3, 2, 0.9990800086265156, 5.1915066190526014e-14),
+    ("psi3_n", 3, 3, 0.999179744382151, 2.1037976390103547e-13),
+    ("psi4_n", 3, 2, 0.9988150730904358, 9.405618628159414e-08),
+    ("psi4_n", 3, 3, 0.9990807269410725, 4.770416919518565e-13),
+    ("psi5_n", 3, 2, 0.9980672432483074, 1.7362093304560588e-11),
+    ("psi5_n", 3, 3, 0.9995244041571585, 1.6184983543521627e-11),
+    ("psi1_n", 4, 2, 0.9982389653377632, 1.222602616886852e-08),
+    ("psi1_n", 4, 3, 0.9992063380956644, 7.094192718123908e-12),
+    ("psi2_n", 4, 2, 0.9961618056878656, 2.0818986842505177e-08),
+    ("psi2_n", 4, 3, 0.9987749813509841, 3.947062184981998e-12),
+    ("psi3_n", 4, 2, 0.9984738773743107, 1.8405294580400032e-13),
+    ("psi3_n", 4, 3, 0.997249532266514, 1.382562698389227e-13),
+    ("psi4_n", 4, 2, 0.9984473116951768, 1.5050968589622026e-09),
+    ("psi4_n", 4, 3, 0.9989814453519107, 6.129574528756116e-11),
+    ("psi5_n", 4, 2, 0.9990320275415852, 1.1749496091904413e-15),
+    ("psi5_n", 4, 3, 0.9984224799552407, 1.5628856805902468e-13),
+]
+
+
+class TestGroupedRows:
+    def test_sweep(self, engine_passes):
+        shapes = engine_passes
+        cfg = SweepConfig(
+            n_values=(4, 6), states_per_n=3, runs_per_state=4, shots=(1024,),
+            pie=PieConfig(delta_beta=0.1), master_seed=5,
+        )
+        assert run_fidelity_sweep(cfg) == PER_DATASET_SWEEP_ROWS
+        assert shapes == [(4, 3, 4), (6, 3, 4)]  # one pass per cell
+
+    def test_aqft_study(self, engine_passes):
+        shapes = engine_passes
+        rows = run_aqft_study(
+            (3, 4), (2, 3), shots=1024, runs_per_state=3, pie=PieConfig(delta_beta=0.1),
+            master_seed=4,
+        )
+        assert rows == PER_DATASET_AQFT_ROWS
+        assert shapes == [(n, 5, 3) for n in (3, 4) for _ in (2, 3)]
+
+    def test_separable_family_keeps_one_state_per_pass(self, engine_passes):
+        shapes = engine_passes
+        run_fidelity_sweep(small_sweep(ensemble="separable", unitary_family="separable"))
+        assert shapes == [(n, 1, 2) for n in (2, 3) for _ in range(3)]
+
+    def test_n12_sweep_makes_one_state_per_pass(self, engine_passes):
+        shapes = engine_passes
+        cfg = small_sweep(
+            n_values=(12,), states_per_n=2, runs_per_state=20, shots=(1024,),
+            pie=PieConfig(delta_beta=0.1, iterations=1),
+        )
+        run_fidelity_sweep(cfg)
+        rows_per_pass = pie._CHUNK_AMPS >> 12
+        assert rows_per_pass < 20
+        chunks = [min(rows_per_pass, 20 - first) for first in range(0, 20, rows_per_pass)]
+        assert shapes == [(12, 1, k) for _ in range(2) for k in chunks]

@@ -207,6 +207,50 @@ class TestReaderChecks:
                 load_calibration(cal_path)
 
 
+BAD_UNITARIES = [
+    ({}, "kind must be one of .*, got None"),
+    ({"kind": "separable", "angles": 5}, "separable angles must be .* triples of finite numbers, got 5"),
+    ({"kind": "aqft", "m": True}, "aqft requires an integer degree m >= 1, got True"),
+    ({"kind": "aqft", "m": 2.5}, "aqft requires an integer degree m >= 1, got 2.5"),
+]
+
+
+class TestMetadataChecks:
+    @pytest.mark.parametrize("doc, message", BAD_UNITARIES)
+    def test_unitary_from_dict_names_the_field(self, doc, message):
+        with pytest.raises(ValueError, match=f"^unitary: {message}"):
+            UnitarySpec.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", BAD_UNITARIES)
+    def test_load_dataset_prefixes_the_file(self, tmp_path, doc, message):
+        data = dataset_to_dict(small_dataset())
+        data["unitary"] = doc
+        path = write_json(tmp_path / "d.json", data)
+        with pytest.raises(ValueError, match=rf"^dataset file .*d\.json: unitary: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", "x", "seed must be an integer or null, got 'x'"),
+        ("seed", True, "seed must be an integer or null, got True"),
+        ("seed", 1.0, "seed must be an integer or null, got 1.0"),
+        ("noise_model_id", 5, "noise_model_id must be a string or null, got 5"),
+        ("noise_model_id", ["ro"], "noise_model_id must be a string or null, got \\['ro'\\]"),
+    ])
+    def test_dataset_rejects_bad_metadata(self, tmp_path, field, value, message):
+        doc = dataset_to_dict(small_dataset())
+        doc[field] = value
+        path = write_json(tmp_path / "d.json", doc)
+        with pytest.raises(ValueError, match=rf"^dataset file .*d\.json: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("seed, noise_model_id", [(None, None), (7, "readout-0.025")])
+    def test_dataset_keeps_good_metadata(self, tmp_path, seed, noise_model_id):
+        doc = dataset_to_dict(small_dataset())
+        doc.update(seed=seed, noise_model_id=noise_model_id)
+        loaded = load_dataset(write_json(tmp_path / "d.json", doc))
+        assert (loaded.seed, loaded.noise_model_id) == (seed, noise_model_id)
+
+
 def assert_datasets_equal(a, b):
     assert (a.n, a.unitary, a.shots_per_circuit, a.mitigated, a.seed, a.noise_model_id) == (
         b.n, b.unitary, b.shots_per_circuit, b.mitigated, b.seed, b.noise_model_id)

@@ -428,3 +428,89 @@ class TestNonFiniteEstimates:
         dataset.records[0].counts[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             pie_run(dataset, PieConfig(), reference=state)
+
+
+def grouped_and_lone(datasets, config, seeds, states):
+    """Rows of one grouped engine call and of pie_run_batch per dataset:
+    estimates equal bit for bit, traces row for row. Returns the trace
+    lengths, one list per dataset."""
+    grouped = pie._run_datasets(datasets, config, seeds, states)
+    assert len(grouped) == len(datasets)
+    lengths = []
+    for dataset, starts, state, runs in zip(datasets, seeds, states, grouped):
+        lone = pie_run_batch(dataset, config, starts, reference=state)
+        assert len(runs) == len(lone) == len(starts)
+        for (estimate, trace), (lone_estimate, lone_trace) in zip(runs, lone):
+            assert np.array_equal(estimate.amps, lone_estimate.amps)
+            assert trace.rows == lone_trace.rows
+        lengths.append([len(trace.rows) for _, trace in runs])
+    return lengths
+
+
+def cell(kind, n, count, shots=512, starts=3, seed=200):
+    """``count`` datasets of one (n, unitary) cell with their starts and states."""
+    spec = spec_for(kind, n)
+    states = [StateVector(n, haar_state(n, np.random.default_rng(seed + i))) for i in range(count)]
+    datasets = [generate_dataset(s, spec, shots, seed=seed + i) for i, s in enumerate(states)]
+    seeds = [[seed + 10 * i + k for k in range(starts)] for i in range(count)]
+    return datasets, seeds, states
+
+
+GROUPED_KINDS = ("qft", "aqft", "hadamard")
+
+
+class TestGroupedPasses:
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("kind", GROUPED_KINDS)
+    def test_rows_equal_per_dataset_batches(self, n, kind, engine_passes):
+        datasets, seeds, states = cell(kind, n, 4)
+        grouped_and_lone(datasets, PieConfig(delta_beta=0.1), seeds, states)
+        assert engine_passes[0] == (n, 4, 3)  # the grouped call was one pass
+
+    @pytest.mark.parametrize("kind", GROUPED_KINDS)
+    def test_shuffled_order(self, kind):
+        datasets, seeds, states = cell(kind, 4, 3)
+        grouped_and_lone(datasets, PieConfig(delta_beta=0.1, shuffle_seed=8), seeds, states)
+
+    @pytest.mark.parametrize("kind", GROUPED_KINDS)
+    def test_datasets_stop_at_different_iterations(self, kind):
+        datasets, seeds, states = cell(kind, 3, 4, shots=0, starts=4, seed=210)
+        cfg = PieConfig(delta_beta=0.04, shuffle_seed=5, early_stop_distance=1e-4)
+        lengths = grouped_and_lone(datasets, cfg, seeds, states)
+        assert len({max(rows) for rows in lengths}) > 1  # datasets leave the pass apart
+        assert len({length for rows in lengths for length in rows}) > 2
+        assert min(min(rows) for rows in lengths) < cfg.resolved_iterations()
+
+    @pytest.mark.parametrize("budget, shapes_seen", [
+        (56, [(3, 2, 3), (3, 2, 3), (3, 1, 3)]),  # 7 rows at n=3: two datasets a pass
+        (16, [(3, 1, 2), (3, 1, 1)] * 5),  # 2 rows: each dataset split into start chunks
+    ])
+    @pytest.mark.parametrize("kind", GROUPED_KINDS)
+    def test_pass_boundaries(self, kind, budget, shapes_seen, monkeypatch, engine_passes):
+        monkeypatch.setattr(pie, "_CHUNK_AMPS", budget)
+        datasets, seeds, states = cell(kind, 3, 5, seed=220)
+        cfg = PieConfig(delta_beta=0.04, shuffle_seed=6, early_stop_distance=1e-3)
+        grouped_and_lone(datasets, cfg, seeds, states)
+        assert engine_passes[: len(shapes_seen)] == shapes_seen
+
+    def test_without_references(self):
+        datasets, seeds, _ = cell("qft", 3, 2)
+        grouped = pie._run_datasets(datasets, PieConfig(delta_beta=0.1), seeds)
+        for dataset, starts, runs in zip(datasets, seeds, grouped):
+            lone = pie_run_batch(dataset, PieConfig(delta_beta=0.1), starts)
+            assert [t.rows for _, t in runs] == [t.rows for _, t in lone]
+            assert all(row.fidelity is None for _, t in runs for row in t.rows)
+
+    def test_datasets_must_share_n_unitary_and_start_count(self):
+        datasets, seeds, states = cell("qft", 3, 2)
+        other, _, _ = cell("hadamard", 3, 1)
+        small, _, _ = cell("qft", 2, 1)
+        cfg = PieConfig(delta_beta=0.1)
+        with pytest.raises(ValueError, match="share n and the unitary"):
+            pie._run_datasets([datasets[0], other[0]], cfg, seeds)
+        with pytest.raises(ValueError, match="share n and the unitary"):
+            pie._run_datasets([datasets[0], small[0]], cfg, seeds)
+        with pytest.raises(ValueError, match="same number of seeds"):
+            pie._run_datasets(datasets, cfg, [seeds[0], seeds[1][:2]])
+        with pytest.raises(ValueError, match="reference has n=2"):
+            pie._run_datasets(datasets, cfg, seeds, [states[0], named_state("ghz", 2)])

@@ -1,0 +1,58 @@
+"""Property tests over random sizes, unitaries and states (n <= 6): each
+unitary kind is unitary with an inverting adjoint, the two Pauli
+eigenprojectors of a qubit sum to the identity, and exact data is a fixed
+point of every correction."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qptycho import StateVector, UnitarySpec, generate_dataset, normalize_dataset, projector_ids
+from qptycho.pie import _correction_amps
+from qptycho.states import PAULI_AXES, _project_amps
+
+from oracles import haar_state
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def specs(draw, max_n=6):
+    """(n, spec) for every kind, with aqft degrees 1..n."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(("qft", "aqft", "hadamard", "separable")))
+    if kind == "aqft":
+        return n, UnitarySpec.aqft(draw(st.integers(1, n)))
+    if kind == "separable":
+        return n, UnitarySpec.random_separable(n, draw(SEEDS))
+    return n, UnitarySpec(kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=specs())
+def test_every_unitary_is_unitary_and_its_adjoint_inverts_it(case):
+    n, spec = case
+    eye = np.eye(1 << n, dtype=np.complex128)
+    # Kernels act row by row, so row j of the result is U applied to e_j.
+    rows = spec.apply_amps(eye, n)
+    np.testing.assert_allclose(rows @ rows.conj().T, eye, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(spec.apply_amps(rows, n, adjoint=True), eye, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), axis=st.sampled_from(PAULI_AXES), data=st.data(), seed=SEEDS)
+def test_the_two_projectors_of_a_qubit_sum_to_the_identity(n, axis, data, seed):
+    qubit = data.draw(st.integers(0, n - 1))
+    amps = haar_state(n, np.random.default_rng(seed))
+    total = _project_amps(amps, axis, qubit, 1) + _project_amps(amps, axis, qubit, -1)
+    np.testing.assert_allclose(total, amps, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=specs(), seed=SEEDS, beta=st.floats(0.05, 2.0))
+def test_exact_data_is_a_fixed_point_of_every_correction(case, seed, beta):
+    n, spec = case
+    state = StateVector(n, haar_state(n, np.random.default_rng(seed)))
+    targets = normalize_dataset(generate_dataset(state, spec, 0))
+    for pid in projector_ids(n):
+        out = _correction_amps(state.amps, n, pid, targets[pid], spec, beta)
+        np.testing.assert_allclose(out, state.amps, rtol=0, atol=1e-12)

@@ -57,7 +57,6 @@ from .states import (
     ProjectorId,
     StateVector,
     apply_pauli_projector,
-    apply_single_qubit,
     basis_state,
     born_distribution,
     inner_product,
@@ -85,7 +84,6 @@ __all__ = [
     "SweepConfig",
     "UnitarySpec",
     "apply_pauli_projector",
-    "apply_single_qubit",
     "aqft_matrix",
     "basis_state",
     "beta_schedule",

@@ -53,8 +53,9 @@ class SweepConfig:
             raise ValueError("shot counts must be >= 0 (0 means exact)")
         if self.unitary_family not in KINDS:
             raise ValueError(f"unknown unitary family {self.unitary_family!r}")
-        if self.unitary_family == "aqft" and (self.aqft_m is None or self.aqft_m < 1):
-            raise ValueError("aqft family needs aqft_m >= 1")
+        if self.unitary_family == "aqft":
+            # The degree's own checks, against every qubit count of the grid.
+            UnitarySpec.aqft(self.aqft_m).validate_for(min(self.n_values))
 
 
 def _draw_states(cfg: SweepConfig, n: int):

@@ -62,8 +62,11 @@ class PieConfig:
         stop = self.early_stop_distance
         if stop is not None and not (math.isfinite(stop) and stop > 0):
             raise ValueError(f"early_stop_distance must be None or finite and > 0, got {stop}")
-        if self.iterations is not None and self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        its = self.iterations
+        if its is not None:
+            if isinstance(its, bool) or not isinstance(its, (int, np.integer)) or its < 1:
+                raise ValueError(f"iterations must be None or an integer >= 1, got {its!r}")
+            object.__setattr__(self, "iterations", int(its))
         last = self.beta0 - (self.resolved_iterations() - 1) * self.delta_beta
         if last <= 0:
             raise ValueError(

@@ -117,28 +117,6 @@ def _check_qubit(n: int, q: int):
         raise IndexError(f"qubit index {q} out of range for n={n}")
 
 
-def _apply_single_qubit_amps(amps: np.ndarray, q: int, g: np.ndarray) -> np.ndarray:
-    # View the vector as (high bits, bit q, low bits) and mix the bit-q pair.
-    v = amps.reshape(-1, 2, 1 << q)
-    out = np.empty_like(v)
-    out[:, 0, :] = g[0, 0] * v[:, 0, :] + g[0, 1] * v[:, 1, :]
-    out[:, 1, :] = g[1, 0] * v[:, 0, :] + g[1, 1] * v[:, 1, :]
-    return out.reshape(amps.shape)
-
-
-def apply_single_qubit(state: StateVector, q: int, gate) -> StateVector:
-    """Apply an arbitrary 2x2 complex matrix to qubit ``q``.
-
-    For every index pair differing only in bit ``q``, the output pair is the
-    matrix-vector product of ``gate`` with the input pair.
-    """
-    _check_qubit(state.n, q)
-    g = np.asarray(gate, dtype=np.complex128)
-    if g.shape != (2, 2):
-        raise ValueError(f"gate must be 2x2, got shape {g.shape}")
-    return StateVector(state.n, _apply_single_qubit_amps(state.amps, q, g))
-
-
 def _project_amps(amps: np.ndarray, axis: str, q: int, sign: int) -> np.ndarray:
     """Matrix-free application of the rank-1 Pauli eigenprojector on bit q,
     tensored with identity elsewhere. O(2**n), returns a new array."""

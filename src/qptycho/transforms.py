@@ -14,23 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import StateVector, _apply_single_qubit_amps
+from .states import StateVector
 
 KINDS = ("qft", "aqft", "hadamard", "separable")
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    """diag(e^{-ia/2}, e^{+ia/2})."""
-    return np.array(
-        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=np.complex128
-    )
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -98,6 +86,33 @@ def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
     if adjoint:
         return np.conj(np.conj(rows) @ mat)[..., 0, :]
     return (rows @ mat.T)[..., 0, :]
+
+
+def _apply_gates_amps(amps: np.ndarray, gates) -> np.ndarray:
+    """Apply ``gates[q]``, a 2x2 matrix, to qubit q for every q, qubit 0 first.
+
+    Perfect-shuffle kernel (Davio, IEEE Trans. Computers C-30, 116 (1981)):
+    each gate reads bit 0 through a (-1, 2^(n-1), 2) view and writes its
+    result as (-1, 2, 2^(n-1)), which moves that bit to the top, so after all
+    n gates every bit is back in place. Each output is still
+    g[r,0]*v0 + g[r,1]*v1, so it rounds exactly as a gate applied in place.
+    """
+    half = amps.shape[-1] >> 1
+    for g in gates:
+        v = amps.reshape(-1, half, 2)
+        out = g[:, 0, None] * v[:, None, :, 0]
+        out += g[:, 1, None] * v[:, None, :, 1]
+        amps = out.reshape(amps.shape)
+    return amps
+
+
+@lru_cache(maxsize=64)
+def _separable_gates(angles: tuple, adjoint: bool) -> tuple:
+    """The per-qubit u3 matrices of a separable spec, or their adjoints."""
+    gates = tuple(u3_matrix(*t).conj().T if adjoint else u3_matrix(*t) for t in angles)
+    for g in gates:
+        g.flags.writeable = False  # shared between calls
+    return gates
 
 
 def _angle(value) -> float:
@@ -192,16 +207,9 @@ class UnitarySpec:
             return _qft_amps(amps, adjoint)
         if self.kind == "aqft":
             return _aqft_amps(amps, n, self.m, adjoint)
-        # Hadamard and separable: one 2x2 gate per qubit, qubit 0 first.
         if self.kind == "hadamard":
-            gates = (_H,) * n  # self-adjoint
-        else:
-            gates = [u3_matrix(*triple) for triple in self.angles]
-            if adjoint:
-                gates = [g.conj().T for g in gates]
-        for q, gate in enumerate(gates):
-            amps = _apply_single_qubit_amps(amps, q, gate)
-        return amps
+            return _apply_gates_amps(amps, (_H,) * n)  # self-adjoint
+        return _apply_gates_amps(amps, _separable_gates(self.angles, adjoint))
 
     def apply(self, state: StateVector, adjoint: bool = False) -> StateVector:
         self.validate_for(state.n)

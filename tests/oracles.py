@@ -2,8 +2,11 @@
 
 Everything here is built from explicit 2^n x 2^n matrices and plain tensor
 products, deliberately sharing no code path with the package's matrix-free
-kernels. Qubit k owns bit weight 2**k throughout.
+kernels. The one exception is ``gates_in_place``, the per-qubit loop that the
+package's shuffle kernel replaced, kept as its bit-exact reference. Qubit k
+owns bit weight 2**k throughout.
 """
+import math
 from functools import reduce
 
 import numpy as np
@@ -21,6 +24,31 @@ _EIGENVECTORS = {
 def dense_gate_on_qubit(gate: np.ndarray, q: int, n: int) -> np.ndarray:
     """kron(I_high, gate, I_low) with the gate acting on bit weight 2**q."""
     return np.kron(np.eye(1 << (n - 1 - q)), np.kron(gate, np.eye(1 << q)))
+
+
+def rotation_z(angle: float) -> np.ndarray:
+    """diag(e^{-ia/2}, e^{+ia/2})."""
+    return np.array(
+        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=np.complex128
+    )
+
+
+def rotation_y(angle: float) -> np.ndarray:
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def gates_in_place(amps: np.ndarray, gates) -> np.ndarray:
+    """Reference per-qubit loop: gates[q] mixes each index pair that differs
+    only in bit q, through a (high bits, bit q, low bits) view, qubit 0 first.
+    The package's shuffle kernel must match it bit for bit."""
+    for q, g in enumerate(gates):
+        v = amps.reshape(-1, 2, 1 << q)
+        out = np.empty_like(v)
+        out[:, 0, :] = g[0, 0] * v[:, 0, :] + g[0, 1] * v[:, 1, :]
+        out[:, 1, :] = g[1, 0] * v[:, 0, :] + g[1, 1] * v[:, 1, :]
+        amps = out.reshape(amps.shape)
+    return amps
 
 
 def dense_pauli_projector(axis: str, sign: int, q: int, n: int) -> np.ndarray:

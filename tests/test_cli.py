@@ -189,6 +189,26 @@ def test_estimate_rejects_nan_beta0(tmp_path, capsys):
     assert not (tmp_path / "e.json").exists()
 
 
+def test_config_iterations_must_be_an_integer(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    data_path = tmp_path / "data.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"iterations": "20"}))
+    run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2", "--out", str(state_path))
+    run_cli("run-protocol", "--state", str(state_path), "--shots", "0", "--out", str(data_path))
+    capsys.readouterr()
+    code = run_cli(
+        "estimate", "--config", str(config), "--data", str(data_path),
+        "--out", str(tmp_path / "e.json"),
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error == "ValueError: iterations must be None or an integer >= 1, got '20'"
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_aqft_degree_error_is_the_same_for_every_command(tmp_path, capsys):
     state_path = tmp_path / "state.json"
     run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2", "--out", str(state_path))

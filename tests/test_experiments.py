@@ -33,6 +33,17 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             small_sweep(shots=(-1,))
 
+    @pytest.mark.parametrize("aqft_m", [2.5, True, "2", 0])
+    def test_rejects_non_integer_aqft_degree(self, aqft_m):
+        with pytest.raises(ValueError, match="integer degree m >= 1"):
+            small_sweep(unitary_family="aqft", aqft_m=aqft_m)
+
+    def test_rejects_aqft_degree_above_the_smallest_qubit_count(self):
+        # n_values=(2, 3): degree 3 fits n=3 but not n=2, so no cell may run.
+        with pytest.raises(ValueError, match="m=3 exceeds qubit count n=2"):
+            small_sweep(unitary_family="aqft", aqft_m=3)
+        assert small_sweep(unitary_family="aqft", aqft_m=2).aqft_m == 2
+
 
 class TestFidelitySweep:
     def test_exact_data_gives_near_perfect_fidelity(self):

@@ -68,6 +68,15 @@ class TestPieConfig:
         with pytest.raises(ValueError, match="early_stop_distance"):
             PieConfig(early_stop_distance=stop)
 
+    @pytest.mark.parametrize("iterations", [0, -3, 2.5, 20.0, True, False, "20", math.nan])
+    def test_rejects_non_integer_or_nonpositive_iterations(self, iterations):
+        with pytest.raises(ValueError, match="iterations must be None or an integer >= 1"):
+            PieConfig(iterations=iterations)
+
+    def test_numpy_integer_iterations_become_int(self):
+        cfg = PieConfig(iterations=np.int64(20))
+        assert cfg.iterations == 20 and type(cfg.iterations) is int
+
 
 class TestBetaSchedule:
     def test_twenty_iteration_schedule(self):

@@ -1,16 +1,26 @@
 """Property tests over random sizes, unitaries and states (n <= 6): each
-unitary kind is unitary with an inverting adjoint, the two Pauli
+unitary kind is unitary with an inverting adjoint, the per-qubit kinds
+round bit for bit as the in-place reference loop (n <= 8), the two Pauli
 eigenprojectors of a qubit sum to the identity, and exact data is a fixed
 point of every correction."""
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qptycho import StateVector, UnitarySpec, generate_dataset, normalize_dataset, projector_ids
+from qptycho import (
+    StateVector,
+    UnitarySpec,
+    generate_dataset,
+    normalize_dataset,
+    projector_ids,
+    u3_matrix,
+)
 from qptycho.pie import _correction_amps
 from qptycho.states import PAULI_AXES, _project_amps
 
-from oracles import haar_state
+from oracles import gates_in_place, haar_state
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -36,6 +46,36 @@ def test_every_unitary_is_unitary_and_its_adjoint_inverts_it(case):
     rows = spec.apply_amps(eye, n)
     np.testing.assert_allclose(rows @ rows.conj().T, eye, rtol=0, atol=1e-12)
     np.testing.assert_allclose(spec.apply_amps(rows, n, adjoint=True), eye, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(("hadamard", "separable")),
+    adjoint=st.booleans(),
+    batch=st.sampled_from(((), (3,), (2, 3))),
+    strided=st.booleans(),
+    seed=SEEDS,
+)
+def test_per_qubit_kinds_round_as_the_in_place_loop(n, kind, adjoint, batch, strided, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "hadamard":
+        spec = UnitarySpec.hadamard()
+        gates = [np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)] * n
+    else:
+        spec = UnitarySpec.random_separable(n, rng)
+        gates = [u3_matrix(*triple) for triple in spec.angles]
+        if adjoint:
+            gates = [g.conj().T for g in gates]
+    width = (2 if strided else 1) << n
+    buffer = rng.standard_normal(batch + (width,)) + 1j * rng.standard_normal(batch + (width,))
+    before = buffer.copy()
+    amps = buffer[..., ::2] if strided else buffer
+    out = spec.apply_amps(amps, n, adjoint=adjoint)
+    expected = gates_in_place(amps, gates)
+    assert out.shape == amps.shape
+    assert np.array_equal(out.view(np.float64), expected.view(np.float64))
+    assert np.array_equal(buffer.view(np.float64), before.view(np.float64))
 
 
 @settings(max_examples=40, deadline=None)

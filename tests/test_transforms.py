@@ -11,7 +11,6 @@ from qptycho import (
     random_arbitrary,
     u3_matrix,
 )
-from qptycho.transforms import rotation_y, rotation_z
 
 from oracles import (
     bit_reversal_permutation,
@@ -19,6 +18,8 @@ from oracles import (
     dense_hadamard,
     dense_qft,
     haar_state,
+    rotation_y,
+    rotation_z,
 )
 
 SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])

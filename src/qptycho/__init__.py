@@ -27,7 +27,6 @@ from .pie import (
     PieTrace,
     beta_schedule,
     fidelity,
-    pie_correction_step,
     pie_run,
     pie_run_batch,
     trace_distance,
@@ -56,10 +55,6 @@ from .stateprep import (
 from .states import (
     ProjectorId,
     StateVector,
-    apply_pauli_projector,
-    basis_state,
-    born_distribution,
-    inner_product,
     load_state,
     projector_ids,
     save_state,
@@ -83,11 +78,8 @@ __all__ = [
     "StateVector",
     "SweepConfig",
     "UnitarySpec",
-    "apply_pauli_projector",
     "aqft_matrix",
-    "basis_state",
     "beta_schedule",
-    "born_distribution",
     "build_calibration",
     "circuit_settings",
     "corrupt_counts",
@@ -96,7 +88,6 @@ __all__ = [
     "fidelity",
     "generate_dataset",
     "ghz_state",
-    "inner_product",
     "load_calibration",
     "load_dataset",
     "load_state",
@@ -104,7 +95,6 @@ __all__ = [
     "mitigate_dataset",
     "named_state",
     "normalize_dataset",
-    "pie_correction_step",
     "pie_run",
     "pie_run_batch",
     "projector_ids",

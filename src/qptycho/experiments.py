@@ -13,15 +13,26 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pie import PieConfig, _datasets_per_pass, _run_datasets, pie_run
+from .pie import PieConfig, _run_datasets, pie_run
 from .protocol import generate_dataset
 from .seeding import derive_seed
 from .stateprep import random_arbitrary, random_separable, table_states
+from .states import _integer
 from .transforms import KINDS, UnitarySpec
 
 MAX_QUBITS = 16
 
 ENSEMBLES = ("separable", "arbitrary", "table")
+
+
+def _qubit_counts(n_values) -> tuple:
+    """``n_values`` as a non-empty tuple of ints within 1..MAX_QUBITS."""
+    counts = tuple(_integer(n, "n_values must hold integers", 1) for n in n_values)
+    if not counts:
+        raise ValueError("n_values must be non-empty")
+    if max(counts) > MAX_QUBITS:
+        raise ValueError(f"qubit counts must be within 1..{MAX_QUBITS}, got {max(counts)}")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -39,18 +50,14 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "shots", tuple(int(s) for s in self.shots))
+        object.__setattr__(self, "n_values", _qubit_counts(self.n_values))
+        shots = tuple(_integer(s, "shots must hold integers", 0) for s in self.shots)
+        object.__setattr__(self, "shots", shots)  # 0 means exact
+        for name, minimum in (("states_per_n", 1), ("runs_per_state", 1), ("master_seed", 0)):
+            value = _integer(getattr(self, name), f"{name} must be an integer", minimum)
+            object.__setattr__(self, name, value)
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"ensemble must be one of {ENSEMBLES}, got {self.ensemble!r}")
-        if self.states_per_n < 1 or self.runs_per_state < 1:
-            raise ValueError("states_per_n and runs_per_state must be >= 1")
-        if not self.n_values:
-            raise ValueError("n_values must be non-empty")
-        if any(not 1 <= n <= MAX_QUBITS for n in self.n_values):
-            raise ValueError(f"qubit counts must be within 1..{MAX_QUBITS}")
-        if any(s < 0 for s in self.shots):
-            raise ValueError("shot counts must be >= 0 (0 means exact)")
         if self.unitary_family not in KINDS:
             raise ValueError(f"unknown unitary family {self.unitary_family!r}")
         if self.unitary_family == "aqft":
@@ -81,23 +88,6 @@ def _resolve_unitary(cfg: SweepConfig, n: int, state_idx: int) -> UnitarySpec:
     )
 
 
-def _final_fidelities(n: int, count: int, job, pie: PieConfig, starts: int, group: bool = True):
-    """Final fidelity of every start of ``count`` datasets of one cell.
-
-    ``job(i)`` returns the i-th ``(dataset, seeds, state)``; all share n,
-    the unitary (when ``group``) and ``starts`` seeds. Datasets are made
-    and reconstructed one engine pass at a time, so memory stays bounded by
-    one pass. Returns one list of fidelities per dataset.
-    """
-    per_pass = _datasets_per_pass(n, starts) if group else 1
-    fids = []
-    for first in range(0, count, per_pass):
-        datasets, seeds, states = zip(*(job(i) for i in range(first, min(count, first + per_pass))))
-        for runs in _run_datasets(datasets, pie, seeds, states):
-            fids.append([trace.final_fidelity() for _, trace in runs])
-    return fids
-
-
 def run_fidelity_sweep(cfg: SweepConfig):
     """Mean/std of reconstruction fidelity per (n, shots) grid cell.
 
@@ -126,10 +116,10 @@ def run_fidelity_sweep(cfg: SweepConfig):
                 ]
                 return dataset, seeds, state
 
-            # The separable family draws a unitary per state: one per pass.
-            fids = _final_fidelities(n, len(states), job, cfg.pie, cfg.runs_per_state,
-                                     group=cfg.unitary_family != "separable")
-            state_means = [float(np.mean(f)) for f in fids]
+            state_means = [
+                float(np.mean([trace.final_fidelity() for _, trace in runs]))
+                for runs in _run_datasets(map(job, range(len(states))), cfg.pie)
+            ]
             mean = float(np.mean(state_means))
             std = float(np.std(state_means, ddof=1)) if len(state_means) > 1 else 0.0
             rows.append((n, shots, mean, std))
@@ -152,10 +142,12 @@ def run_aqft_study(
     states of one (n, m) cell share engine passes.
     """
     pie = pie if pie is not None else PieConfig(delta_beta=0.04)
+    m_values = [_integer(m, "m_values must hold integers", 1) for m in m_values]
+    shots = _integer(shots, "shots must be an integer", 0)
+    runs_per_state = _integer(runs_per_state, "runs_per_state must be an integer", 1)
+    master_seed = _integer(master_seed, "master_seed must be an integer", 0)
     rows = []
-    for n in n_values:
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit counts must be within 1..{MAX_QUBITS}")
+    for n in _qubit_counts(n_values):
         states = table_states(n)
         degrees = [m for m in m_values if m <= n]
         cells = {}
@@ -175,7 +167,10 @@ def run_aqft_study(
                 ]
                 return dataset, seeds, state
 
-            cells[m] = _final_fidelities(n, len(states), job, pie, runs_per_state)
+            cells[m] = [
+                [trace.final_fidelity() for _, trace in runs]
+                for runs in _run_datasets(map(job, range(len(states))), pie)
+            ]
         for idx, (tag, _) in enumerate(states):
             for m in degrees:
                 fids = cells[m][idx]
@@ -200,10 +195,12 @@ def run_timing_bench(
     not one row of a batch: the rows report the time of one reconstruction
     and its spread, which a batch would share out and hide.
     """
-    if repeats < 2:
-        raise ValueError("repeats must be >= 2 to report a spread")
+    repeats = _integer(repeats, "repeats must be an integer", 2)  # 2 to report a spread
+    shots = _integer(shots, "shots must be an integer", 0)
+    master_seed = _integer(master_seed, "master_seed must be an integer", 0)
+    pie_cfg = PieConfig(delta_beta=0.1, iterations=iterations)
     rows = []
-    for n in n_values:
+    for n in _qubit_counts(n_values):
         state = random_arbitrary(n, derive_seed(master_seed, "bench-state", n))
         dataset = generate_dataset(
             state,
@@ -211,7 +208,6 @@ def run_timing_bench(
             shots,
             seed=derive_seed(master_seed, "bench-data", n),
         )
-        pie_cfg = PieConfig(delta_beta=0.1, iterations=iterations)
         times = []
         for rep in range(repeats):
             cfg = replace(pie_cfg, init_seed=derive_seed(master_seed, "bench-init", n, rep))

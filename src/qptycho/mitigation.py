@@ -14,7 +14,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .states import _decode_array, _encode_array, _qubit_count
+from .states import _decode_array, _encode_array, _integer, _qubit_count
 
 #: Refuse to mitigate through a calibration matrix worse-conditioned than this.
 MAX_CONDITION_NUMBER = 1e12
@@ -141,8 +141,7 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
     """
     if model.num_bits != n + 1:
         raise ValueError(f"model covers {model.num_bits} bits, expected {n + 1}")
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    shots = _integer(shots, "shots must be an integer", 0)
     ss = np.random.SeedSequence(seed)
     children = iter(ss.spawn((1 << n) + 2))
 

@@ -22,12 +22,13 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 
 import numpy as np
 
 from .protocol import PtychoDataset, normalize_dataset
 from .stateprep import random_arbitrary
-from .states import ProjectorId, StateVector, _project_amps, projector_ids
+from .states import ProjectorId, StateVector, _integer, _project_amps, projector_ids
 from .transforms import UnitarySpec
 
 #: Most amplitudes one engine pass holds. Passes group whole datasets and
@@ -62,11 +63,13 @@ class PieConfig:
         stop = self.early_stop_distance
         if stop is not None and not (math.isfinite(stop) and stop > 0):
             raise ValueError(f"early_stop_distance must be None or finite and > 0, got {stop}")
-        its = self.iterations
-        if its is not None:
-            if isinstance(its, bool) or not isinstance(its, (int, np.integer)) or its < 1:
-                raise ValueError(f"iterations must be None or an integer >= 1, got {its!r}")
-            object.__setattr__(self, "iterations", int(its))
+        for name, minimum in (("iterations", 1), ("shuffle_seed", 0)):
+            value = getattr(self, name)
+            if value is not None:
+                value = _integer(value, f"{name} must be None or an integer", minimum)
+                object.__setattr__(self, name, value)
+        init_seed = _integer(self.init_seed, "init_seed must be an integer", 0)
+        object.__setattr__(self, "init_seed", init_seed)
         last = self.beta0 - (self.resolved_iterations() - 1) * self.delta_beta
         if last <= 0:
             raise ValueError(
@@ -183,28 +186,6 @@ def _correction_amps(
     return amps + beta * (back_projected - projected)
 
 
-def pie_correction_step(
-    estimate: StateVector,
-    proj: ProjectorId,
-    target: np.ndarray,
-    unitary: UnitarySpec,
-    beta: float,
-) -> StateVector:
-    """Single projector correction applied to a (possibly unnormalized) estimate."""
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (estimate.dim,):
-        raise ValueError(f"target must have length {estimate.dim}, got {target.shape}")
-    if np.any(target < 0):
-        raise ValueError("amplitude targets must be non-negative")
-    if proj.qubit >= estimate.n:
-        raise IndexError(f"qubit {proj.qubit} out of range for n={estimate.n}")
-    unitary.validate_for(estimate.n)
-    return StateVector(
-        estimate.n,
-        _correction_amps(estimate.amps, estimate.n, proj, target, unitary, beta),
-    )
-
-
 def pie_run(
     dataset: PtychoDataset,
     config: PieConfig = PieConfig(),
@@ -240,61 +221,60 @@ def pie_run_batch(
     Rows are processed in chunks of at most ``_CHUNK_AMPS`` amplitudes, and
     each chunk restarts the shuffled order exactly as a lone run would.
     """
-    references = None if reference is None else [reference]
-    return _run_datasets([dataset], config, [init_seeds], references)[0]
+    return next(_run_datasets([(dataset, init_seeds, reference)], config))
 
 
-def _datasets_per_pass(n: int, starts: int) -> int:
-    """How many datasets of ``starts`` starts each one engine pass holds."""
-    return max(1, (_CHUNK_AMPS >> n) // starts)
+def _run_datasets(jobs, config: PieConfig):
+    """Reconstruct a stream of ``(dataset, init_seeds, reference)`` jobs in
+    engine passes of whole datasets x starts. Yields one list of
+    ``(estimate, trace)`` pairs per job, in order; ``reference`` may be None.
 
-
-def _run_datasets(datasets, config: PieConfig, init_seeds, references=None):
-    """Reconstruct datasets that share n and the unitary, each from its own
-    starts, in engine passes of whole datasets x starts.
-
-    ``init_seeds[s]`` are the starts of ``datasets[s]``; every dataset has the
-    same number K of them. A pass holds as many whole datasets as fit in
-    ``_CHUNK_AMPS`` amplitudes; a dataset whose K starts alone do not fit is
-    split into chunks of starts, as :func:`pie_run_batch` does. Rows never mix
-    in any kernel, so every row equals the row :func:`pie_run_batch` gives for
-    its dataset alone, bit for bit. Returns one list of ``(estimate, trace)``
-    pairs per dataset; each trace's ``total_seconds`` is its pass's time.
+    Consecutive jobs share a pass while they have the same n, unitary,
+    number of starts and reference-or-None, and as many as fit in
+    ``_CHUNK_AMPS`` amplitudes. A pass runs as soon as it is full or the next
+    job differs, so at most one pass and one job are drawn from ``jobs`` at a
+    time. A job whose starts alone do not fit is split into chunks of starts,
+    as :func:`pie_run_batch` does. Rows never mix in any kernel, so every row
+    equals the row :func:`pie_run_batch` gives for its dataset alone, bit for
+    bit. Each trace's ``total_seconds`` is its pass's time.
     """
-    n, unitary = datasets[0].n, datasets[0].unitary
-    for dataset in datasets:
-        dataset.validate()
-        if (dataset.n, dataset.unitary) != (n, unitary):
-            raise ValueError("datasets of one engine pass must share n and the unitary")
-    unitary.validate_for(n)
-    seeds = [list(starts) for starts in init_seeds]
-    if not seeds[0]:
-        raise ValueError("init_seeds must hold at least one seed")
-    if any(len(starts) != len(seeds[0]) for starts in seeds):
-        raise ValueError("every dataset of one engine pass needs the same number of seeds")
+    for (n, unitary, starts, _), run in groupby(_checked(jobs), key=lambda job: job[0]):
+        per_pass = max(1, (_CHUNK_AMPS >> n) // starts)
+        while group := list(islice(run, per_pass)):
+            yield from _run_pass(n, unitary, group, config)
+
+
+def _checked(jobs):
+    """Validate each job and normalize its dataset as it is drawn. Yields
+    ``(key, targets, seeds, reference)``; jobs of one key may share a pass."""
+    for dataset, init_seeds, reference in jobs:
+        targets = normalize_dataset(dataset)
+        n, seeds = dataset.n, list(init_seeds)
+        dataset.unitary.validate_for(n)
+        if not seeds:
+            raise ValueError("init_seeds must hold at least one seed")
+        if reference is not None and reference.n != n:
+            raise ValueError(f"reference has n={reference.n}, dataset has n={n}")
+        yield (n, dataset.unitary, len(seeds), reference is None), targets, seeds, reference
+
+
+def _run_pass(n, unitary, group, config):
+    """One engine pass over ``group``, a list of ``(key, targets, seeds,
+    reference)`` jobs of one key. Returns one list of ``(estimate, trace)``
+    per job."""
+    _, targets, seeds, references = zip(*group)
+    # One (S, 1, 2^n) block per projector, broadcast over the starts.
+    targets = np.stack(targets, axis=1)[:, :, None, :]
     refs = None
-    if references is not None:
-        for reference in references:
-            if reference.n != n:
-                raise ValueError(f"reference has n={reference.n}, dataset has n={n}")
+    if references[0] is not None:
         refs = np.stack([_normalized(reference.amps) for reference in references])
     ids = projector_ids(n)
     rows_per_pass = max(1, _CHUNK_AMPS >> n)
-    per_pass = _datasets_per_pass(n, len(seeds[0]))
-    results = []
-    for lo in range(0, len(datasets), per_pass):
-        group = range(lo, min(lo + per_pass, len(datasets)))
-        targets = [normalize_dataset(datasets[s]) for s in group]
-        # One (S, 1, 2^n) block per projector, broadcast over the starts.
-        target_list = [np.stack([t[pid] for t in targets])[:, None, :] for pid in ids]
-        group_refs = None if refs is None else refs[lo : group.stop]
-        group_results = [[] for _ in group]
-        for first in range(0, len(seeds[0]), rows_per_pass):
-            chunk = [seeds[s][first : first + rows_per_pass] for s in group]
-            runs = _run_rows(n, unitary, ids, target_list, config, chunk, group_refs)
-            for acc, rows in zip(group_results, runs):
-                acc += rows
-        results += group_results
+    results = [[] for _ in group]
+    for first in range(0, len(seeds[0]), rows_per_pass):
+        chunk = [starts[first : first + rows_per_pass] for starts in seeds]
+        for acc, rows in zip(results, _run_rows(n, unitary, ids, targets, config, chunk, refs)):
+            acc += rows
     return results
 
 
@@ -314,10 +294,10 @@ def _normalized_rows(amps: np.ndarray, iteration: int, live=None) -> np.ndarray:
     return amps / norms[..., None]
 
 
-def _run_rows(n, unitary, ids, target_list, config, seeds, refs):
+def _run_rows(n, unitary, ids, targets, config, seeds, refs):
     """The engine loop on one pass of S datasets x K starts, laid out as an
-    ``(S, K, 2^n)`` array. ``target_list`` holds one ``(S, 1, 2^n)`` target
-    block per projector, ``seeds`` the S lists of K starts and ``refs`` the
+    ``(S, K, 2^n)`` array. ``targets`` is the ``(6n, S, 1, 2^n)`` array of
+    target blocks, one per projector of ``ids``, ``seeds`` the S lists of K starts and ``refs`` the
     S unit references (or None). Returns S lists of K ``(estimate, trace)``.
 
     A finished row is reported and then ignored. Its dataset leaves the
@@ -348,7 +328,7 @@ def _run_rows(n, unitary, ids, target_list, config, seeds, refs):
             else order_rng.permutation(len(ids))
         )
         for idx in order:
-            amps = _correction_amps(amps, n, ids[idx], target_list[idx], unitary, beta)
+            amps = _correction_amps(amps, n, ids[idx], targets[idx], unitary, beta)
         previous, current = current, _normalized_rows(amps, iteration, live)
         distance = _distance(current, previous)
         done = live & (iteration == last_iteration)
@@ -380,5 +360,5 @@ def _run_rows(n, unitary, ids, target_list, config, seeds, refs):
                 amps, current = amps[keep_s][:, keep_k], current[keep_s][:, keep_k]
                 live, sets, cols = live[keep_s][:, keep_k], sets[keep_s], cols[keep_k]
                 if not keep_s.all():
-                    target_list = [t[keep_s] for t in target_list]
+                    targets = targets[:, keep_s]
     return results

@@ -22,6 +22,7 @@ from .states import (
     StateVector,
     _decode_array,
     _encode_array,
+    _integer,
     _project_amps,
     _qubit_count,
 )
@@ -199,25 +200,20 @@ def mitigate_dataset(dataset: PtychoDataset, cal: CalibrationMatrix) -> PtychoDa
     ).validate()
 
 
-def normalize_dataset(dataset: PtychoDataset) -> dict:
-    """Per-projector amplitude targets: sqrt of the jointly normalized counts.
+def normalize_dataset(dataset: PtychoDataset) -> np.ndarray:
+    """Amplitude targets: sqrt of the jointly normalized counts, as a
+    ``(6n, 2^n)`` array whose rows follow ``projector_ids(n)``.
 
-    Both sign blocks of a circuit share one normalization (the projected
-    states are sub-normalized, so targets must be joint probabilities).
-    Negative mitigated entries are clipped to zero before the square root.
+    Record i in canonical order holds the + block then the - block, so row
+    2i + s is its sign-s block. Both sign blocks of a circuit share one
+    normalization (the projected states are sub-normalized, so targets must
+    be joint probabilities). Negative mitigated entries are clipped to zero
+    before the square root.
     """
     dataset.validate()
-    n = dataset.n
     denom = dataset.shots_per_circuit if dataset.shots_per_circuit >= 1 else 1.0
-    targets = {}
-    for rec in dataset.records:
-        omega = rec.counts / denom
-        for s_index, sign in enumerate(SIGNS):
-            block = omega[s_index << n : (s_index + 1) << n]
-            targets[ProjectorId(rec.axis, rec.qubit, sign)] = np.sqrt(
-                np.clip(block, 0.0, None)
-            )
-    return targets
+    omega = np.stack([rec.counts for rec in dataset.records]) / denom
+    return np.sqrt(np.clip(omega, 0.0, None)).reshape(6 * dataset.n, 1 << dataset.n)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +237,8 @@ def dataset_to_dict(dataset: PtychoDataset) -> dict:
 
 def dataset_from_dict(doc: dict, where: str = "dataset") -> PtychoDataset:
     n = _qubit_count(doc, where)
-    shots, mitigated, entries = doc.get("shots"), doc.get("mitigated", False), doc.get("records")
-    if type(shots) is not int or shots < 0:
-        raise ValueError(f"{where}: shots must be an integer >= 0, got {shots!r}")
+    shots = _integer(doc.get("shots"), f"{where}: shots must be an integer", 0)
+    mitigated, entries = doc.get("mitigated", False), doc.get("records")
     if not isinstance(mitigated, bool):
         raise ValueError(f"{where}: mitigated must be true or false, got {mitigated!r}")
     if not isinstance(doc.get("unitary"), dict):

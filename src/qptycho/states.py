@@ -24,6 +24,15 @@ SIGNS = (1, -1)
 NORMALIZATION_ATOL = 1e-10
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    """``value`` as an int. Raises ``ValueError("<what> >= <minimum>, got
+    <value>")`` unless it is an int or a numpy integer, not a bool, of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{what} >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure n-qubit state held as 2**n complex amplitudes.
@@ -40,17 +49,14 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"qubit count must be an integer >= 1, got {self.n!r}")
+        n = _integer(self.n, "qubit count must be an integer", 1)
         amps = np.array(self.amps, dtype=np.complex128)
-        if amps.shape != (1 << self.n,):
-            raise ValueError(
-                f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
-            )
+        if amps.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("state amplitudes (amps) must be finite")
         amps.flags.writeable = False
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", amps)
 
     @property
@@ -64,22 +70,6 @@ class StateVector:
     @property
     def is_normalized(self) -> bool:
         return abs(float(np.sum(self.amps.real**2 + self.amps.imag**2)) - 1.0) < NORMALIZATION_ATOL
-
-    def normalized(self) -> "StateVector":
-        """Return a unit-norm copy; raises on the zero vector."""
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.n, self.amps / nrm)
-
-
-def basis_state(n: int, j: int) -> StateVector:
-    """Computational basis state |j> on n qubits."""
-    if not 0 <= j < (1 << n):
-        raise IndexError(f"basis index {j} out of range for n={n}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[j] = 1.0
-    return StateVector(n, amps)
 
 
 @dataclass(frozen=True, order=True)
@@ -112,11 +102,6 @@ def projector_ids(n: int):
     ]
 
 
-def _check_qubit(n: int, q: int):
-    if not 0 <= q < n:
-        raise IndexError(f"qubit index {q} out of range for n={n}")
-
-
 def _project_amps(amps: np.ndarray, axis: str, q: int, sign: int) -> np.ndarray:
     """Matrix-free application of the rank-1 Pauli eigenprojector on bit q,
     tensored with identity elsewhere. O(2**n), returns a new array."""
@@ -139,28 +124,6 @@ def _project_amps(amps: np.ndarray, axis: str, q: int, sign: int) -> np.ndarray:
         out[:, 0, :] = t
         out[:, 1, :] = 1j * sign * t
     return out.reshape(amps.shape)
-
-
-def apply_pauli_projector(state: StateVector, proj: ProjectorId) -> StateVector:
-    """Project onto the +-1 eigenspace of a single-qubit Pauli operator.
-
-    Returns the generally unnormalized projected vector; its squared norm is
-    the Born probability of the corresponding outcome.
-    """
-    _check_qubit(state.n, proj.qubit)
-    return StateVector(state.n, _project_amps(state.amps, proj.axis, proj.qubit, proj.sign))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product <a|b> = sum_j conj(a_j) b_j."""
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def born_distribution(state: StateVector) -> np.ndarray:
-    """Computational-basis outcome weights |a_j|^2, with no renormalization."""
-    return state.amps.real**2 + state.amps.imag**2
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +178,7 @@ def _qubit_count(doc, where: str) -> int:
     an integer >= 1 (a JSON ``true`` is not an integer here)."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    n = doc.get("n")
-    if type(n) is not int or n < 1:
-        raise ValueError(f"{where}: n must be an integer >= 1, got {n!r}")
-    return n
+    return _integer(doc.get("n"), f"{where}: n must be an integer", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import StateVector
+from .states import StateVector, _integer
 
 KINDS = ("qft", "aqft", "hadamard", "separable")
 
@@ -151,10 +151,7 @@ class UnitarySpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "aqft":
-            m = self.m
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-                raise ValueError(f"aqft requires an integer degree m >= 1, got {m!r}")
-            object.__setattr__(self, "m", int(m))
+            object.__setattr__(self, "m", _integer(self.m, "aqft requires an integer degree m", 1))
         elif self.m is not None:
             raise ValueError(f"degree m is only valid for aqft, not {self.kind!r}")
         if self.kind == "separable":

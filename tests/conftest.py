@@ -17,9 +17,9 @@ def engine_passes(monkeypatch):
     """The (n, datasets, starts) of every engine pass made during the test."""
     shapes, run = [], pie._run_rows
 
-    def spy(n, unitary, ids, target_list, config, seeds, refs):
+    def spy(n, unitary, ids, targets, config, seeds, refs):
         shapes.append((n, len(seeds), len(seeds[0])))
-        return run(n, unitary, ids, target_list, config, seeds, refs)
+        return run(n, unitary, ids, targets, config, seeds, refs)
 
     monkeypatch.setattr(pie, "_run_rows", spy)
     return shapes

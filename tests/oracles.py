@@ -3,13 +3,16 @@
 Everything here is built from explicit 2^n x 2^n matrices and plain tensor
 products, deliberately sharing no code path with the package's matrix-free
 kernels. The one exception is ``gates_in_place``, the per-qubit loop that the
-package's shuffle kernel replaced, kept as its bit-exact reference. Qubit k
-owns bit weight 2**k throughout.
+package's shuffle kernel replaced, kept as its bit-exact reference, and
+``basis_state``, which wraps a one-hot vector in the package's StateVector.
+Qubit k owns bit weight 2**k throughout.
 """
 import math
 from functools import reduce
 
 import numpy as np
+
+from qptycho import StateVector
 
 _EIGENVECTORS = {
     ("z", 1): np.array([1, 0], dtype=complex),
@@ -19,6 +22,13 @@ _EIGENVECTORS = {
     ("y", 1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
     ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
 }
+
+
+def basis_state(n: int, j: int) -> StateVector:
+    """Computational basis state |j> on n qubits."""
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[j] = 1.0
+    return StateVector(n, amps)
 
 
 def dense_gate_on_qubit(gate: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -33,6 +33,21 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             small_sweep(shots=(-1,))
 
+    @pytest.mark.parametrize("field, value", [
+        ("shots", (2.7,)), ("shots", (True,)), ("shots", ("8192",)),
+        ("states_per_n", 2.5), ("states_per_n", "3"), ("runs_per_state", True),
+        ("runs_per_state", 0), ("master_seed", 1.5), ("master_seed", -1),
+        ("n_values", (2.5,)), ("n_values", ("3",)),
+    ])
+    def test_rejects_non_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            small_sweep(**{field: value})
+
+    def test_numpy_integers_become_int(self):
+        cfg = small_sweep(n_values=(np.int64(2),), shots=(np.int64(0),), states_per_n=np.int32(2))
+        assert (cfg.n_values, cfg.shots, cfg.states_per_n) == ((2,), (0,), 2)
+        assert all(type(v) is int for v in (cfg.n_values[0], cfg.shots[0], cfg.states_per_n))
+
     @pytest.mark.parametrize("aqft_m", [2.5, True, "2", 0])
     def test_rejects_non_integer_aqft_degree(self, aqft_m):
         with pytest.raises(ValueError, match="integer degree m >= 1"):
@@ -158,6 +173,34 @@ class TestSerialRowsReproduced:
             pie=PieConfig(delta_beta=0.1, iterations=5),
         )
         assert_rows_close(rows, SERIAL_AQFT_ROWS_5_ITERATIONS)
+
+
+class TestHarnessArguments:
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(runs_per_state=0), "runs_per_state"),
+        (dict(runs_per_state=2.5), "runs_per_state"),
+        (dict(shots=2.5), "shots"),
+        (dict(master_seed=True), "master_seed"),
+        (dict(m_values=(2.5,)), "m_values"),
+        (dict(n_values=(17,)), "qubit counts"),
+    ])
+    def test_aqft_study(self, kwargs, field):
+        args = dict(n_values=(3,), m_values=(2,), shots=64, runs_per_state=2)
+        with pytest.raises(ValueError, match=field):
+            run_aqft_study(**{**args, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(n_values=(30,)), "qubit counts must be within 1..16"),
+        (dict(n_values=(2.5,)), "n_values"),
+        (dict(repeats=1), "repeats"),
+        (dict(iterations=2.5), "iterations"),
+        (dict(shots=2.5), "shots"),
+        (dict(master_seed=-1), "master_seed"),
+    ])
+    def test_timing_bench(self, kwargs, field):
+        args = dict(n_values=(2,), iterations=2, repeats=2, shots=64)
+        with pytest.raises(ValueError, match=field):
+            run_timing_bench(**{**args, **kwargs})
 
 
 class TestTimingBench:

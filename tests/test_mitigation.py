@@ -106,6 +106,11 @@ class TestBuildCalibration:
         with pytest.raises(ValueError):
             build_calibration(2, ReadoutNoiseModel.identity(2), shots=0)
 
+    @pytest.mark.parametrize("shots", [2.5, True, "100", -1])
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(ValueError, match="shots must be an integer >= 0"):
+            build_calibration(2, ReadoutNoiseModel.identity(3), shots=shots)
+
     def test_sampled_matrices_pinned(self):
         # Literals captured before build_calibration formed its exact matrix
         # as a Kronecker product instead of one corrupt_counts call per column.

@@ -11,13 +11,11 @@ from qptycho import (
     ProjectorId,
     StateVector,
     UnitarySpec,
-    basis_state,
     beta_schedule,
     fidelity,
     generate_dataset,
     named_state,
     normalize_dataset,
-    pie_correction_step,
     pie_run,
     pie_run_batch,
     projector_ids,
@@ -26,8 +24,9 @@ from qptycho import (
 )
 from qptycho import pie
 from qptycho.pie import _correction_amps, _normalized_rows
+from qptycho.states import _project_amps
 
-from oracles import haar_state
+from oracles import basis_state, haar_state
 
 QFT = UnitarySpec.qft()
 
@@ -72,6 +71,20 @@ class TestPieConfig:
     def test_rejects_non_integer_or_nonpositive_iterations(self, iterations):
         with pytest.raises(ValueError, match="iterations must be None or an integer >= 1"):
             PieConfig(iterations=iterations)
+
+    @pytest.mark.parametrize("field, value", [
+        ("init_seed", 2.5), ("init_seed", True), ("init_seed", "1"), ("init_seed", None),
+        ("init_seed", -1), ("shuffle_seed", 1.5), ("shuffle_seed", "x"),
+        ("shuffle_seed", False), ("shuffle_seed", -2),
+    ])
+    def test_rejects_non_integer_seeds(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            PieConfig(**{field: value})
+
+    def test_numpy_integer_seeds_become_int(self):
+        cfg = PieConfig(init_seed=np.uint32(7), shuffle_seed=np.int64(3))
+        assert (cfg.init_seed, cfg.shuffle_seed) == (7, 3)
+        assert type(cfg.init_seed) is int and type(cfg.shuffle_seed) is int
 
     def test_numpy_integer_iterations_become_int(self):
         cfg = PieConfig(iterations=np.int64(20))
@@ -162,8 +175,6 @@ class TestMetrics:
 class TestCorrectionStep:
     def test_fixed_point(self):
         # targets consistent with the estimate leave it untouched
-        from qptycho.states import _project_amps
-
         rng = np.random.default_rng(92)
         estimate = StateVector(2, haar_state(2, rng))
         for pid in projector_ids(2):
@@ -171,16 +182,16 @@ class TestCorrectionStep:
                 _project_amps(estimate.amps, pid.axis, pid.qubit, pid.sign), 2
             )
             target = np.abs(tilde)
-            out = pie_correction_step(estimate, pid, target, QFT, 1.7)
-            np.testing.assert_allclose(out.amps, estimate.amps, atol=1e-12)
+            out = _correction_amps(estimate.amps, 2, pid, target, QFT, 1.7)
+            np.testing.assert_allclose(out, estimate.amps, atol=1e-12)
 
     def test_zero_beta_is_identity(self):
         rng = np.random.default_rng(93)
         estimate = StateVector(2, haar_state(2, rng))
         pid = ProjectorId("y", 1, -1)
         target = np.abs(haar_state(2, rng))
-        out = pie_correction_step(estimate, pid, target, QFT, 0.0)
-        np.testing.assert_allclose(out.amps, estimate.amps, atol=1e-15)
+        out = _correction_amps(estimate.amps, 2, pid, target, QFT, 0.0)
+        np.testing.assert_allclose(out, estimate.amps, atol=1e-15)
 
     def test_orthogonal_estimate_hand_computed(self):
         # estimate |1>, projector (z, 0, +), target (1,1)/sqrt(2): the
@@ -189,21 +200,23 @@ class TestCorrectionStep:
         # so the update is |1> + beta |0>.
         beta = 1.3
         target = np.array([1, 1]) / math.sqrt(2)
-        out = pie_correction_step(
-            basis_state(1, 1), ProjectorId("z", 0, 1), target, QFT, beta
+        out = _correction_amps(
+            basis_state(1, 1).amps, 1, ProjectorId("z", 0, 1), target, QFT, beta
         )
-        np.testing.assert_allclose(out.amps, [beta, 1.0], atol=1e-12)
+        np.testing.assert_allclose(out, [beta, 1.0], atol=1e-12)
 
     def test_input_validation(self):
-        estimate = basis_state(2, 0)
-        with pytest.raises(ValueError):
-            pie_correction_step(estimate, ProjectorId("z", 0, 1), np.zeros(3), QFT, 1.0)
-        with pytest.raises(ValueError):
-            pie_correction_step(
-                estimate, ProjectorId("z", 0, 1), -np.ones(4), QFT, 1.0
-            )
-        with pytest.raises(IndexError):
-            pie_correction_step(estimate, ProjectorId("z", 5, 1), np.zeros(4), QFT, 1.0)
+        # Targets reach the step only through the engine, which validates the
+        # dataset they come from: a record of the wrong length, or negative
+        # counts that would give negative targets.
+        short = generate_dataset(named_state("psi5", 2), QFT, 64, seed=1)
+        short.records[0].counts = short.records[0].counts[:6]
+        with pytest.raises(ValueError, match="has length 6"):
+            pie_run(short)
+        negative = generate_dataset(named_state("psi5", 2), QFT, 64, seed=1)
+        negative.records[0].counts[0] = -1.0
+        with pytest.raises(ValueError, match="negative counts"):
+            pie_run(negative)
 
 
 class TestPieRun:
@@ -262,8 +275,8 @@ class TestPieRun:
         cfg = PieConfig(iterations=1, init_seed=3)
         estimate, _ = pie_run(dataset, cfg)
         amps = random_arbitrary(2, 3).amps
-        for pid in projector_ids(2):
-            amps = _correction_amps(amps, 2, pid, targets[pid], QFT, 2.0)
+        for pid, target in zip(projector_ids(2), targets):
+            amps = _correction_amps(amps, 2, pid, target, QFT, 2.0)
         np.testing.assert_allclose(
             estimate.amps, amps / np.linalg.norm(amps), atol=1e-13
         )
@@ -443,7 +456,7 @@ def grouped_and_lone(datasets, config, seeds, states):
     """Rows of one grouped engine call and of pie_run_batch per dataset:
     estimates equal bit for bit, traces row for row. Returns the trace
     lengths, one list per dataset."""
-    grouped = pie._run_datasets(datasets, config, seeds, states)
+    grouped = list(pie._run_datasets(zip(datasets, seeds, states), config))
     assert len(grouped) == len(datasets)
     lengths = []
     for dataset, starts, state, runs in zip(datasets, seeds, states, grouped):
@@ -504,22 +517,60 @@ class TestGroupedPasses:
 
     def test_without_references(self):
         datasets, seeds, _ = cell("qft", 3, 2)
-        grouped = pie._run_datasets(datasets, PieConfig(delta_beta=0.1), seeds)
+        jobs = zip(datasets, seeds, [None] * len(datasets))
+        grouped = pie._run_datasets(jobs, PieConfig(delta_beta=0.1))
         for dataset, starts, runs in zip(datasets, seeds, grouped):
             lone = pie_run_batch(dataset, PieConfig(delta_beta=0.1), starts)
             assert [t.rows for _, t in runs] == [t.rows for _, t in lone]
             assert all(row.fidelity is None for _, t in runs for row in t.rows)
 
-    def test_datasets_must_share_n_unitary_and_start_count(self):
-        datasets, seeds, states = cell("qft", 3, 2)
-        other, _, _ = cell("hadamard", 3, 1)
-        small, _, _ = cell("qft", 2, 1)
+    def test_stream_splits_into_passes_on_n_unitary_and_start_count(self, engine_passes):
+        datasets, seeds, states = cell("qft", 3, 3)
+        other, other_seeds, other_states = cell("hadamard", 3, 1)
+        small, small_seeds, small_states = cell("qft", 2, 1)
+        jobs = [
+            (datasets[0], seeds[0], states[0]),
+            (datasets[1], seeds[1], states[1]),  # shares the first pass
+            (other[0], other_seeds[0], other_states[0]),  # another unitary
+            (datasets[2], seeds[2], states[2]),  # back to qft: a new pass
+            (small[0], small_seeds[0], small_states[0]),  # another n
+            (datasets[0], seeds[0][:2], states[0]),  # another start count
+            (datasets[1], seeds[1], None),  # no reference
+        ]
         cfg = PieConfig(delta_beta=0.1)
-        with pytest.raises(ValueError, match="share n and the unitary"):
-            pie._run_datasets([datasets[0], other[0]], cfg, seeds)
-        with pytest.raises(ValueError, match="share n and the unitary"):
-            pie._run_datasets([datasets[0], small[0]], cfg, seeds)
-        with pytest.raises(ValueError, match="same number of seeds"):
-            pie._run_datasets(datasets, cfg, [seeds[0], seeds[1][:2]])
+        grouped = list(pie._run_datasets(jobs, cfg))
+        assert engine_passes == [(3, 2, 3), (3, 1, 3), (3, 1, 3), (2, 1, 3), (3, 1, 2), (3, 1, 3)]
+        assert len(grouped) == len(jobs)
+        for (dataset, starts, state), runs in zip(jobs, grouped):
+            lone = pie_run_batch(dataset, cfg, starts, reference=state)
+            for (estimate, trace), (lone_estimate, lone_trace) in zip(runs, lone, strict=True):
+                assert np.array_equal(estimate.amps, lone_estimate.amps)
+                assert trace.rows == lone_trace.rows
         with pytest.raises(ValueError, match="reference has n=2"):
-            pie._run_datasets(datasets, cfg, seeds, [states[0], named_state("ghz", 2)])
+            list(pie._run_datasets([jobs[0], (datasets[1], seeds[1], named_state("ghz", 2))], cfg))
+
+    def test_lazy_stream_is_drawn_one_pass_ahead(self, monkeypatch, engine_passes):
+        monkeypatch.setattr(pie, "_CHUNK_AMPS", 48)  # 6 rows at n=3: 2 datasets x 3 starts
+        datasets, seeds, states = cell("qft", 3, 5)
+        drawn, drawn_at_pass = [], []
+
+        def jobs():
+            for job in zip(datasets, seeds, states):
+                drawn.append(job)
+                yield job
+
+        spy = pie._run_rows
+
+        def counting(*args):
+            drawn_at_pass.append(len(drawn))
+            return spy(*args)
+
+        monkeypatch.setattr(pie, "_run_rows", counting)
+        results = pie._run_datasets(jobs(), PieConfig(delta_beta=0.1, iterations=2))
+        assert drawn == []  # nothing is drawn before a result is asked for
+        next(results)
+        assert len(list(results)) == 4
+        # Each pass runs with at most one pass plus one job drawn: a full pass
+        # runs before the next job is drawn.
+        assert drawn_at_pass == [2, 4, 5]
+        assert engine_passes == [(3, 2, 3), (3, 2, 3), (3, 1, 3)]

@@ -93,6 +93,6 @@ def test_exact_data_is_a_fixed_point_of_every_correction(case, seed, beta):
     n, spec = case
     state = StateVector(n, haar_state(n, np.random.default_rng(seed)))
     targets = normalize_dataset(generate_dataset(state, spec, 0))
-    for pid in projector_ids(n):
-        out = _correction_amps(state.amps, n, pid, targets[pid], spec, beta)
+    for pid, target in zip(projector_ids(n), targets):
+        out = _correction_amps(state.amps, n, pid, target, spec, beta)
         np.testing.assert_allclose(out, state.amps, rtol=0, atol=1e-12)

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from qptycho import (
-    ProjectorId,
     ReadoutNoiseModel,
     StateVector,
     UnitarySpec,
-    apply_pauli_projector,
-    basis_state,
     circuit_settings,
     dataset_to_csv,
     exact_joint_distribution,
@@ -17,12 +14,14 @@ from qptycho import (
     load_dataset,
     named_state,
     normalize_dataset,
+    projector_ids,
     sample_shots,
     save_dataset,
 )
 from qptycho.protocol import CircuitRecord, PtychoDataset
+from qptycho.states import _project_amps
 
-from oracles import dense_joint_distribution, dense_qft, haar_state
+from oracles import basis_state, dense_joint_distribution, dense_qft, haar_state
 
 QFT = UnitarySpec.qft()
 
@@ -46,9 +45,9 @@ class TestExactJointDistribution:
                 p = exact_joint_distribution(state, axis, q, QFT)
                 assert p.sum() == pytest.approx(1.0, abs=1e-10)
                 for s_index, sign in enumerate((1, -1)):
-                    branch = apply_pauli_projector(state, ProjectorId(axis, q, sign))
+                    branch = _project_amps(state.amps, axis, q, sign)
                     block = p[s_index << n : (s_index + 1) << n].sum()
-                    assert block == pytest.approx(branch.norm() ** 2, abs=1e-10)
+                    assert block == pytest.approx(np.linalg.norm(branch) ** 2, abs=1e-10)
 
     def test_matches_dense_pipeline(self):
         rng = np.random.default_rng(72)
@@ -154,18 +153,25 @@ class TestNormalizeDataset:
             records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
         )
         targets = normalize_dataset(dataset)
-        np.testing.assert_allclose(
-            targets[ProjectorId("x", 0, 1)], np.sqrt([0.5, 0.5])
-        )
-        np.testing.assert_allclose(targets[ProjectorId("x", 0, -1)], [0, 0])
+        assert targets.shape == (6, 2)
+        # Rows follow projector_ids(1): (x, 0, +) is row 0, (x, 0, -) row 1.
+        np.testing.assert_allclose(targets[0], np.sqrt([0.5, 0.5]))
+        np.testing.assert_allclose(targets[1], [0, 0])
+
+    def test_rows_follow_projector_ids(self):
+        state = StateVector(3, haar_state(3, np.random.default_rng(73)))
+        targets = normalize_dataset(generate_dataset(state, QFT, 0))
+        assert targets.shape == (18, 8)
+        for row, pid in zip(targets, projector_ids(3), strict=True):
+            p = exact_joint_distribution(state, pid.axis, pid.qubit, QFT)
+            np.testing.assert_array_equal(row, np.sqrt(p[:8] if pid.sign == 1 else p[8:]))
 
     def test_exact_path_sums_to_one(self):
         state = named_state("ghz", 2)
         targets = normalize_dataset(generate_dataset(state, QFT, 0))
-        for axis, q in circuit_settings(2):
-            total = sum(
-                (targets[ProjectorId(axis, q, s)] ** 2).sum() for s in (1, -1)
-            )
+        for record, _ in enumerate(circuit_settings(2)):
+            # Circuit i holds the sign blocks of rows 2i and 2i + 1.
+            total = sum((targets[2 * record + s] ** 2).sum() for s in (0, 1))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_entries_clip_to_zero(self):
@@ -178,7 +184,7 @@ class TestNormalizeDataset:
             mitigated=True,
         )
         targets = normalize_dataset(dataset)
-        assert targets[ProjectorId("x", 0, 1)][1] == 0.0
+        assert targets[0][1] == 0.0  # row 0 is (x, 0, +)
 
     def test_missing_records_rejected(self):
         dataset = PtychoDataset(n=2, unitary=QFT, shots_per_circuit=10, records=[])

@@ -7,12 +7,12 @@ from qptycho import (
     StateVector,
     UnitarySpec,
     aqft_matrix,
-    basis_state,
     random_arbitrary,
     u3_matrix,
 )
 
 from oracles import (
+    basis_state,
     bit_reversal_permutation,
     dense_aqft,
     dense_hadamard,

@@ -130,8 +130,7 @@ def exact_joint_distribution(
 def sample_shots(p: np.ndarray, shots: int, rng=None) -> np.ndarray:
     """One multinomial draw of ``shots`` trials over the outcome alphabet."""
     p = np.asarray(p, dtype=np.float64)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _integer(shots, "shots must be an integer", 1)
     if np.any(p < -1e-12):
         raise ValueError(f"negative probability {p.min()} in distribution")
     total = p.sum()
@@ -157,6 +156,7 @@ def generate_dataset(
     whole dataset is reproducible.
     """
     n = state.n
+    shots = _integer(shots, "shots must be an integer", 0)
     unitary.validate_for(n)
     if noise is not None and noise.num_bits != n + 1:
         raise ValueError(f"noise model covers {noise.num_bits} bits, expected {n + 1}")

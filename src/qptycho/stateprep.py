@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .states import StateVector
+from .states import StateVector, _integer
 from .transforms import _haar_u3_angles, u3_matrix
 
 # The benchmark set contains two unspecified random states at n=2 and one
@@ -63,6 +63,7 @@ def random_separable(n: int, rng=None) -> StateVector:
 
 def random_arbitrary(n: int, rng=None) -> StateVector:
     """Haar-uniform state: 2^n i.i.d. complex Gaussians, normalized."""
+    n = _integer(n, "qubit count must be an integer", 1)
     rng = np.random.default_rng(rng)
     dim = 1 << n
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -115,8 +116,7 @@ def named_state(tag: str, n: int) -> StateVector:
     tags ``psi1_n`` .. ``psi5_n`` (aliases ``ghz``, ``w``) work for any n >= 2.
     """
     tag = tag.lower()
-    if n < 2:
-        raise ValueError(f"named states need n >= 2, got n={n}")
+    n = _integer(n, "named states need an integer n", 2)
     if tag in TWO_QUBIT_TAGS:
         if n != 2:
             raise ValueError(f"state {tag!r} is a two-qubit state, got n={n}")

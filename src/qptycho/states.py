@@ -85,8 +85,7 @@ class ProjectorId:
     def __post_init__(self):
         if self.axis not in PAULI_AXES:
             raise ValueError(f"axis must be one of {PAULI_AXES}, got {self.axis!r}")
-        if self.qubit < 0:
-            raise ValueError(f"qubit index must be >= 0, got {self.qubit}")
+        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index must be an integer", 0))
         if self.sign not in SIGNS:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 

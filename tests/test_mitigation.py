@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from qptycho import (
     CalibrationMatrix,
     ReadoutNoiseModel,
+    UnitarySpec,
     build_calibration,
     corrupt_counts,
+    generate_dataset,
     load_calibration,
     mitigate,
+    mitigate_dataset,
+    random_arbitrary,
     save_calibration,
 )
-from qptycho.mitigation import MAX_CONDITION_NUMBER
+from qptycho.mitigation import MAX_CONDITION_NUMBER, _condition_bound
 
 from oracles import dense_calibration, dense_readout_channel
 
@@ -273,6 +277,62 @@ class TestFactoredMitigation:
         mats[field][1, 0] = bad
         with pytest.raises(ValueError, match=f"{field} calibration matrix holds non-finite"):
             CalibrationMatrix(**mats)
+
+
+class TestConditionBound:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        max_flip=st.sampled_from([0.05, 0.2, 0.45]),
+        shots=st.sampled_from([0, 100, 2000]),
+    )
+    def test_bound_holds_against_the_dense_oracle(self, n, seed, max_flip, shots):
+        cal = sampled_calibration(n, seed, max_flip, shots)
+        bound = _condition_bound(cal)
+        if np.isfinite(bound):
+            # A proven inequality; the slack only covers the SVD's own rounding.
+            assert np.linalg.cond(dense_calibration(cal)) <= bound * (1 + 1e-12)
+        else:
+            assert bound == np.inf
+
+    def test_readme_settings_mitigate_without_an_svd(self, monkeypatch):
+        # n=6, readout error 0.025, 20 000 calibration shots (the README chain).
+        model = ReadoutNoiseModel.symmetric(7, 0.025)
+        cal = build_calibration(6, model, shots=20_000, seed=1)
+        dataset = generate_dataset(
+            random_arbitrary(6, 2), UnitarySpec.qft(), 100_000, noise=model, seed=3
+        )
+        svd = np.linalg.svd
+
+        def small_svd_only(a, *args, **kwargs):
+            if np.shape(a)[-1] > 2:  # the 2x2 M1 may still be decomposed
+                raise AssertionError("an SVD of the register matrix ran")
+            return svd(a, *args, **kwargs)
+
+        # np.linalg.cond looks svd up in its implementation module: patch both names.
+        impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 or 1
+        monkeypatch.setattr(np.linalg, "svd", small_svd_only)
+        monkeypatch.setattr(impl, "svd", small_svd_only)
+        with pytest.raises(AssertionError, match="an SVD of the register"):
+            CalibrationMatrix(cal.intermediate, cal.register).condition_number
+        mitigated = mitigate_dataset(dataset, cal)
+        assert mitigated.mitigated and "condition_number" not in vars(cal)
+
+    def test_flip_045_takes_the_exact_path(self):
+        # Every diagonal entry of Mn is 0.55^2 < 1/2, so q = ||I - Mn||_1 >= 1.
+        model = ReadoutNoiseModel.symmetric(3, 0.45)
+        cal = build_calibration(2, model, shots=0)
+        assert _condition_bound(cal) == np.inf
+        p = np.random.default_rng(5).random(8)
+        np.testing.assert_allclose(mitigate(corrupt_counts(p, model), cal), p, rtol=1e-9)
+        assert "condition_number" in vars(cal)  # the guard read the exact value
+        assert cal.condition_number == pytest.approx(1000.0, rel=1e-9)  # 10 x 10^2
+
+    def test_identity_register_gives_n_times_cond_m1(self):
+        # q = 0 for Mn = I, so the bound is N * cond(M1): no division by 1 - q ~ 0.
+        cal = CalibrationMatrix(np.array([[0.9, 0.2], [0.1, 0.8]]), np.eye(8))
+        assert _condition_bound(cal) == pytest.approx(8 * np.linalg.cond(cal.intermediate))
 
 
 class TestCalibrationFile:

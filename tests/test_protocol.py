@@ -101,6 +101,14 @@ class TestSampleShots:
         with pytest.raises(ValueError):
             sample_shots(np.array([1.0, 0.0]), 0)
 
+    @pytest.mark.parametrize("shots", [2.5, True, np.float64(3.0), "10"])
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            sample_shots(np.array([0.5, 0.5]), shots, 1)
+
+    def test_numpy_integer_shots_accepted(self):
+        assert sample_shots(np.array([0.5, 0.5]), np.int64(7), 1).sum() == 7
+
 
 class TestGenerateDataset:
     def test_record_count_and_length(self):
@@ -135,6 +143,18 @@ class TestGenerateDataset:
         b = generate_dataset(state, QFT, 500, seed=79)
         for ra, rb in zip(a.records, b.records):
             np.testing.assert_array_equal(ra.counts, rb.counts)
+
+    @pytest.mark.parametrize("shots", [2.5, True, -1])
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(ValueError, match="shots must be an integer >= 0"):
+            generate_dataset(named_state("ghz", 2), QFT, shots, seed=1)
+
+    def test_numpy_integer_shots_stored_as_int(self):
+        dataset = generate_dataset(named_state("ghz", 2), QFT, np.int64(100), seed=76)
+        assert type(dataset.shots_per_circuit) is int
+        reference = generate_dataset(named_state("ghz", 2), QFT, 100, seed=76)
+        for a, b in zip(dataset.records, reference.records):
+            np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_noise_model_size_checked(self):
         with pytest.raises(ValueError):

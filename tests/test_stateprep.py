@@ -73,6 +73,16 @@ class TestNamedStates:
         with pytest.raises(ValueError):
             named_state("ghz", 1)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "3", 1])
+    def test_qubit_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="named states need an integer n >= 2"):
+            named_state("ghz", n)
+
+    def test_numpy_integer_qubit_count_accepted(self):
+        np.testing.assert_array_equal(
+            named_state("ghz", np.int64(3)).amps, named_state("ghz", 3).amps
+        )
+
     def test_all_normalized(self):
         for n in (2, 3, 5):
             for tag, state in table_states(n):
@@ -133,6 +143,15 @@ class TestRandomArbitrary:
         c = random_arbitrary(3, 8)
         np.testing.assert_array_equal(a.amps, b.amps)
         assert np.abs(a.amps - c.amps).max() > 1e-3
+
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, 0])
+    def test_qubit_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="qubit count must be an integer >= 1"):
+            random_arbitrary(n, 1)
+
+    def test_numpy_integer_qubit_count_accepted(self):
+        np.testing.assert_array_equal(random_arbitrary(np.int64(3), 7).amps, random_arbitrary(3, 7).amps)
 
 
 class TestRandomStreamsPinned:

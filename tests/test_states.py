@@ -117,6 +117,15 @@ class TestProjectorId:
         with pytest.raises(ValueError):
             ProjectorId("x", -1, 1)
 
+    @pytest.mark.parametrize("qubit", [1.5, True, "1", None])
+    def test_qubit_must_be_an_integer(self, qubit):
+        with pytest.raises(ValueError, match="qubit index must be an integer >= 0"):
+            ProjectorId("x", qubit, 1)
+
+    def test_numpy_integer_qubit_accepted(self):
+        pid = ProjectorId("x", np.int64(1), 1)
+        assert pid == ProjectorId("x", 1, 1) and type(pid.qubit) is int
+
     def test_enumeration_size(self):
         for n in (1, 3, 5):
             ids = projector_ids(n)

@@ -100,9 +100,9 @@ def _require(value, flag: str):
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, *, out_required=False):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    p.add_argument("--out", default=None, required=out_required, help="output file path")
+    p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--config", default=None, help="JSON file with default option values")
 
 
@@ -183,11 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_prepare_state(args, cfg):
+def _cmd_prepare_state(args, cfg, out):
     kind = _resolve(args, cfg, "kind", "named")
     n = _require(_resolve(args, cfg, "qubits"), "--qubits")
     seed = _resolve(args, cfg, "seed")
-    out = _require(_resolve(args, cfg, "out"), "--out")
     if kind == "named":
         tag = _require(_resolve(args, cfg, "tag"), "--tag")
         state = named_state(tag, n)
@@ -199,10 +198,9 @@ def _cmd_prepare_state(args, cfg):
         state = random_arbitrary(n, seed)
         provenance = {"kind": "arbitrary", "seed": seed}
     save_state(state, out, provenance=provenance)
-    print(f"wrote {out}")
 
 
-def _cmd_run_protocol(args, cfg):
+def _cmd_run_protocol(args, cfg, out):
     state = load_state(_require(_resolve(args, cfg, "state"), "--state"))
     seed = _resolve(args, cfg, "seed")
     shots = _resolve(args, cfg, "shots", 2**13)
@@ -211,7 +209,6 @@ def _cmd_run_protocol(args, cfg):
     noise = (
         ReadoutNoiseModel.symmetric(state.n + 1, eps) if eps is not None else None
     )
-    out = _require(_resolve(args, cfg, "out"), "--out")
     dataset = generate_dataset(state, unitary, shots, noise=noise, seed=seed)
     save_dataset(dataset, out)
     csv_path = _resolve(args, cfg, "csv")
@@ -219,15 +216,13 @@ def _cmd_run_protocol(args, cfg):
         from .protocol import dataset_to_csv
 
         dataset_to_csv(dataset, csv_path)
-    print(f"wrote {out}")
 
 
-def _cmd_calibrate(args, cfg):
+def _cmd_calibrate(args, cfg, out):
     n = _require(_resolve(args, cfg, "qubits"), "--qubits")
     eps = _resolve(args, cfg, "readout_error", 0.0)
     shots = _resolve(args, cfg, "shots", 0)
     seed = _resolve(args, cfg, "seed")
-    out = _require(_resolve(args, cfg, "out"), "--out")
     model = (
         ReadoutNoiseModel.identity(n + 1)
         if eps == 0.0
@@ -235,18 +230,15 @@ def _cmd_calibrate(args, cfg):
     )
     cal = build_calibration(n, model, shots, seed=seed)
     save_calibration(cal, out)
-    print(f"wrote {out}")
 
 
-def _cmd_mitigate(args, cfg):
+def _cmd_mitigate(args, cfg, out):
     dataset = load_dataset(_require(_resolve(args, cfg, "data"), "--data"))
     cal = load_calibration(_require(_resolve(args, cfg, "calibration"), "--calibration"))
-    out = _require(_resolve(args, cfg, "out"), "--out")
     save_dataset(mitigate_dataset(dataset, cal), out)
-    print(f"wrote {out}")
 
 
-def _cmd_estimate(args, cfg):
+def _cmd_estimate(args, cfg, out):
     dataset = load_dataset(_require(_resolve(args, cfg, "data"), "--data"))
     ref_path = _resolve(args, cfg, "reference")
     reference = load_state(ref_path) if ref_path is not None else None
@@ -257,7 +249,6 @@ def _cmd_estimate(args, cfg):
         shuffle_seed=_resolve(args, cfg, "shuffle_seed"),
         init_seed=_resolve(args, cfg, "seed", 0),
     )
-    out = _require(_resolve(args, cfg, "out"), "--out")
     estimate, trace = pie_run(dataset, pie_cfg, reference=reference)
     save_state(estimate, out, provenance={"source": "estimate", "init_seed": pie_cfg.init_seed})
     trace_path = _resolve(args, cfg, "trace_out")
@@ -268,7 +259,6 @@ def _cmd_estimate(args, cfg):
     if last.fidelity is not None:
         summary["fidelity"] = last.fidelity
     print(json.dumps(summary))
-    print(f"wrote {out}")
 
 
 def _sweep_pie(args, cfg) -> PieConfig:
@@ -279,7 +269,7 @@ def _sweep_pie(args, cfg) -> PieConfig:
     )
 
 
-def _cmd_sweep(args, cfg):
+def _cmd_sweep(args, cfg, out):
     unitary = _resolve(args, cfg, "unitary", "qft").lower()
     family, aqft_m = unitary, None
     if unitary.startswith("aqft:"):
@@ -297,19 +287,16 @@ def _cmd_sweep(args, cfg):
         pie=_sweep_pie(args, cfg),
         master_seed=_resolve(args, cfg, "seed", 0),
     )
-    out = _require(_resolve(args, cfg, "out"), "--out")
     write_csv(out, SWEEP_HEADER, run_fidelity_sweep(sweep_cfg))
-    print(f"wrote {out}")
 
 
-def _cmd_aqft_study(args, cfg):
+def _cmd_aqft_study(args, cfg, out):
     n_values = _require(_resolve(args, cfg, "qubits"), "--qubits")
     m_values = _require(_resolve(args, cfg, "degrees"), "--degrees")
     pie_cfg = PieConfig(
         delta_beta=_resolve(args, cfg, "delta_beta", 0.04),
         iterations=_resolve(args, cfg, "iterations"),
     )
-    out = _require(_resolve(args, cfg, "out"), "--out")
     rows = run_aqft_study(
         n_values,
         m_values,
@@ -319,11 +306,9 @@ def _cmd_aqft_study(args, cfg):
         master_seed=_resolve(args, cfg, "seed", 0),
     )
     write_csv(out, AQFT_HEADER, rows)
-    print(f"wrote {out}")
 
 
-def _cmd_bench(args, cfg):
-    out = _require(_resolve(args, cfg, "out"), "--out")
+def _cmd_bench(args, cfg, out):
     rows = run_timing_bench(
         _require(_resolve(args, cfg, "qubits"), "--qubits"),
         iterations=_resolve(args, cfg, "iterations", 20),
@@ -332,7 +317,6 @@ def _cmd_bench(args, cfg):
         master_seed=_resolve(args, cfg, "seed", 0),
     )
     write_csv(out, BENCH_HEADER, rows)
-    print(f"wrote {out}")
 
 
 _COMMANDS = {
@@ -351,7 +335,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        _COMMANDS[args.command](args, cfg)
+        out = _require(_resolve(args, cfg, "out"), "--out")
+        _COMMANDS[args.command](args, cfg, out)
+        print(f"wrote {out}")
     except SystemExit:
         raise
     except Exception as exc:  # deliberate catch-all: one JSON error line, nonzero exit

@@ -14,7 +14,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .states import _decode_array, _encode_array, _integer, _qubit_count
+from .states import _decode_array, _encode_array, _integer, _qubit_count, _real
 
 #: Refuse to mitigate through a calibration matrix worse-conditioned than this.
 MAX_CONDITION_NUMBER = 1e12
@@ -63,8 +63,8 @@ class ReadoutNoiseModel:
     @classmethod
     def symmetric(cls, num_bits: int, flip_prob: float, label: str | None = None):
         """Same symmetric bit-flip probability on every measured bit."""
-        if not 0.0 <= flip_prob <= 1.0:
-            raise ValueError(f"flip probability must be in [0, 1], got {flip_prob}")
+        if not (_real(flip_prob) and 0.0 <= flip_prob <= 1.0):
+            raise ValueError(f"flip probability must be in [0, 1], got {flip_prob!r}")
         c = np.array([[1 - flip_prob, flip_prob], [flip_prob, 1 - flip_prob]])
         return cls(
             tuple(c for _ in range(num_bits)),

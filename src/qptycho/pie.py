@@ -28,7 +28,7 @@ import numpy as np
 
 from .protocol import PtychoDataset, normalize_dataset
 from .stateprep import random_arbitrary
-from .states import ProjectorId, StateVector, _integer, _project_amps, projector_ids
+from .states import ProjectorId, StateVector, _integer, _project_amps, _real, projector_ids
 from .transforms import UnitarySpec
 
 #: Most amplitudes one engine pass holds. Passes group whole datasets and
@@ -52,17 +52,13 @@ class PieConfig:
     delta_beta: float = 0.04
     iterations: int | None = None
     shuffle_seed: int | None = None
-    early_stop_distance: float | None = None
     init_seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta0) and self.beta0 > 0):
-            raise ValueError(f"beta0 must be finite and positive, got {self.beta0}")
-        if not (math.isfinite(self.delta_beta) and self.delta_beta >= 0):
-            raise ValueError(f"delta_beta must be finite and >= 0, got {self.delta_beta}")
-        stop = self.early_stop_distance
-        if stop is not None and not (math.isfinite(stop) and stop > 0):
-            raise ValueError(f"early_stop_distance must be None or finite and > 0, got {stop}")
+        if not (_real(self.beta0) and math.isfinite(self.beta0) and self.beta0 > 0):
+            raise ValueError(f"beta0 must be finite and positive, got {self.beta0!r}")
+        if not (_real(self.delta_beta) and math.isfinite(self.delta_beta) and self.delta_beta >= 0):
+            raise ValueError(f"delta_beta must be finite and >= 0, got {self.delta_beta!r}")
         for name, minimum in (("iterations", 1), ("shuffle_seed", 0)):
             value = getattr(self, name)
             if value is not None:
@@ -215,8 +211,7 @@ def pie_run_batch(
     ``random_arbitrary(n, init_seeds[r])`` (``config.init_seed`` is not used)
     and all rows are corrected together, sharing the beta schedule and, when
     ``config.shuffle_seed`` is set, the projector order of each iteration.
-    A row that meets ``config.early_stop_distance`` is frozen and its trace
-    ends there; the others go on. Returns one ``(estimate, trace)`` pair per
+    Every row runs the whole schedule. Returns one ``(estimate, trace)`` pair per
     seed, each equal to ``pie_run`` with that ``init_seed`` up to rounding.
     Rows are processed in chunks of at most ``_CHUNK_AMPS`` amplitudes, and
     each chunk restarts the shuffled order exactly as a lone run would.
@@ -278,15 +273,11 @@ def _run_pass(n, unitary, group, config):
     return results
 
 
-def _normalized_rows(amps: np.ndarray, iteration: int, live=None) -> np.ndarray:
+def _normalized_rows(amps: np.ndarray, iteration: int) -> np.ndarray:
     """Unit-norm copy of each row (last axis); raises on a non-finite or zero
-    row, so no metric is ever reported for such an estimate. With a boolean
-    ``live`` mask only those rows are checked; the others are not reported."""
+    row, so no metric is ever reported for such an estimate."""
     norms = np.linalg.norm(amps, axis=-1)
     bad = ~np.isfinite(norms) | (norms == 0.0)
-    if live is not None:
-        bad &= live
-        norms = np.where(live, norms, 1.0)
     if np.any(bad):
         raise ValueError(
             f"estimate norm became {norms[bad][0]} at iteration {iteration}"
@@ -297,17 +288,12 @@ def _normalized_rows(amps: np.ndarray, iteration: int, live=None) -> np.ndarray:
 def _run_rows(n, unitary, ids, targets, config, seeds, refs):
     """The engine loop on one pass of S datasets x K starts, laid out as an
     ``(S, K, 2^n)`` array. ``targets`` is the ``(6n, S, 1, 2^n)`` array of
-    target blocks, one per projector of ``ids``, ``seeds`` the S lists of K starts and ``refs`` the
-    S unit references (or None). Returns S lists of K ``(estimate, trace)``.
-
-    A finished row is reported and then ignored. Its dataset leaves the
-    array once all its rows are done, and a start column once it is done in
-    every dataset left; until then the row is still corrected, unread.
+    target blocks, one per projector of ``ids``, ``seeds`` the S lists of K
+    starts and ``refs`` the S unit references (or None). Every row runs the
+    whole schedule. Returns S lists of K ``(estimate, trace)``, each trace
+    with the pass's wall time.
     """
     amps = np.stack([[random_arbitrary(n, seed).amps for seed in starts] for starts in seeds])
-    sets = np.arange(len(seeds))  # original dataset of each entry of axis 0
-    cols = np.arange(len(seeds[0]))  # original start of each entry of axis 1
-    live = np.ones(amps.shape[:2], dtype=bool)
     current = _normalized_rows(amps, 0)
     ref_conj = None if refs is None else refs.conj()
     order_rng = (
@@ -315,12 +301,9 @@ def _run_rows(n, unitary, ids, targets, config, seeds, refs):
         if config.shuffle_seed is not None
         else None
     )
-    stop = config.early_stop_distance
-    last_iteration = config.resolved_iterations()
     rows = [[[] for _ in starts] for starts in seeds]
-    results = [[None] * len(starts) for starts in seeds]
     started = time.perf_counter()
-    for iteration in range(1, last_iteration + 1):
+    for iteration in range(1, config.resolved_iterations() + 1):
         beta = beta_schedule(iteration, config)
         order = (
             range(len(ids))
@@ -329,36 +312,18 @@ def _run_rows(n, unitary, ids, targets, config, seeds, refs):
         )
         for idx in order:
             amps = _correction_amps(amps, n, ids[idx], targets[idx], unitary, beta)
-        previous, current = current, _normalized_rows(amps, iteration, live)
+        previous, current = current, _normalized_rows(amps, iteration)
         distance = _distance(current, previous)
-        done = live & (iteration == last_iteration)
-        if stop is not None:
-            done |= live & (distance < stop)
-        for s, ds in enumerate(sets):
-            ks = np.flatnonzero(live[s])
-            fid = None
+        for s, dataset_rows in enumerate(rows):
+            fids = [None] * len(dataset_rows)
             if ref_conj is not None:
                 # The same matrix-vector product a lone pie_run_batch makes.
-                cur = current[s] if len(ks) == len(cols) else current[s, ks]
-                fid = np.minimum(1.0, np.abs(cur @ ref_conj[ds]) ** 2)
-            for j, k in enumerate(ks):
-                rows[ds][cols[k]].append(TraceRow(
-                    iteration, beta, float(distance[s, k]), None if fid is None else float(fid[j])
-                ))
-        if np.any(done):
-            elapsed = time.perf_counter() - started
-            for s, k in zip(*np.nonzero(done)):
-                ds, col = sets[s], cols[k]
-                results[ds][col] = (
-                    StateVector(n, current[s, k]), PieTrace(rows[ds][col], elapsed)
-                )
-            live &= ~done
-            keep_s, keep_k = live.any(axis=1), live.any(axis=0)
-            if not keep_s.any():
-                break
-            if not (keep_s.all() and keep_k.all()):
-                amps, current = amps[keep_s][:, keep_k], current[keep_s][:, keep_k]
-                live, sets, cols = live[keep_s][:, keep_k], sets[keep_s], cols[keep_k]
-                if not keep_s.all():
-                    targets = targets[:, keep_s]
-    return results
+                fids = np.minimum(1.0, np.abs(current[s] @ ref_conj[s]) ** 2).tolist()
+            for trace_rows, dist, fid in zip(dataset_rows, distance[s].tolist(), fids):
+                trace_rows.append(TraceRow(iteration, beta, dist, fid))
+    elapsed = time.perf_counter() - started
+    return [
+        [(StateVector(n, current[s, k]), PieTrace(trace_rows, elapsed))
+         for k, trace_rows in enumerate(dataset_rows)]
+        for s, dataset_rows in enumerate(rows)
+    ]

@@ -37,6 +37,7 @@ def _superposition_factor(sign: int, phase: float = 0.0) -> np.ndarray:
 
 def ghz_state(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2)."""
+    n = _integer(n, "qubit count must be an integer", 1)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1 / math.sqrt(2)
     return StateVector(n, amps)
@@ -44,6 +45,7 @@ def ghz_state(n: int) -> StateVector:
 
 def w_state(n: int) -> StateVector:
     """Uniform superposition of the n single-excitation basis states."""
+    n = _integer(n, "qubit count must be an integer", 1)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[[1 << k for k in range(n)]] = 1 / math.sqrt(n)
     return StateVector(n, amps)
@@ -55,6 +57,7 @@ def random_separable(n: int, rng=None) -> StateVector:
     The per-qubit unitary is drawn in the (theta, phi, lam) chart with
     cos(theta) uniform on [-1, 1] and phi, lam uniform on [0, 2 pi).
     """
+    n = _integer(n, "qubit count must be an integer", 1)
     amps = np.array([1.0 + 0.0j])
     for triple in _haar_u3_angles(n, rng):
         amps = np.kron(u3_matrix(*triple)[:, 0], amps)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ def _integer(value, what: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{what} >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (a numpy float counts) and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

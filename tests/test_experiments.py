@@ -155,11 +155,13 @@ class TestSerialRowsReproduced:
         assert_rows_close(run_fidelity_sweep(small_sweep(shots=(512,))), SERIAL_SWEEP_ROWS_512)
 
     def test_sweep_separable_shuffled_early_stop(self):
+        # Captured with a 1e-3 early-stop distance that never fired: all 12
+        # traces ran the whole schedule, as every engine row now does.
         cfg = small_sweep(
             shots=(256,),
             ensemble="separable",
             unitary_family="separable",
-            pie=PieConfig(delta_beta=0.1, shuffle_seed=3, early_stop_distance=1e-3),
+            pie=PieConfig(delta_beta=0.1, shuffle_seed=3),
         )
         assert_rows_close(run_fidelity_sweep(cfg), SERIAL_SWEEP_ROWS_SEPARABLE_SHUFFLED)
 

@@ -36,6 +36,11 @@ class TestReadoutNoiseModel:
         with pytest.raises(ValueError):
             ReadoutNoiseModel.symmetric(1, 1.5)
 
+    @pytest.mark.parametrize("flip_prob", [1.5, -0.1, np.nan, "0.1", True])
+    def test_symmetric_rejects_bad_flip_probability(self, flip_prob):
+        with pytest.raises(ValueError, match="flip probability must be in"):
+            ReadoutNoiseModel.symmetric(2, flip_prob)
+
     def test_asymmetric_constructor(self):
         model = ReadoutNoiseModel.from_flip_probabilities([0.1], [0.3])
         np.testing.assert_allclose(

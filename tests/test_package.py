@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import re
+import sys
 from pathlib import Path
 
 import qptycho
@@ -42,3 +44,18 @@ def test_every_public_name_has_a_caller_or_is_documented():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert orphans == []
+
+
+def test_every_config_field_is_passed_by_a_caller():
+    # A config field that no module other than its own passes by keyword is a
+    # knob that only the tests can turn; it belongs in the tests or nowhere.
+    for cls in (qptycho.PieConfig, qptycho.SweepConfig):
+        home = Path(sys.modules[cls.__module__].__file__).resolve()
+        passed = {
+            node.arg
+            for path in PACKAGE.glob("*.py") if path.resolve() != home
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.keyword)
+        }
+        unset = [f.name for f in dataclasses.fields(cls) if f.name not in passed]
+        assert unset == [], cls.__name__

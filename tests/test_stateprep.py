@@ -147,8 +147,9 @@ class TestRandomArbitrary:
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True, 0])
     def test_qubit_count_must_be_an_integer(self, n):
-        with pytest.raises(ValueError, match="qubit count must be an integer >= 1"):
-            random_arbitrary(n, 1)
+        for make in (random_arbitrary, random_separable, ghz_state, w_state):
+            with pytest.raises(ValueError, match="qubit count must be an integer >= 1"):
+                make(n)
 
     def test_numpy_integer_qubit_count_accepted(self):
         np.testing.assert_array_equal(random_arbitrary(np.int64(3), 7).amps, random_arbitrary(3, 7).amps)

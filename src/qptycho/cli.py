@@ -223,11 +223,9 @@ def _cmd_calibrate(args, cfg, out):
     eps = _resolve(args, cfg, "readout_error", 0.0)
     shots = _resolve(args, cfg, "shots", 0)
     seed = _resolve(args, cfg, "seed")
-    model = (
-        ReadoutNoiseModel.identity(n + 1)
-        if eps == 0.0
-        else ReadoutNoiseModel.symmetric(n + 1, eps)
-    )
+    model = ReadoutNoiseModel.symmetric(n + 1, eps)  # rejects a bool or non-real eps
+    if eps == 0.0:
+        model = ReadoutNoiseModel.identity(n + 1)
     cal = build_calibration(n, model, shots, seed=seed)
     save_calibration(cal, out)
 

@@ -76,6 +76,10 @@ class ReadoutNoiseModel:
         """Asymmetric per-bit model from p(1|0) and p(0|1) lists (bit 0 first)."""
         if len(p_read1_given0) != len(p_read0_given1):
             raise ValueError("flip probability lists must have equal length")
+        for name, probs in (("p_read1_given0", p_read1_given0), ("p_read0_given1", p_read0_given1)):
+            for i, p in enumerate(probs):
+                if not (_real(p) and 0.0 <= p <= 1.0):
+                    raise ValueError(f"{name}[{i}]: flip probability must be in [0, 1], got {p!r}")
         mats = [
             np.array([[1 - e10, e01], [e10, 1 - e01]])
             for e10, e01 in zip(p_read1_given0, p_read0_given1)

@@ -245,3 +245,19 @@ def test_bad_payload_is_one_json_error_line(tmp_path, capsys):
     assert error.startswith("ValueError: dataset file ")
     assert "records[0].counts: data is not valid base64" in error
     assert not (tmp_path / "m.json").exists()
+
+
+def test_calibrate_rejects_bool_readout_error(tmp_path, capsys):
+    config, out = tmp_path / "config.json", tmp_path / "cal.json"
+    config.write_text(json.dumps({"readout_error": False}))
+    assert run_cli("calibrate", "-n", "2", "--config", str(config), "--out", str(out)) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error == "ValueError: flip probability must be in [0, 1], got False"
+    assert not out.exists()
+
+
+def test_calibrate_zero_readout_error_writes_the_identity_model(tmp_path):
+    out = tmp_path / "cal.json"
+    assert run_cli("calibrate", "-n", "2", "--readout-error", "0", "--out", str(out)) == 0
+    cal = load_calibration(out)
+    assert np.array_equal(cal.register, np.eye(4)) and cal.provenance["model_id"] == "identity"

@@ -3,6 +3,8 @@ files in the older list form, and a pinned end-to-end CLI chain."""
 import base64
 import json
 import re
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -65,8 +67,13 @@ class TestArrayPayload:
         arr = np.arange(6.0).reshape(2, 3)
         doc = _encode_array(arr)
         assert doc["dtype"] == "<f8" and doc["shape"] == [2, 3]
-        assert base64.b64decode(doc["data"]) == arr.astype("<f8").tobytes()
+        assert zlib.decompress(base64.b64decode(doc["data"])) == arr.astype("<f8").tobytes()
         assert np.array_equal(_decode_array(doc, "x"), arr)
+
+    def test_uncompressed_payload_still_reads(self):
+        doc = {"dtype": "<f8", "shape": [2, 3],
+               "data": "AAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAAAAAACEAAAAAAAAAQQAAAAAAAABRA"}
+        assert np.array_equal(_decode_array(doc, "x"), np.arange(6.0).reshape(2, 3))
 
     def test_returns_owned_writable_float64(self):
         for value in (payload([1.0, 2.0]), [1, 2]):
@@ -171,6 +178,10 @@ class TestReaderChecks:
         ({"data": "not base64!"}, "data is not valid base64"),
         ({"shape": [-4]}, "shape must be a list of integers >= 0"),
         ({"shape": [3]}, "data holds 32 bytes, shape \\[3\\] needs 24"),
+        ({"encoding": "gzip"}, "encoding must be 'zlib' or absent, got 'gzip'"),
+        ({"encoding": 5}, "encoding must be 'zlib' or absent, got 5"),
+        ({"data": base64.b64encode(b"not a zlib stream").decode()}, "data is not a valid zlib stream"),
+        ({"data": base64.b64encode(zlib.compress(bytes(40))).decode()}, "data holds 40 bytes, shape .* needs 32"),
     ])
     def test_bad_payloads_name_the_file_and_field(self, tmp_path, change, message):
         data_path, cal_path = tmp_path / "d.json", tmp_path / "c.json"
@@ -329,6 +340,67 @@ class TestRoundTrips:
         pairs = lambda s: s.amps.view(np.float64)
         assert np.array_equal(pairs(loaded), pairs(state))
         assert np.array_equal(np.signbit(pairs(loaded)), np.signbit(pairs(state)))
+
+
+def raw_payload(values):
+    """Array payload in the uncompressed form, without ``encoding``."""
+    arr = np.asarray(values, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(arr.shape), "data": base64.b64encode(arr).decode()}
+
+
+class TestOlderFiles:
+    """Files written before payloads were compressed hold raw base64 bytes."""
+
+    def test_dataset(self, tmp_path):
+        state = StateVector(2, haar_state(2, np.random.default_rng(5)))
+        noise = ReadoutNoiseModel.symmetric(3, 0.05)
+        raw = generate_dataset(state, UnitarySpec.qft(), 4096, noise=noise, seed=5)
+        mitigated = with_specials(mitigate_dataset(raw, build_calibration(2, noise, shots=500, seed=5)))
+        for dataset in (raw, mitigated):
+            doc = dataset_to_dict(dataset)
+            for entry, rec in zip(doc["records"], dataset.records):
+                entry["counts"] = raw_payload(rec.counts)
+            assert_datasets_equal(load_dataset(write_json(tmp_path / "old.json", doc)), dataset)
+
+    def test_calibration(self, tmp_path):
+        cal = build_calibration(3, ReadoutNoiseModel.symmetric(4, 0.05), shots=700, seed=3)
+        cal.register.flat[:3] = [-0.0, 5e-324, -5e-324]
+        doc = {"n": 3, "M1": raw_payload(cal.intermediate), "Mn": raw_payload(cal.register),
+               "provenance": cal.provenance}
+        loaded = load_calibration(write_json(tmp_path / "old.json", doc))
+        for a, b in ((loaded.intermediate, cal.intermediate), (loaded.register, cal.register)):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_state(self, tmp_path):
+        state = StateVector(2, haar_state(2, np.random.default_rng(6)))
+        doc = {"n": 2, "amps": raw_payload(state.amps.view(np.float64).reshape(-1, 2))}
+        assert np.array_equal(load_state(write_json(tmp_path / "old.json", doc)).amps, state.amps)
+
+
+class TestCalibrationSize:
+    """A sampled calibration matrix is mostly zeros; its file and its load
+    must not cost a multiple of the 8 * 4^n bytes the matrix holds."""
+
+    N = 8
+
+    @pytest.fixture(scope="class")
+    def cal_path(self, tmp_path_factory):
+        cal = build_calibration(self.N, ReadoutNoiseModel.symmetric(self.N + 1, 0.025), 20_000, seed=8)
+        path = tmp_path_factory.mktemp("size") / "cal.json"
+        save_calibration(cal, path)
+        return path
+
+    def test_file_is_a_fifth_of_the_matrix(self, cal_path):
+        assert cal_path.stat().st_size < 0.2 * 8 * 4**self.N
+
+    def test_load_peak_memory(self, cal_path):
+        tracemalloc.start()
+        try:
+            load_calibration(cal_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * 4**self.N
 
 
 class TestListFormFiles:

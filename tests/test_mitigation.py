@@ -47,6 +47,15 @@ class TestReadoutNoiseModel:
             model.bit_confusions[0], [[0.9, 0.3], [0.1, 0.7]]
         )
 
+    @pytest.mark.parametrize("p10, p01, message", [
+        ([True], [False], r"p_read1_given0\[0\]: flip probability must be in \[0, 1\], got True"),
+        (["0.1"], [0.1], r"p_read1_given0\[0\]: flip probability must be in \[0, 1\], got '0.1'"),
+        ([0.1, 0.2], [0.1, np.nan], r"p_read0_given1\[1\]: flip probability must be in \[0, 1\], got nan"),
+    ])
+    def test_asymmetric_constructor_rejects_bad_entries(self, p10, p01, message):
+        with pytest.raises(ValueError, match=message):
+            ReadoutNoiseModel.from_flip_probabilities(p10, p01)
+
 
 class TestCorruptCounts:
     def test_identity_model(self):

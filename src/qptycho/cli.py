@@ -33,7 +33,7 @@ from .protocol import (
 )
 from .seeding import derive_seed
 from .stateprep import named_state, random_arbitrary, random_separable
-from .states import load_state, save_state
+from .states import _integer, load_state, save_state
 from .transforms import UnitarySpec
 
 
@@ -219,7 +219,9 @@ def _cmd_run_protocol(args, cfg, out):
 
 
 def _cmd_calibrate(args, cfg, out):
+    # A config file can hold any JSON value; check it before n + 1 below.
     n = _require(_resolve(args, cfg, "qubits"), "--qubits")
+    n = _integer(n, "qubit count must be an integer", 1)
     eps = _resolve(args, cfg, "readout_error", 0.0)
     shots = _resolve(args, cfg, "shots", 0)
     seed = _resolve(args, cfg, "seed")

@@ -52,24 +52,43 @@ def _qft_amps(amps: np.ndarray, adjoint: bool) -> np.ndarray:
     return np.fft.ifft(amps, axis=-1, norm="ortho")
 
 
-@lru_cache(maxsize=32)
+# Entries per row block of the AQFT build. One int64 index block of this size
+# is the only temporary of the build besides the small tables.
+_AQFT_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=2, typed=True)
 def aqft_matrix(n: int, m: int) -> np.ndarray:
     """Dense degree-m approximate transform.
 
     Entry (j, k) is 2^{-n/2} e^{2 pi i Y_jk / 2^n} with
     Y_jk = sum over bit pairs (a, b), n-m <= a+b <= n-1, of j_a k_b 2^{a+b}.
     Exponents are reduced mod 2^n before exponentiation so that m = n is
-    bit-for-bit the plain Fourier matrix. Cached, frozen, O(4^n) memory.
+    bit-for-bit the plain Fourier matrix. Each entry is copied from a table
+    of the 2^n distinct phases, a block of rows at a time, so the build
+    peaks at the 16 * 4^n-byte result plus one 2^16-entry block. Cached for
+    the last two (n, m), frozen.
     """
-    if not 1 <= m <= n:
+    n = _integer(n, "aqft qubit count must be an integer", 1)
+    m = _integer(m, "aqft degree must be an integer", 1)
+    if not m <= n:
         raise ValueError(f"approximation degree must satisfy 1 <= m <= n, got m={m}, n={n}")
     dim = 1 << n
-    bits = (np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1  # [dim, n]
-    y = np.zeros((dim, dim), dtype=np.int64)
-    for a in range(n):
-        for b in range(max(0, n - m - a), n - a):
-            y += np.outer(bits[:, a], bits[:, b]) << (a + b)
-    mat = np.exp((2j * np.pi / dim) * (y % dim)) / math.sqrt(dim)
+    # Every entry is one of these dim phases. Keep this operation order:
+    # another, such as 2j * pi * y / dim, rounds differently, and the engine
+    # amplifies that into its rounding-pinned results.
+    table = np.exp((2j * np.pi / dim) * np.arange(dim)) / math.sqrt(dim)
+    # Y_jk = sum_a j_a ((k & mask_a) << a), mask_a keeping bits n-m-a..n-1-a.
+    k = np.arange(dim)
+    terms = np.stack([(k & ((1 << (n - a)) - (1 << max(0, n - m - a)))) << a
+                      for a in range(n)])  # [n, dim]
+    bits = (k[:, None] >> np.arange(n)[None, :]) & 1  # [dim, n]
+    mat = np.empty((dim, dim), dtype=np.complex128)
+    step = max(1, _AQFT_BLOCK >> n)
+    for lo in range(0, dim, step):
+        rows = slice(lo, lo + step)
+        # mode="wrap" takes the exact int64 sum mod dim and needs no buffer.
+        np.take(table, bits[rows] @ terms, out=mat[rows], mode="wrap")
     mat.flags.writeable = False
     return mat
 

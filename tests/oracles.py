@@ -2,10 +2,10 @@
 
 Everything here is built from explicit 2^n x 2^n matrices and plain tensor
 products, deliberately sharing no code path with the package's matrix-free
-kernels. The one exception is ``gates_in_place``, the per-qubit loop that the
-package's shuffle kernel replaced, kept as its bit-exact reference, and
-``basis_state``, which wraps a one-hot vector in the package's StateVector.
-Qubit k owns bit weight 2**k throughout.
+kernels. The exceptions are ``gates_in_place`` and ``looped_aqft``, the
+per-qubit loop and the AQFT build that the package replaced, kept as their
+bit-exact references, and ``basis_state``, which wraps a one-hot vector in
+the package's StateVector. Qubit k owns bit weight 2**k throughout.
 """
 import math
 from functools import reduce
@@ -83,6 +83,20 @@ def dense_aqft(n: int, m: int) -> np.ndarray:
                 weights[a, b] = 1 << (a + b)
     exponents = bits @ weights @ bits.T
     return np.exp(2j * np.pi * (exponents % dim) / dim) / np.sqrt(dim)
+
+
+def looped_aqft(n: int, m: int) -> np.ndarray:
+    """The degree-m transform as the package first built it: an int64
+    exponent matrix summed one bit pair at a time, reduced mod 2^n, then
+    exponentiated entry by entry. ``aqft_matrix`` must match it bit for bit;
+    ``dense_aqft`` rounds differently and agrees only to ~1e-12."""
+    dim = 1 << n
+    bits = (np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1
+    y = np.zeros((dim, dim), dtype=np.int64)
+    for a in range(n):
+        for b in range(max(0, n - m - a), n - a):
+            y += np.outer(bits[:, a], bits[:, b]) << (a + b)
+    return np.exp((2j * np.pi / dim) * (y % dim)) / math.sqrt(dim)
 
 
 def dense_hadamard(n: int) -> np.ndarray:

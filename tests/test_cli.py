@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qptycho import load_dataset, load_state, named_state
 from qptycho.cli import main
@@ -253,6 +254,16 @@ def test_calibrate_rejects_bool_readout_error(tmp_path, capsys):
     assert run_cli("calibrate", "-n", "2", "--config", str(config), "--out", str(out)) == 2
     error = json.loads(capsys.readouterr().err.strip())["error"]
     assert error == "ValueError: flip probability must be in [0, 1], got False"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qubits", ["2", 2.0, True, 0])
+def test_calibrate_rejects_a_non_integer_qubit_count_from_config(tmp_path, capsys, qubits):
+    config, out = tmp_path / "config.json", tmp_path / "cal.json"
+    config.write_text(json.dumps({"qubits": qubits}))
+    assert run_cli("calibrate", "--config", str(config), "--out", str(out)) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error == f"ValueError: qubit count must be an integer >= 1, got {qubits!r}"
     assert not out.exists()
 
 

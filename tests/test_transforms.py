@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qptycho import (
+    PieConfig,
     StateVector,
     UnitarySpec,
     aqft_matrix,
     random_arbitrary,
+    run_aqft_study,
     u3_matrix,
 )
 
@@ -18,6 +21,7 @@ from oracles import (
     dense_hadamard,
     dense_qft,
     haar_state,
+    looped_aqft,
     rotation_y,
     rotation_z,
 )
@@ -117,6 +121,51 @@ class TestAqft:
             UnitarySpec.aqft(3).apply(basis_state(2, 0))
         with pytest.raises(ValueError):
             UnitarySpec.aqft(0).apply(basis_state(2, 0))
+
+
+EXACT_AQFT_CASES = [(n, m) for n in range(1, 9) for m in range(1, n + 1)] + [(10, 2), (10, 10)]
+
+
+class TestAqftMatrix:
+    @pytest.mark.parametrize("n, m", EXACT_AQFT_CASES)
+    def test_bit_identical_to_the_looped_build(self, n, m):
+        mat = aqft_matrix(n, m)
+        assert mat.dtype == np.complex128 and not mat.flags.writeable
+        assert np.array_equal(mat.view(np.float64), looped_aqft(n, m).view(np.float64))
+
+    def test_build_peak_is_the_result_plus_one_block(self):
+        aqft_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            mat = aqft_matrix(10, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.nbytes == 16 << 20
+        assert peak <= 20 << 20  # the looped build peaks at 40 MB
+
+    def test_study_builds_each_cell_once(self):
+        aqft_matrix.cache_clear()
+        run_aqft_study(n_values=(3, 4), m_values=(1, 2, 3), shots=256, runs_per_state=1,
+                       pie=PieConfig(iterations=2))
+        info = aqft_matrix.cache_info()
+        assert info.misses == 6 and info.hits > 0
+        assert info.maxsize == 2 and info.currsize == 2
+
+    @pytest.mark.parametrize("n, m, message", [
+        (10.0, 2, "aqft qubit count must be an integer >= 1, got 10.0"),
+        (True, 1, "aqft qubit count must be an integer >= 1, got True"),
+        (3, True, "aqft degree must be an integer >= 1, got True"),
+        (3, 2.0, "aqft degree must be an integer >= 1, got 2.0"),
+        (2, 0, "aqft degree must be an integer >= 1, got 0"),
+        (2, 3, "approximation degree must satisfy 1 <= m <= n, got m=3, n=2"),
+    ])
+    def test_rejects_bad_arguments(self, n, m, message):
+        aqft_matrix(1, 1)  # cached (1, 1) must not answer (True, 1)
+        aqft_matrix(3, 1)
+        with pytest.raises(ValueError) as exc:
+            aqft_matrix(n, m)
+        assert str(exc.value) == message
 
 
 class TestU3:

@@ -108,6 +108,9 @@ class CalibrationMatrix:
     the 2^n x 2^n matrix Mn of the final register; they model the channel
     M1 (x) Mn, intermediate bit most significant. Its singular values are
     products of the factors', so cond(M1 (x) Mn) = cond(M1) * cond(Mn).
+
+    Float64 inputs are kept as they are, not copied: at n=12 Mn alone holds
+    128 MB. Other dtypes are converted.
     """
 
     intermediate: np.ndarray
@@ -115,8 +118,8 @@ class CalibrationMatrix:
     provenance: dict | None = None
 
     def __post_init__(self):
-        self.intermediate = np.array(self.intermediate, dtype=np.float64)
-        self.register = np.array(self.register, dtype=np.float64)
+        self.intermediate = np.asarray(self.intermediate, dtype=np.float64)
+        self.register = np.asarray(self.register, dtype=np.float64)
         if self.intermediate.shape != (2, 2):
             raise ValueError("intermediate calibration matrix must be 2x2")
         dim = self.register.shape[0]
@@ -174,6 +177,29 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
     return CalibrationMatrix(intermediate, register, provenance)
 
 
+#: Entries in the buffer through which ``_neumann_terms`` reads Mn's rows.
+_ROW_BLOCK = 1 << 15
+
+
+def _neumann_terms(mat: np.ndarray) -> tuple[float, float]:
+    """q = ||I - Mn||_1 and ||Mn||_1, read through one buffer of a few rows
+    instead of a full-size ``np.abs(mat)``. Each block's first row takes the
+    running column sums, so the rows are added in the order that
+    ``np.abs(mat).sum(axis=0)`` adds them, and the result is the same bit for
+    bit."""
+    dim, cols = mat.shape
+    rows = max(1, _ROW_BLOCK // cols)
+    buf = np.empty((min(rows, dim), cols))
+    col = None
+    for start in range(0, dim, rows):
+        block = np.abs(mat[start : start + rows], out=buf[: min(rows, dim - start)])
+        if col is not None:
+            block[0] += col
+        col = np.add.reduce(block, axis=0)
+    diag = np.diag(mat)
+    return float(np.max(col - np.abs(diag) + np.abs(1 - diag))), float(col.max())
+
+
 def _condition_bound(cal: CalibrationMatrix) -> float:
     """Upper bound on ``cal.condition_number`` in O(4^n), without an SVD.
 
@@ -181,13 +207,11 @@ def _condition_bound(cal: CalibrationMatrix) -> float:
     and cond_2 <= N cond_1 for an N x N matrix, so cond(Mn) <= N ||Mn||_1 / (1 - q).
     Returns inf when q >= 1 (or overflows), where the series proves nothing.
     """
-    mat, diag = cal.register, np.diag(cal.register)
     with np.errstate(all="ignore"):  # huge entries overflow to an inf q: no bound
-        col = np.abs(mat).sum(axis=0)
-        q = float(np.max(col - np.abs(diag) + np.abs(1 - diag)))
+        q, norm = _neumann_terms(cal.register)
     if not q < 1:
         return np.inf
-    return float(np.linalg.cond(cal.intermediate)) * mat.shape[0] * float(col.max()) / (1 - q)
+    return float(np.linalg.cond(cal.intermediate)) * cal.register.shape[0] * norm / (1 - q)
 
 
 def mitigate(record: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
@@ -236,7 +260,7 @@ def load_calibration(path) -> CalibrationMatrix:
     n = _qubit_count(doc, where)
     entries = {}
     for key, size in (("M1", 4), ("Mn", 4**n)):
-        values = _decode_array(doc.get(key), f"{where}: {key}").ravel()
+        values = _decode_array(doc.get(key), f"{where}: {key}", size).ravel()
         if values.size != size:
             raise ValueError(f"{where}: {key} has {values.size} entries, expected {size} for n={n}")
         if not np.all(np.isfinite(values)):

@@ -256,7 +256,7 @@ def dataset_from_dict(doc: dict, where: str = "dataset") -> PtychoDataset:
     for i, entry in enumerate(entries):
         if type(entry.get("q")) is not int:
             raise ValueError(f"{where}: records[{i}].q must be an integer")
-        counts = _decode_array(entry.get("counts"), f"{where}: records[{i}].counts")
+        counts = _decode_array(entry.get("counts"), f"{where}: records[{i}].counts", 2 << n)
         records.append(CircuitRecord(entry.get("xi"), entry["q"], counts))
     return PtychoDataset(
         n=n,

@@ -153,10 +153,49 @@ def _encode_array(values) -> dict:
     }
 
 
-def _decode_array(value, where: str) -> np.ndarray:
-    """Owned, writable float64 array from a payload object or from a plain
-    JSON list of numbers, the form that older files hold. A payload without
-    ``encoding`` holds the raw bytes, as older files do."""
+#: Bytes inflated, and compressed bytes fed, per step. Each step's output is
+#: copied into the result and dropped, so a payload costs its array plus one
+#: step, not the array twice; feeding the input in steps too keeps zlib's
+#: ``unconsumed_tail`` copy of the rest of it to one step.
+_INFLATE_STEP = 1 << 16
+
+
+def _inflate_into(data: bytes, dest: np.ndarray) -> int:
+    """Inflate the zlib stream ``data`` into the uint8 array ``dest`` and
+    return the stream's length in bytes; bytes past ``dest`` are counted, not
+    kept. Raises ``zlib.error`` for a stream that ends early or is followed by
+    other bytes."""
+    stream, view = zlib.decompressobj(), memoryview(data)
+    total = fed = 0
+    pending = b""
+    while True:
+        if not pending:
+            pending = view[fed : fed + _INFLATE_STEP]
+            fed += len(pending)
+        chunk = stream.decompress(pending, _INFLATE_STEP)
+        pending = stream.unconsumed_tail
+        keep = min(len(chunk), dest.size - total)
+        if keep > 0:
+            dest[total : total + keep] = np.frombuffer(chunk, np.uint8, keep)
+        total += len(chunk)
+        if stream.eof:
+            break
+        if not chunk and not pending and fed == len(view):
+            raise zlib.error("the stream ends early")
+    trailing = len(stream.unused_data) + len(view) - fed
+    if trailing:
+        raise zlib.error(f"{trailing} bytes follow the end of the stream")
+    return total
+
+
+def _decode_array(value, where: str, size: int | None = None) -> np.ndarray:
+    """Owned, writable, C-contiguous float64 array from a payload object or
+    from a plain JSON list of numbers, the form that older files hold. A
+    payload without ``encoding`` holds the raw bytes, as older files do.
+
+    ``size`` is the entry count the reader expects: a payload whose shape
+    declares more is refused before its buffer is allocated. A smaller one
+    decodes, and the reader's own length check names it."""
     if isinstance(value, list):
         try:
             arr = np.array(value)
@@ -172,6 +211,9 @@ def _decode_array(value, where: str) -> np.ndarray:
     shape = value.get("shape")
     if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
         raise ValueError(f"{where}: shape must be a list of integers >= 0, got {shape!r}")
+    count = math.prod(shape)
+    if size is not None and count > size:
+        raise ValueError(f"{where}: shape {shape} declares {count} entries, expected {size}")
     encoding = value.get("encoding")
     if encoding not in (None, "zlib"):
         raise ValueError(f"{where}: encoding must be 'zlib' or absent, got {encoding!r}")
@@ -179,17 +221,20 @@ def _decode_array(value, where: str) -> np.ndarray:
         raw = base64.b64decode(value.get("data"), validate=True)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: data is not valid base64 ({exc})") from None
-    size = 8 * math.prod(shape)
+    out = np.empty(shape, dtype=_PAYLOAD_DTYPE)
+    dest = out.reshape(-1).view(np.uint8)
     if encoding == "zlib":
         try:
-            # A buffer of the expected size makes one allocation; the default
-            # grows by joining blocks, which peaks at several times the array.
-            raw = zlib.decompress(raw, bufsize=size)
+            length = _inflate_into(raw, dest)
         except zlib.error as exc:
             raise ValueError(f"{where}: data is not a valid zlib stream ({exc})") from None
-    if len(raw) != size:
-        raise ValueError(f"{where}: data holds {len(raw)} bytes, shape {shape} needs {size}")
-    return np.frombuffer(raw, dtype=_PAYLOAD_DTYPE).reshape(shape).astype(np.float64)
+    else:
+        length = len(raw)
+        if length == dest.size:
+            dest[:] = np.frombuffer(raw, np.uint8)
+    if length != dest.size:
+        raise ValueError(f"{where}: data holds {length} bytes, shape {shape} needs {dest.size}")
+    return out.astype(np.float64, copy=False)  # a copy only where float64 is big-endian
 
 
 def _qubit_count(doc, where: str) -> int:
@@ -214,7 +259,7 @@ def state_to_dict(state: StateVector) -> dict:
 
 def state_from_dict(data: dict, where: str = "state") -> StateVector:
     n = _qubit_count(data, where)
-    pairs = _decode_array(data.get("amps"), f"{where}: amps")
+    pairs = _decode_array(data.get("amps"), f"{where}: amps", 2 << n)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"{where}: amps must be a list of [re, im] pairs")
     if len(pairs) != (1 << n):

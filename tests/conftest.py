@@ -1,8 +1,20 @@
+import tracemalloc
+
 import pytest
 
 from qptycho import pie
 
 ACCEPTANCE_LINES = []
+
+
+def peak_traced_bytes(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

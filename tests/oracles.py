@@ -2,10 +2,11 @@
 
 Everything here is built from explicit 2^n x 2^n matrices and plain tensor
 products, deliberately sharing no code path with the package's matrix-free
-kernels. The exceptions are ``gates_in_place`` and ``looped_aqft``, the
-per-qubit loop and the AQFT build that the package replaced, kept as their
-bit-exact references, and ``basis_state``, which wraps a one-hot vector in
-the package's StateVector. Qubit k owns bit weight 2**k throughout.
+kernels. The exceptions are ``gates_in_place``, ``looped_aqft`` and
+``full_size_neumann_bound``, the per-qubit loop, the AQFT build and the
+mitigation guard's bound that the package replaced, kept as their bit-exact
+references, and ``basis_state``, which wraps a one-hot vector in the
+package's StateVector. Qubit k owns bit weight 2**k throughout.
 """
 import math
 from functools import reduce
@@ -146,3 +147,17 @@ def dense_readout_channel(bit_confusions) -> np.ndarray:
     """C_{k-1} (x) ... (x) C_0 for per-bit confusion matrices listed bit 0
     first, folded from the most significant bit down."""
     return reduce(np.kron, reversed([np.asarray(c) for c in bit_confusions]))
+
+
+def full_size_neumann_bound(cal):
+    """(q, bound) of the mitigation guard as the package first computed them,
+    through a full-size ``np.abs(Mn)``: q = ||I - Mn||_1 and the bound
+    cond(M1) N ||Mn||_1 / (1 - q), or inf when q >= 1. ``_neumann_terms`` and
+    ``_condition_bound`` must match it bit for bit."""
+    mat, diag = cal.register, np.diag(cal.register)
+    with np.errstate(all="ignore"):
+        col = np.abs(mat).sum(axis=0)
+        q = float(np.max(col - np.abs(diag) + np.abs(1 - diag)))
+    if not q < 1:
+        return q, np.inf
+    return q, float(np.linalg.cond(cal.intermediate)) * mat.shape[0] * float(col.max()) / (1 - q)

@@ -3,7 +3,6 @@ files in the older list form, and a pinned end-to-end CLI chain."""
 import base64
 import json
 import re
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -25,11 +24,14 @@ from qptycho import (
     save_calibration,
     save_dataset,
     save_state,
+    states,
 )
 from qptycho.cli import main
+from qptycho.mitigation import _condition_bound
 from qptycho.protocol import dataset_to_dict
 from qptycho.states import _decode_array, _encode_array
 
+from conftest import peak_traced_bytes
 from oracles import haar_state
 
 #: Values a text format tends to lose: signed zero, subnormals, extremes.
@@ -80,6 +82,37 @@ class TestArrayPayload:
             arr = _decode_array(value, "x")
             assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
             arr[0] = 7.0
+
+    @pytest.mark.parametrize("shape", [[0], [2, 0], [1], [7], [3, 4], [2, 5000]])
+    def test_every_form_decodes_to_an_owned_contiguous_copy(self, shape):
+        arr = np.random.default_rng(len(shape)).standard_normal(shape)
+        arr.flat[: len(SPECIALS)] = SPECIALS[: arr.size]
+        doc = payload(arr)
+        # What the reader returned before it inflated in steps.
+        expected = np.frombuffer(
+            zlib.decompress(base64.b64decode(doc["data"])), dtype="<f8"
+        ).reshape(shape).astype(np.float64)
+        for value in (doc, raw_payload(arr), arr.tolist()):
+            back = _decode_array(value, "x")
+            assert back.dtype == np.float64 and back.shape == tuple(shape)
+            assert back.flags.owndata and back.flags.writeable and back.flags.c_contiguous
+            assert np.array_equal(back, expected)
+            assert np.array_equal(np.signbit(back), np.signbit(expected))
+
+    @given(values=st.lists(st.floats(allow_nan=False) | st.sampled_from(SPECIALS), max_size=60),
+           step=st.sampled_from([1, 7, 64]), level=st.sampled_from([0, 1, 9]),
+           cut=st.integers(1, 12), junk=st.binary(min_size=1, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_small_inflate_steps(self, values, step, level, cut, junk):
+        arr = np.array(values, dtype=np.float64)
+        stream = zlib.compress(arr.tobytes(), level)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(states, "_INFLATE_STEP", step)
+            back = _decode_array(payload(arr, data=base64.b64encode(stream).decode()), "x")
+            assert np.array_equal(back, arr) and np.array_equal(np.signbit(back), np.signbit(arr))
+            for bad in (stream + junk, stream[: max(0, len(stream) - cut)]):
+                with pytest.raises(ValueError, match="x: data is not a valid zlib stream"):
+                    _decode_array(payload(arr, data=base64.b64encode(bad).decode()), "x")
 
     def test_list_form_still_reads(self):
         assert np.array_equal(_decode_array([[1, 2.5], [0, -3]], "x"), [[1, 2.5], [0, -3]])
@@ -182,6 +215,10 @@ class TestReaderChecks:
         ({"encoding": 5}, "encoding must be 'zlib' or absent, got 5"),
         ({"data": base64.b64encode(b"not a zlib stream").decode()}, "data is not a valid zlib stream"),
         ({"data": base64.b64encode(zlib.compress(bytes(40))).decode()}, "data holds 40 bytes, shape .* needs 32"),
+        ({"data": base64.b64encode(zlib.compress(bytes(32)) + b"junk").decode()},
+         "data is not a valid zlib stream \\(4 bytes follow the end of the stream\\)"),
+        ({"data": base64.b64encode(zlib.compress(bytes(32))[:-2]).decode()},
+         "data is not a valid zlib stream \\(the stream ends early\\)"),
     ])
     def test_bad_payloads_name_the_file_and_field(self, tmp_path, change, message):
         data_path, cal_path = tmp_path / "d.json", tmp_path / "c.json"
@@ -196,6 +233,34 @@ class TestReaderChecks:
         write_json(cal_path, doc)
         with pytest.raises(ValueError, match=rf"c\.json: Mn: {message}"):
             load_calibration(cal_path)
+
+    def test_dataset_checks_the_declared_size_before_allocating(self, tmp_path):
+        doc = dataset_to_dict(small_dataset())
+        doc["records"][2]["counts"]["shape"] = [1 << 34]
+        path = write_json(tmp_path / "d.json", doc)
+        with pytest.raises(ValueError, match=r"d\.json: records\[2\]\.counts: shape \[17179869184\] "
+                                             r"declares 17179869184 entries, expected 4"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, shape, message", [
+        ("Mn", [1 << 34], r"Mn: shape \[17179869184\] declares 17179869184 entries, expected 16"),
+        ("M1", [1 << 20, 1 << 20], r"M1: shape \[1048576, 1048576\] declares 1099511627776 entries, expected 4"),
+    ])
+    def test_calibration_checks_the_declared_size_before_allocating(self, tmp_path, key, shape, message):
+        path = tmp_path / "c.json"
+        save_calibration(CalibrationMatrix(np.eye(2), np.eye(4)), path)
+        doc = json.loads(path.read_text())
+        doc[key]["shape"] = shape
+        write_json(path, doc)
+        with pytest.raises(ValueError, match=rf"c\.json: {message}"):
+            load_calibration(path)
+
+    def test_state_checks_the_declared_size_before_allocating(self, tmp_path):
+        doc = {"n": 2, "amps": dict(raw_payload(np.eye(4, 2)), shape=[1 << 33, 2])}
+        path = write_json(tmp_path / "s.json", doc)
+        with pytest.raises(ValueError, match=r"s\.json: amps: shape \[8589934592, 2\] "
+                                             r"declares 17179869184 entries, expected 8"):
+            load_state(path)
 
     def test_length_and_finiteness_checks_run_after_decoding(self, tmp_path):
         path = tmp_path / "d.json"
@@ -394,13 +459,29 @@ class TestCalibrationSize:
         assert cal_path.stat().st_size < 0.2 * 8 * 4**self.N
 
     def test_load_peak_memory(self, cal_path):
-        tracemalloc.start()
-        try:
-            load_calibration(cal_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(lambda: load_calibration(cal_path))
         assert peak < 2.5 * 8 * 4**self.N
+
+
+class TestTenQubitCalibrationMemory:
+    """At n=10 the reader inflates Mn straight into its array, and the
+    mitigation guard reads Mn through a few rows at a time."""
+
+    N = 10
+
+    @pytest.fixture(scope="class")
+    def cal_path(self, tmp_path_factory):
+        cal = build_calibration(self.N, ReadoutNoiseModel.symmetric(self.N + 1, 0.025), 20_000, seed=10)
+        path = tmp_path_factory.mktemp("size10") / "cal.json"
+        save_calibration(cal, path)
+        return path
+
+    def test_load_peaks_below_1_4_matrices(self, cal_path):
+        assert peak_traced_bytes(lambda: load_calibration(cal_path)) < 1.4 * 8 * 4**self.N
+
+    def test_condition_bound_peaks_below_a_tenth_of_the_matrix(self, cal_path):
+        cal = load_calibration(cal_path)
+        assert peak_traced_bytes(lambda: _condition_bound(cal)) < 0.1 * 8 * 4**self.N
 
 
 class TestListFormFiles:

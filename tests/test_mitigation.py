@@ -18,9 +18,10 @@ from qptycho import (
     random_arbitrary,
     save_calibration,
 )
-from qptycho.mitigation import MAX_CONDITION_NUMBER, _condition_bound
+from qptycho import mitigation
+from qptycho.mitigation import MAX_CONDITION_NUMBER, _condition_bound, _neumann_terms
 
-from oracles import dense_calibration, dense_readout_channel
+from oracles import dense_calibration, dense_readout_channel, full_size_neumann_bound
 
 
 class TestReadoutNoiseModel:
@@ -293,6 +294,20 @@ class TestFactoredMitigation:
             CalibrationMatrix(**mats)
 
 
+class TestCalibrationMatrixInputs:
+    def test_keeps_float64_inputs_without_copying(self):
+        m1, mn = np.array([[0.9, 0.2], [0.1, 0.8]]), np.eye(4)
+        cal = CalibrationMatrix(m1, mn)
+        assert np.shares_memory(cal.intermediate, m1) and np.shares_memory(cal.register, mn)
+
+    def test_converts_other_dtypes(self):
+        m1, mn = np.eye(2, dtype=np.float32), np.eye(4, dtype=np.int64)
+        for cal in (CalibrationMatrix(m1, mn), CalibrationMatrix(m1.tolist(), mn.tolist())):
+            for mat, source in ((cal.intermediate, m1), (cal.register, mn)):
+                assert mat.dtype == np.float64 and not np.shares_memory(mat, source)
+                assert np.array_equal(mat, source)
+
+
 class TestConditionBound:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -342,6 +357,25 @@ class TestConditionBound:
         np.testing.assert_allclose(mitigate(corrupt_counts(p, model), cal), p, rtol=1e-9)
         assert "condition_number" in vars(cal)  # the guard read the exact value
         assert cal.condition_number == pytest.approx(1000.0, rel=1e-9)  # 10 x 10^2
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_bit_equal_to_the_full_size_expression(self, n):
+        for cal in (build_calibration(n, ReadoutNoiseModel.symmetric(n + 1, 0.025), 20_000, seed=n),
+                    sampled_calibration(n, seed=n, max_flip=0.05, shots=500)):
+            q, bound = full_size_neumann_bound(cal)
+            assert _neumann_terms(cal.register)[0] == q
+            assert _condition_bound(cal) == bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 5, 64]))
+    def test_row_blocks_add_in_the_full_size_order(self, n, seed, block):
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-300, 1e-3, 1.0, 1e300], size=(1 << n, 1 << n))
+        cal = CalibrationMatrix(np.eye(2), rng.standard_normal((1 << n, 1 << n)) * scale)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mitigation, "_ROW_BLOCK", block)
+            q = _neumann_terms(cal.register)[0]
+        assert np.array_equal(q, full_size_neumann_bound(cal)[0])
 
     def test_identity_register_gives_n_times_cond_m1(self):
         # q = 0 for Mn = I, so the bound is N * cond(M1): no division by 1 - q ~ 0.

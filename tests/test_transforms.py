@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from qptycho import (
     u3_matrix,
 )
 
+from conftest import peak_traced_bytes
 from oracles import (
     basis_state,
     bit_reversal_permutation,
@@ -135,12 +135,8 @@ class TestAqftMatrix:
 
     def test_build_peak_is_the_result_plus_one_block(self):
         aqft_matrix.cache_clear()
-        tracemalloc.start()
-        try:
-            mat = aqft_matrix(10, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(lambda: aqft_matrix(10, 2))
+        mat = aqft_matrix(10, 2)  # the cached result of the traced call
         assert mat.nbytes == 16 << 20
         assert peak <= 20 << 20  # the looped build peaks at 40 MB
 

@@ -26,6 +26,7 @@ from .experiments import (
 from .mitigation import ReadoutNoiseModel, build_calibration, load_calibration, save_calibration
 from .pie import PieConfig, pie_run
 from .protocol import (
+    dataset_to_csv,
     generate_dataset,
     load_dataset,
     mitigate_dataset,
@@ -33,7 +34,7 @@ from .protocol import (
 )
 from .seeding import derive_seed
 from .stateprep import named_state, random_arbitrary, random_separable
-from .states import _integer, load_state, save_state
+from .states import _integer, _read_json, load_state, save_state
 from .transforms import UnitarySpec
 
 
@@ -78,20 +79,10 @@ def parse_unitary(text: str, n: int, seed) -> UnitarySpec:
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CliError("config file must hold a JSON object")
     return doc
-
-
-def _resolve(args, config: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
 
 
 def _require(value, flag: str):
@@ -159,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-beta", type=float, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument(
-        "--full-scale", action="store_true",
+        "--full-scale", action="store_true", default=None,
         help="use 100 states x 100 runs instead of the 20 x 20 default",
     )
     _add_common(p)
@@ -183,77 +174,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_prepare_state(args, cfg, out):
-    kind = _resolve(args, cfg, "kind", "named")
-    n = _require(_resolve(args, cfg, "qubits"), "--qubits")
-    seed = _resolve(args, cfg, "seed")
-    if kind == "named":
-        tag = _require(_resolve(args, cfg, "tag"), "--tag")
+#: Each command's option values where neither a flag nor the config file sets them.
+_DEFAULTS = {
+    "prepare-state": {"kind": "named"},
+    "run-protocol": {"unitary": "qft", "shots": 2**13},
+    "calibrate": {"readout_error": 0.0, "shots": 0},
+    "mitigate": {},
+    "estimate": {"beta0": 2.0, "delta_beta": 0.04, "seed": 0},
+    "sweep": {
+        "unitary": "qft", "ensemble": "arbitrary", "shots": [2**13],
+        "beta0": 2.0, "delta_beta": 0.1, "seed": 0,
+    },
+    "aqft-study": {"shots": 20_000, "runs": 10, "delta_beta": 0.04, "seed": 0},
+    "bench": {"iterations": 20, "repeats": 10, "shots": 2**13, "seed": 0},
+}
+
+
+def _cmd_prepare_state(opts):
+    n = _require(opts.qubits, "--qubits")
+    if opts.kind == "named":
+        tag = _require(opts.tag, "--tag")
         state = named_state(tag, n)
         provenance = {"kind": "named", "tag": tag.lower()}
-    elif kind == "separable":
-        state = random_separable(n, seed)
-        provenance = {"kind": "separable", "seed": seed}
+    elif opts.kind == "separable":
+        state = random_separable(n, opts.seed)
+        provenance = {"kind": "separable", "seed": opts.seed}
     else:
-        state = random_arbitrary(n, seed)
-        provenance = {"kind": "arbitrary", "seed": seed}
-    save_state(state, out, provenance=provenance)
+        state = random_arbitrary(n, opts.seed)
+        provenance = {"kind": "arbitrary", "seed": opts.seed}
+    save_state(state, opts.out, provenance=provenance)
 
 
-def _cmd_run_protocol(args, cfg, out):
-    state = load_state(_require(_resolve(args, cfg, "state"), "--state"))
-    seed = _resolve(args, cfg, "seed")
-    shots = _resolve(args, cfg, "shots", 2**13)
-    unitary = parse_unitary(_resolve(args, cfg, "unitary", "qft"), state.n, seed)
-    eps = _resolve(args, cfg, "readout_error")
-    noise = (
-        ReadoutNoiseModel.symmetric(state.n + 1, eps) if eps is not None else None
-    )
-    dataset = generate_dataset(state, unitary, shots, noise=noise, seed=seed)
-    save_dataset(dataset, out)
-    csv_path = _resolve(args, cfg, "csv")
-    if csv_path is not None:
-        from .protocol import dataset_to_csv
-
-        dataset_to_csv(dataset, csv_path)
+def _cmd_run_protocol(opts):
+    state = load_state(_require(opts.state, "--state"))
+    unitary = parse_unitary(opts.unitary, state.n, opts.seed)
+    eps = opts.readout_error
+    noise = ReadoutNoiseModel.symmetric(state.n + 1, eps) if eps is not None else None
+    dataset = generate_dataset(state, unitary, opts.shots, noise=noise, seed=opts.seed)
+    save_dataset(dataset, opts.out)
+    if opts.csv is not None:
+        dataset_to_csv(dataset, opts.csv)
 
 
-def _cmd_calibrate(args, cfg, out):
+def _cmd_calibrate(opts):
     # A config file can hold any JSON value; check it before n + 1 below.
-    n = _require(_resolve(args, cfg, "qubits"), "--qubits")
-    n = _integer(n, "qubit count must be an integer", 1)
-    eps = _resolve(args, cfg, "readout_error", 0.0)
-    shots = _resolve(args, cfg, "shots", 0)
-    seed = _resolve(args, cfg, "seed")
+    n = _integer(_require(opts.qubits, "--qubits"), "qubit count must be an integer", 1)
+    eps = opts.readout_error
     model = ReadoutNoiseModel.symmetric(n + 1, eps)  # rejects a bool or non-real eps
     if eps == 0.0:
         model = ReadoutNoiseModel.identity(n + 1)
-    cal = build_calibration(n, model, shots, seed=seed)
-    save_calibration(cal, out)
+    save_calibration(build_calibration(n, model, opts.shots, seed=opts.seed), opts.out)
 
 
-def _cmd_mitigate(args, cfg, out):
-    dataset = load_dataset(_require(_resolve(args, cfg, "data"), "--data"))
-    cal = load_calibration(_require(_resolve(args, cfg, "calibration"), "--calibration"))
-    save_dataset(mitigate_dataset(dataset, cal), out)
+def _cmd_mitigate(opts):
+    dataset = load_dataset(_require(opts.data, "--data"))
+    cal = load_calibration(_require(opts.calibration, "--calibration"))
+    save_dataset(mitigate_dataset(dataset, cal), opts.out)
 
 
-def _cmd_estimate(args, cfg, out):
-    dataset = load_dataset(_require(_resolve(args, cfg, "data"), "--data"))
-    ref_path = _resolve(args, cfg, "reference")
-    reference = load_state(ref_path) if ref_path is not None else None
+def _cmd_estimate(opts):
+    dataset = load_dataset(_require(opts.data, "--data"))
+    reference = load_state(opts.reference) if opts.reference is not None else None
     pie_cfg = PieConfig(
-        beta0=_resolve(args, cfg, "beta0", 2.0),
-        delta_beta=_resolve(args, cfg, "delta_beta", 0.04),
-        iterations=_resolve(args, cfg, "iterations"),
-        shuffle_seed=_resolve(args, cfg, "shuffle_seed"),
-        init_seed=_resolve(args, cfg, "seed", 0),
+        beta0=opts.beta0,
+        delta_beta=opts.delta_beta,
+        iterations=opts.iterations,
+        shuffle_seed=opts.shuffle_seed,
+        init_seed=opts.seed,
     )
     estimate, trace = pie_run(dataset, pie_cfg, reference=reference)
-    save_state(estimate, out, provenance={"source": "estimate", "init_seed": pie_cfg.init_seed})
-    trace_path = _resolve(args, cfg, "trace_out")
-    if trace_path is not None:
-        trace.to_csv(trace_path)
+    provenance = {"source": "estimate", "init_seed": pie_cfg.init_seed}
+    save_state(estimate, opts.out, provenance=provenance)
+    if opts.trace_out is not None:
+        trace.to_csv(opts.trace_out)
     last = trace.rows[-1]
     summary = {"iterations": last.iteration, "distance": last.distance}
     if last.fidelity is not None:
@@ -261,62 +254,46 @@ def _cmd_estimate(args, cfg, out):
     print(json.dumps(summary))
 
 
-def _sweep_pie(args, cfg) -> PieConfig:
-    return PieConfig(
-        beta0=_resolve(args, cfg, "beta0", 2.0),
-        delta_beta=_resolve(args, cfg, "delta_beta", 0.1),
-        iterations=_resolve(args, cfg, "iterations"),
-    )
-
-
-def _cmd_sweep(args, cfg, out):
-    unitary = _resolve(args, cfg, "unitary", "qft").lower()
-    family, aqft_m = unitary, None
-    if unitary.startswith("aqft:"):
-        family, aqft_m = "aqft", _aqft_degree(unitary)
-    full_scale = bool(_resolve(args, cfg, "full_scale", False))
-    default_count = 100 if full_scale else 20
+def _cmd_sweep(opts):
+    family, aqft_m = opts.unitary.lower(), None
+    if family.startswith("aqft:"):
+        family, aqft_m = "aqft", _aqft_degree(family)
+    count = 100 if opts.full_scale else 20
     sweep_cfg = SweepConfig(
-        n_values=tuple(_require(_resolve(args, cfg, "qubits"), "--qubits")),
-        ensemble=_resolve(args, cfg, "ensemble", "arbitrary"),
-        states_per_n=_resolve(args, cfg, "states", default_count),
-        runs_per_state=_resolve(args, cfg, "runs", default_count),
-        shots=tuple(_resolve(args, cfg, "shots", [2**13])),
+        n_values=tuple(_require(opts.qubits, "--qubits")),
+        ensemble=opts.ensemble,
+        states_per_n=count if opts.states is None else opts.states,
+        runs_per_state=count if opts.runs is None else opts.runs,
+        shots=tuple(opts.shots),
         unitary_family=family,
         aqft_m=aqft_m,
-        pie=_sweep_pie(args, cfg),
-        master_seed=_resolve(args, cfg, "seed", 0),
+        pie=PieConfig(beta0=opts.beta0, delta_beta=opts.delta_beta, iterations=opts.iterations),
+        master_seed=opts.seed,
     )
-    write_csv(out, SWEEP_HEADER, run_fidelity_sweep(sweep_cfg))
+    write_csv(opts.out, SWEEP_HEADER, run_fidelity_sweep(sweep_cfg))
 
 
-def _cmd_aqft_study(args, cfg, out):
-    n_values = _require(_resolve(args, cfg, "qubits"), "--qubits")
-    m_values = _require(_resolve(args, cfg, "degrees"), "--degrees")
-    pie_cfg = PieConfig(
-        delta_beta=_resolve(args, cfg, "delta_beta", 0.04),
-        iterations=_resolve(args, cfg, "iterations"),
-    )
+def _cmd_aqft_study(opts):
     rows = run_aqft_study(
-        n_values,
-        m_values,
-        shots=_resolve(args, cfg, "shots", 20_000),
-        runs_per_state=_resolve(args, cfg, "runs", 10),
-        pie=pie_cfg,
-        master_seed=_resolve(args, cfg, "seed", 0),
+        _require(opts.qubits, "--qubits"),
+        _require(opts.degrees, "--degrees"),
+        shots=opts.shots,
+        runs_per_state=opts.runs,
+        pie=PieConfig(delta_beta=opts.delta_beta, iterations=opts.iterations),
+        master_seed=opts.seed,
     )
-    write_csv(out, AQFT_HEADER, rows)
+    write_csv(opts.out, AQFT_HEADER, rows)
 
 
-def _cmd_bench(args, cfg, out):
+def _cmd_bench(opts):
     rows = run_timing_bench(
-        _require(_resolve(args, cfg, "qubits"), "--qubits"),
-        iterations=_resolve(args, cfg, "iterations", 20),
-        repeats=_resolve(args, cfg, "repeats", 10),
-        shots=_resolve(args, cfg, "shots", 2**13),
-        master_seed=_resolve(args, cfg, "seed", 0),
+        _require(opts.qubits, "--qubits"),
+        iterations=opts.iterations,
+        repeats=opts.repeats,
+        shots=opts.shots,
+        master_seed=opts.seed,
     )
-    write_csv(out, BENCH_HEADER, rows)
+    write_csv(opts.out, BENCH_HEADER, rows)
 
 
 _COMMANDS = {
@@ -334,10 +311,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        out = _require(_resolve(args, cfg, "out"), "--out")
-        _COMMANDS[args.command](args, cfg, out)
-        print(f"wrote {out}")
+        # Flags given win over the config file, which wins over the defaults.
+        given = {name: value for name, value in vars(args).items() if value is not None}
+        config = _load_config(args.config)
+        opts = argparse.Namespace(**{**vars(args), **_DEFAULTS[args.command], **config, **given})
+        _require(opts.out, "--out")
+        _COMMANDS[args.command](opts)
+        print(f"wrote {opts.out}")
     except SystemExit:
         raise
     except Exception as exc:  # deliberate catch-all: one JSON error line, nonzero exit

@@ -88,6 +88,32 @@ def _resolve_unitary(cfg: SweepConfig, n: int, state_idx: int) -> UnitarySpec:
     )
 
 
+def _cell_fidelities(jobs, shots: int, runs: int, master_seed: int, pie: PieConfig, prefix=""):
+    """Final fidelities of ``runs`` starts on one dataset per job, one list
+    per job, from shared engine passes. A job is ``(state, unitary, key)``:
+    its dataset is seeded by ``(prefix + "data", *key)`` and start r by
+    ``(prefix + "init", *key, r)``. Datasets are drawn as the passes need them."""
+
+    def job(state, unitary, key):
+        dataset = generate_dataset(
+            state, unitary, shots, seed=derive_seed(master_seed, prefix + "data", *key)
+        )
+        seeds = [derive_seed(master_seed, prefix + "init", *key, run) for run in range(runs)]
+        return dataset, seeds, state
+
+    return [
+        [trace.final_fidelity() for _, trace in runs_of_job]
+        for runs_of_job in _run_datasets((job(*spec) for spec in jobs), pie)
+    ]
+
+
+def _mean_std(values) -> tuple:
+    """Mean and sample standard deviation of ``values``; the deviation of a
+    single value is 0."""
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return float(np.mean(values)), std
+
+
 def run_fidelity_sweep(cfg: SweepConfig):
     """Mean/std of reconstruction fidelity per (n, shots) grid cell.
 
@@ -99,30 +125,14 @@ def run_fidelity_sweep(cfg: SweepConfig):
     """
     rows = []
     for n in cfg.n_values:
-        states = _draw_states(cfg, n)
+        states = [state for _, state in _draw_states(cfg, n)]
         for shots in cfg.shots:
-
-            def job(idx):
-                state = states[idx][1]
-                dataset = generate_dataset(
-                    state,
-                    _resolve_unitary(cfg, n, idx),
-                    shots,
-                    seed=derive_seed(cfg.master_seed, "data", n, idx, shots),
-                )
-                seeds = [
-                    derive_seed(cfg.master_seed, "init", n, idx, shots, run)
-                    for run in range(cfg.runs_per_state)
-                ]
-                return dataset, seeds, state
-
-            state_means = [
-                float(np.mean([trace.final_fidelity() for _, trace in runs]))
-                for runs in _run_datasets(map(job, range(len(states))), cfg.pie)
-            ]
-            mean = float(np.mean(state_means))
-            std = float(np.std(state_means, ddof=1)) if len(state_means) > 1 else 0.0
-            rows.append((n, shots, mean, std))
+            jobs = (
+                (state, _resolve_unitary(cfg, n, idx), (n, idx, shots))
+                for idx, state in enumerate(states)
+            )
+            fids = _cell_fidelities(jobs, shots, cfg.runs_per_state, cfg.master_seed, cfg.pie)
+            rows.append((n, shots, *_mean_std([float(np.mean(f)) for f in fids])))
     return rows
 
 
@@ -150,33 +160,15 @@ def run_aqft_study(
     for n in _qubit_counts(n_values):
         states = table_states(n)
         degrees = [m for m in m_values if m <= n]
-        cells = {}
-        for m in dict.fromkeys(degrees):
-
-            def job(idx):
-                tag, state = states[idx]
-                dataset = generate_dataset(
-                    state,
-                    UnitarySpec.aqft(m),
-                    shots,
-                    seed=derive_seed(master_seed, "aqft-data", n, tag, m),
-                )
-                seeds = [
-                    derive_seed(master_seed, "aqft-init", n, tag, m, run)
-                    for run in range(runs_per_state)
-                ]
-                return dataset, seeds, state
-
-            cells[m] = [
-                [trace.final_fidelity() for _, trace in runs]
-                for runs in _run_datasets(map(job, range(len(states))), pie)
-            ]
+        cells = {
+            m: _cell_fidelities(
+                ((state, UnitarySpec.aqft(m), (n, tag, m)) for tag, state in states),
+                shots, runs_per_state, master_seed, pie, "aqft-",
+            )
+            for m in dict.fromkeys(degrees)
+        }
         for idx, (tag, _) in enumerate(states):
-            for m in degrees:
-                fids = cells[m][idx]
-                mean = float(np.mean(fids))
-                std = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
-                rows.append((tag, n, m, mean, std))
+            rows += [(tag, n, m, *_mean_std(cells[m][idx])) for m in degrees]
     return rows
 
 
@@ -213,7 +205,7 @@ def run_timing_bench(
             cfg = replace(pie_cfg, init_seed=derive_seed(master_seed, "bench-init", n, rep))
             _, trace = pie_run(dataset, cfg)
             times.append(trace.total_seconds)
-        rows.append((n, float(np.mean(times)), float(np.std(times, ddof=1))))
+        rows.append((n, *_mean_std(times)))
     return rows
 
 

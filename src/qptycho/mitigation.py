@@ -8,13 +8,14 @@ M1 (x) Mn through its factors, never forming the 2^(n+1)-square product.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .states import _decode_array, _encode_array, _integer, _qubit_count, _real
+from .states import (
+    _decode_array, _encode_array, _integer, _qubit_count, _read_json, _real, _write_json,
+)
 
 #: Refuse to mitigate through a calibration matrix worse-conditioned than this.
 MAX_CONDITION_NUMBER = 1e12
@@ -248,15 +249,12 @@ def save_calibration(cal: CalibrationMatrix, path):
         "Mn": _encode_array(cal.register),
         "provenance": cal.provenance,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_calibration(path) -> CalibrationMatrix:
     where = f"calibration file {path}"
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     n = _qubit_count(doc, where)
     entries = {}
     for key, size in (("M1", 4), ("Mn", 4**n)):

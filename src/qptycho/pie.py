@@ -37,6 +37,11 @@ from .transforms import UnitarySpec
 #: amplitudes and rises beyond it (at n=10, 64 rows cost 10% more each than 32).
 _CHUNK_AMPS = 1 << 15
 
+#: Smallest normal float64. numpy divides a complex value by a real one
+#: through 1/mag, which overflows below it, so the phase step gives smaller
+#: magnitudes, like exact zeros, phase 1.
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class PieConfig:
@@ -176,7 +181,7 @@ def _correction_amps(
     projected = _project_amps(amps, proj.axis, proj.qubit, proj.sign)
     tilde = unitary.apply_amps(projected, n)
     mag = np.abs(tilde)
-    phase = np.divide(tilde, mag, out=np.ones_like(tilde), where=mag > 0)
+    phase = np.divide(tilde, mag, out=np.ones_like(tilde), where=mag >= _TINY)
     back = unitary.apply_amps(target * phase, n, adjoint=True)
     back_projected = _project_amps(back, proj.axis, proj.qubit, proj.sign)
     return amps + beta * (back_projected - projected)

@@ -9,7 +9,6 @@ significant, matching the calibration tensor order.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,8 @@ from .states import (
     _integer,
     _project_amps,
     _qubit_count,
+    _read_json,
+    _write_json,
 )
 from .transforms import UnitarySpec
 
@@ -270,14 +271,11 @@ def dataset_from_dict(doc: dict, where: str = "dataset") -> PtychoDataset:
 
 
 def save_dataset(dataset: PtychoDataset, path):
-    with open(path, "w") as fh:
-        json.dump(dataset_to_dict(dataset), fh, indent=2)
-        fh.write("\n")
+    _write_json(dataset_to_dict(dataset), path)
 
 
 def load_dataset(path) -> PtychoDataset:
-    with open(path) as fh:
-        return dataset_from_dict(json.load(fh), f"dataset file {path}")
+    return dataset_from_dict(_read_json(path), f"dataset file {path}")
 
 
 def dataset_to_csv(dataset: PtychoDataset, path):

@@ -67,14 +67,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    def norm(self) -> float:
-        """Euclidean norm of the amplitude vector."""
-        return float(np.linalg.norm(self.amps))
-
-    @property
     def is_normalized(self) -> bool:
         return abs(float(np.sum(self.amps.real**2 + self.amps.imag**2)) - 1.0) < NORMALIZATION_ATOL
 
@@ -237,6 +229,20 @@ def _decode_array(value, where: str, size: int | None = None) -> np.ndarray:
     return out.astype(np.float64, copy=False)  # a copy only where float64 is big-endian
 
 
+def _write_json(doc: dict, path):
+    """Write ``doc`` to ``path`` as indented JSON and a final newline, the
+    form of every file the package writes."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path):
+    """The JSON value held in the file ``path``."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _qubit_count(doc, where: str) -> int:
     """Check that a file document is a JSON object and return its ``n``,
     an integer >= 1 (a JSON ``true`` is not an integer here)."""
@@ -273,11 +279,8 @@ def save_state(state: StateVector, path, provenance: dict | None = None):
     doc = state_to_dict(state)
     if provenance is not None:
         doc["provenance"] = provenance
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_state(path) -> StateVector:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh), f"state file {path}")
+    return state_from_dict(_read_json(path), f"state file {path}")

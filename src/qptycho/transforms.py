@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import StateVector, _integer
+from .states import _integer
 
 KINDS = ("qft", "aqft", "hadamard", "separable")
 
@@ -226,15 +226,6 @@ class UnitarySpec:
         if self.kind == "hadamard":
             return _apply_gates_amps(amps, (_H,) * n)  # self-adjoint
         return _apply_gates_amps(amps, _separable_gates(self.angles, adjoint))
-
-    def apply(self, state: StateVector, adjoint: bool = False) -> StateVector:
-        self.validate_for(state.n)
-        return StateVector(state.n, self.apply_amps(state.amps, state.n, adjoint))
-
-    def label(self) -> str:
-        if self.kind == "aqft":
-            return f"aqft:{self.m}"
-        return self.kind
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind}

@@ -2,8 +2,10 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The full-size reproduction of the n=10 ensemble study (100 states x 100
-runs) takes hours and is skipped unless QPTYCHO_FULL_SCALE=1; its 20 x 20
-desk-scale version runs by default with a widened tolerance.
+runs, 20 000 reconstructions) is skipped unless QPTYCHO_FULL_SCALE=1. At the
+desk-scale rate of 55 s per 800 reconstructions it should take about 23
+minutes on a 2-vCPU VM, an estimate, not a timed run. Its 20 x 20 desk-scale
+version runs by default with a widened tolerance.
 """
 import math
 import os
@@ -105,7 +107,7 @@ def test_02_shot_limited_ensemble_means_desk_scale():
 
 
 @pytest.mark.fullscale
-@pytest.mark.skipif(not FULL_SCALE, reason="set QPTYCHO_FULL_SCALE=1 to run (hours)")
+@pytest.mark.skipif(not FULL_SCALE, reason="set QPTYCHO_FULL_SCALE=1 to run (about 23 min, estimated)")
 def test_02b_shot_limited_ensemble_means_full_scale():
     """Full 100 x 100 version with the tight +-0.01 tolerance."""
     mean_arbitrary = _fig3_cell("arbitrary", 100, 100)

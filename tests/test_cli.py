@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qptycho import load_dataset, load_state, named_state
+from qptycho import cli
 from qptycho.cli import main
 from qptycho.mitigation import load_calibration
 
@@ -49,7 +50,7 @@ def test_protocol_and_estimate_pipeline(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-2])
     assert summary["fidelity"] > 0.99
     estimate = load_state(est_path)
-    assert abs(estimate.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(estimate.amps) - 1.0) < 1e-12
     assert trace_path.read_text().startswith("iteration,beta,distance,fidelity")
 
 
@@ -172,6 +173,26 @@ def test_flag_overrides_config(tmp_path):
         "prepare-state", "--config", str(config), "--tag", "psi7", "--out", str(out)
     ) == 0
     np.testing.assert_allclose(load_state(out).amps, named_state("psi7", 2).amps)
+
+
+@pytest.mark.parametrize("flags, config, count", [
+    ((), {}, 20),
+    (("--full-scale",), {}, 100),
+    ((), {"full_scale": True}, 100),
+    (("--full-scale",), {"full_scale": False}, 100),
+    (("--states", "3"), {"full_scale": True, "runs": 4}, None),
+])
+def test_sweep_full_scale_from_flag_or_config(tmp_path, monkeypatch, flags, config, count):
+    captured = []
+    monkeypatch.setattr(cli, "run_fidelity_sweep", lambda cfg: captured.append(cfg) or [])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(
+        "sweep", "-n", "2", *flags, "--config", str(path), "--out", str(tmp_path / "s.csv")
+    ) == 0
+    (cfg,) = captured
+    expected = (count, count) if count is not None else (3, 4)
+    assert (cfg.states_per_n, cfg.runs_per_state) == expected
 
 
 def test_estimate_rejects_nan_beta0(tmp_path, capsys):

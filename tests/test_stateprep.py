@@ -86,7 +86,7 @@ class TestNamedStates:
     def test_all_normalized(self):
         for n in (2, 3, 5):
             for tag, state in table_states(n):
-                assert abs(state.norm() - 1.0) < 1e-12, tag
+                assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12, tag
 
     def test_table_sizes(self):
         assert len(table_states(2)) == 10
@@ -97,7 +97,7 @@ class TestRandomSeparable:
     def test_norm_across_draws(self):
         rng = np.random.default_rng(50)
         for _ in range(1000):
-            assert abs(random_separable(3, rng).norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(random_separable(3, rng).amps) - 1.0) < 1e-12
 
     def test_product_structure(self):
         # every single-qubit reduction of a product state is pure
@@ -122,7 +122,7 @@ class TestRandomArbitrary:
     def test_norm_across_draws(self):
         rng = np.random.default_rng(52)
         for _ in range(1000):
-            assert abs(random_arbitrary(3, rng).norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(random_arbitrary(3, rng).amps) - 1.0) < 1e-12
 
     def test_mean_reduced_purity_matches_haar_value(self):
         # Monte-Carlo oracle (10^5 draws) gives mean Tr(rho_q^2) = 0.7989,

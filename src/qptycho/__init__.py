@@ -36,7 +36,6 @@ from .protocol import (
     PtychoDataset,
     circuit_settings,
     dataset_to_csv,
-    exact_joint_distribution,
     generate_dataset,
     load_dataset,
     mitigate_dataset,
@@ -84,7 +83,6 @@ __all__ = [
     "circuit_settings",
     "corrupt_counts",
     "dataset_to_csv",
-    "exact_joint_distribution",
     "fidelity",
     "generate_dataset",
     "ghz_state",

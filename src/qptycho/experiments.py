@@ -8,7 +8,6 @@ structured key, so re-runs (including partial ones) are bit-identical.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,6 +17,7 @@ from .protocol import generate_dataset
 from .seeding import derive_seed
 from .stateprep import random_arbitrary, random_separable, table_states
 from .states import _integer
+from .states import _write_csv as write_csv  # the CLI's table writer
 from .transforms import KINDS, UnitarySpec
 
 MAX_QUBITS = 16
@@ -207,15 +207,6 @@ def run_timing_bench(
             times.append(trace.total_seconds)
         rows.append((n, *_mean_std(times)))
     return rows
-
-
-def write_csv(path, header, rows):
-    """Write rows with a mandatory header; floats keep full repr precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(list(row))
 
 
 SWEEP_HEADER = ("n", "shots", "mean_fidelity", "std_fidelity")

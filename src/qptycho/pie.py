@@ -18,7 +18,6 @@ normalized copies.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,7 +27,9 @@ import numpy as np
 
 from .protocol import PtychoDataset, normalize_dataset
 from .stateprep import random_arbitrary
-from .states import ProjectorId, StateVector, _integer, _project_amps, _real, projector_ids
+from .states import (
+    ProjectorId, StateVector, _integer, _project_amps, _real, _write_csv, projector_ids,
+)
 from .transforms import UnitarySpec
 
 #: Most amplitudes one engine pass holds. Passes group whole datasets and
@@ -117,18 +118,9 @@ class PieTrace:
         return self.rows[-1].fidelity
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "beta", "distance", "fidelity"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.iteration,
-                        row.beta,
-                        row.distance,
-                        "" if row.fidelity is None else row.fidelity,
-                    ]
-                )
+        _write_csv(path, ("iteration", "beta", "distance", "fidelity"), (
+            (row.iteration, row.beta, row.distance, row.fidelity) for row in self.rows
+        ))
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:

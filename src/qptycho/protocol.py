@@ -8,8 +8,7 @@ significant, matching the calibration tensor order.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .mitigation import CalibrationMatrix, ReadoutNoiseModel, corrupt_counts, mi
 from .states import (
     PAULI_AXES,
     SIGNS,
-    ProjectorId,
     StateVector,
     _decode_array,
     _encode_array,
@@ -25,6 +23,7 @@ from .states import (
     _project_amps,
     _qubit_count,
     _read_json,
+    _write_csv,
     _write_json,
 )
 from .transforms import UnitarySpec
@@ -107,27 +106,6 @@ class PtychoDataset:
         return self
 
 
-def exact_joint_distribution(
-    state: StateVector, axis: str, qubit: int, unitary: UnitarySpec
-) -> np.ndarray:
-    """Joint outcome law of one circuit: entry (s, j) = |<j| U P_s |psi>|^2."""
-    if not state.is_normalized:
-        raise ValueError("exact distributions require a normalized input state")
-    ProjectorId(axis, qubit, 1)  # validates axis
-    if qubit >= state.n:
-        raise IndexError(f"qubit {qubit} out of range for n={state.n}")
-    unitary.validate_for(state.n)
-    n = state.n
-    p = np.empty(2 << n)
-    for s_index, sign in enumerate(SIGNS):
-        projected = _project_amps(state.amps, axis, qubit, sign)
-        transformed = unitary.apply_amps(projected, n)
-        p[s_index << n : (s_index + 1) << n] = (
-            transformed.real**2 + transformed.imag**2
-        )
-    return p
-
-
 def sample_shots(p: np.ndarray, shots: int, rng=None) -> np.ndarray:
     """One multinomial draw of ``shots`` trials over the outcome alphabet."""
     p = np.asarray(p, dtype=np.float64)
@@ -150,26 +128,36 @@ def generate_dataset(
 ) -> PtychoDataset:
     """Run the full 3n-circuit protocol on a state.
 
-    For each circuit: compute the exact joint law, optionally corrupt it with
-    the readout channel over the n+1 outcome bits, then draw ``shots``
-    samples (``shots = 0`` stores the probabilities themselves). Per-circuit
-    RNG streams are derived from ``seed``, so records are independent and the
-    whole dataset is reproducible.
+    For each circuit: compute the exact joint law, entry s * 2^n + j =
+    |<j| U P_s |psi>|^2, optionally corrupt it with the readout channel over
+    the n+1 outcome bits, then draw ``shots`` samples (``shots = 0`` stores
+    the probabilities themselves). Per-circuit RNG streams are derived from
+    ``seed``, so records are independent and the whole dataset is
+    reproducible; an exact run without a seed draws no entropy and records
+    ``seed = None``.
     """
     n = state.n
     shots = _integer(shots, "shots must be an integer", 0)
     unitary.validate_for(n)
     if noise is not None and noise.num_bits != n + 1:
         raise ValueError(f"noise model covers {noise.num_bits} bits, expected {n + 1}")
-    ss = np.random.SeedSequence(seed)
-    children = iter(ss.spawn(3 * n))
+    if not state.is_normalized:
+        raise ValueError("exact distributions require a normalized input state")
+    ss = None if shots == 0 and seed is None else np.random.SeedSequence(seed)
+    children = ss.spawn(3 * n) if shots else None
     records = []
-    for axis, q in circuit_settings(n):
-        p = exact_joint_distribution(state, axis, q, unitary)
+    for c, (axis, q) in enumerate(circuit_settings(n)):
+        # Both sign branches go through one call, rows + then -, so the
+        # flattened law is indexed s * 2^n + j. No name holds the branches or
+        # the amplitudes: alive while the record is allocated, they left a
+        # heap hole per circuit, +0.3 MB of peak RSS at n=10.
+        p = unitary.apply_amps(
+            np.stack([_project_amps(state.amps, axis, q, sign) for sign in SIGNS]), n
+        )
+        p = (p.real**2 + p.imag**2).reshape(-1)
         if noise is not None:
             p = corrupt_counts(p, noise)
-        child = next(children)
-        counts = p if shots == 0 else sample_shots(p, shots, child)
+        counts = sample_shots(p, shots, children[c]) if shots else p
         records.append(CircuitRecord(axis, q, counts))
     return PtychoDataset(
         n=n,
@@ -177,7 +165,7 @@ def generate_dataset(
         shots_per_circuit=shots,
         records=records,
         mitigated=False,
-        seed=None if ss.entropy is None else int(ss.entropy),
+        seed=None if ss is None else int(ss.entropy),
         noise_model_id=noise.label if noise is not None else None,
     ).validate()
 
@@ -190,15 +178,7 @@ def mitigate_dataset(dataset: PtychoDataset, cal: CalibrationMatrix) -> PtychoDa
         raise ValueError("dataset is already mitigated")
     counts = mitigate(np.stack([rec.counts for rec in dataset.validate().records]), cal)
     records = [CircuitRecord(rec.axis, rec.qubit, row) for rec, row in zip(dataset.records, counts)]
-    return PtychoDataset(
-        n=dataset.n,
-        unitary=dataset.unitary,
-        shots_per_circuit=dataset.shots_per_circuit,
-        records=records,
-        mitigated=True,
-        seed=dataset.seed,
-        noise_model_id=dataset.noise_model_id,
-    ).validate()
+    return replace(dataset, records=records, mitigated=True).validate()
 
 
 def normalize_dataset(dataset: PtychoDataset) -> np.ndarray:
@@ -281,9 +261,8 @@ def load_dataset(path) -> PtychoDataset:
 def dataset_to_csv(dataset: PtychoDataset, path):
     """Flat export with one row per (circuit, sign, register index)."""
     n = dataset.n
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "q", "s", "j", "count"])
-        for rec in dataset.records:
-            for o, count in enumerate(rec.counts):
-                writer.writerow([rec.axis, rec.qubit, o >> n, o & ((1 << n) - 1), float(count)])
+    _write_csv(path, ("xi", "q", "s", "j", "count"), (
+        (rec.axis, rec.qubit, o >> n, o & ((1 << n) - 1), count)
+        for rec in dataset.records
+        for o, count in enumerate(rec.counts.tolist())
+    ))

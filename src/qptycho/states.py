@@ -11,6 +11,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import base64
+import csv
 import json
 import math
 import numbers
@@ -235,6 +236,16 @@ def _write_json(doc: dict, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` to ``path`` as CSV, the form of every
+    table the package writes. ``None`` becomes an empty field and a float
+    its full ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_json(path):

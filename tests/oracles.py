@@ -2,18 +2,20 @@
 
 Everything here is built from explicit 2^n x 2^n matrices and plain tensor
 products, deliberately sharing no code path with the package's matrix-free
-kernels. The exceptions are ``gates_in_place``, ``looped_aqft`` and
-``full_size_neumann_bound``, the per-qubit loop, the AQFT build and the
-mitigation guard's bound that the package replaced, kept as their bit-exact
-references, and ``basis_state``, which wraps a one-hot vector in the
-package's StateVector. Qubit k owns bit weight 2**k throughout.
+kernels. The exceptions are ``gates_in_place``, ``looped_aqft``,
+``looped_joint_laws`` and ``full_size_neumann_bound``, the per-qubit loop,
+the AQFT build, the per-circuit outcome laws and the mitigation guard's bound
+that the package replaced, kept as their bit-exact references, and
+``basis_state``, which wraps a one-hot vector in the package's StateVector.
+Qubit k owns bit weight 2**k throughout.
 """
 import math
 from functools import reduce
 
 import numpy as np
 
-from qptycho import StateVector
+from qptycho import StateVector, circuit_settings
+from qptycho.states import _project_amps
 
 _EIGENVECTORS = {
     ("z", 1): np.array([1, 0], dtype=complex),
@@ -98,6 +100,22 @@ def looped_aqft(n: int, m: int) -> np.ndarray:
         for b in range(max(0, n - m - a), n - a):
             y += np.outer(bits[:, a], bits[:, b]) << (a + b)
     return np.exp((2j * np.pi / dim) * (y % dim)) / math.sqrt(dim)
+
+
+def looped_joint_laws(state: StateVector, unitary) -> list:
+    """The 3n exact circuit laws, canonical order, as the package first
+    computed them: one projected sign branch and one transform call at a
+    time, entry s * 2^n + j = |<j| U P_s |psi>|^2. ``generate_dataset``
+    with ``shots = 0`` must match them bit for bit."""
+    n = state.n
+    laws = []
+    for axis, q in circuit_settings(n):
+        p = np.empty(2 << n)
+        for s_index, sign in enumerate((1, -1)):
+            transformed = unitary.apply_amps(_project_amps(state.amps, axis, q, sign), n)
+            p[s_index << n : (s_index + 1) << n] = transformed.real**2 + transformed.imag**2
+        laws.append(p)
+    return laws
 
 
 def dense_hadamard(n: int) -> np.ndarray:

@@ -65,6 +65,23 @@ def test_exact_shots_sentinel(tmp_path):
     assert dataset.shots_per_circuit == 0
 
 
+def test_exact_runs_without_a_seed_repeat_byte_for_byte(tmp_path):
+    # Nothing is sampled, so no entropy is drawn and the seed is recorded as null.
+    state_path = tmp_path / "state.json"
+    run_cli("prepare-state", "--kind", "named", "--tag", "w", "-n", "3", "--out", str(state_path))
+    commands = {
+        "cal": ("calibrate", "-n", "3", "--readout-error", "0.025", "--shots", "0"),
+        "data": ("run-protocol", "--state", str(state_path), "--shots", "0"),
+    }
+    for name, argv in commands.items():
+        a, b = tmp_path / f"{name}-a.json", tmp_path / f"{name}-b.json"
+        for path in (a, b):
+            assert run_cli(*argv, "--out", str(path)) == 0
+        assert a.read_bytes() == b.read_bytes(), name
+    assert json.loads((tmp_path / "cal-a.json").read_text())["provenance"]["seed"] is None
+    assert json.loads((tmp_path / "data-a.json").read_text())["seed"] is None
+
+
 def test_calibrate_and_mitigate(tmp_path):
     state_path = tmp_path / "state.json"
     data_path = tmp_path / "data.json"

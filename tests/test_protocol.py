@@ -9,7 +9,6 @@ from qptycho import (
     UnitarySpec,
     circuit_settings,
     dataset_to_csv,
-    exact_joint_distribution,
     generate_dataset,
     load_dataset,
     named_state,
@@ -18,22 +17,23 @@ from qptycho import (
     sample_shots,
     save_dataset,
 )
+from qptycho.mitigation import corrupt_counts
 from qptycho.protocol import CircuitRecord, PtychoDataset
 from qptycho.states import _project_amps
 
-from oracles import basis_state, dense_joint_distribution, dense_qft, haar_state
+from oracles import basis_state, dense_joint_distribution, dense_qft, haar_state, looped_joint_laws
 
 QFT = UnitarySpec.qft()
 
 
 class TestExactJointDistribution:
     def test_zero_state_z_circuit(self):
-        p = exact_joint_distribution(basis_state(1, 0), "z", 0, QFT)
+        p = generate_dataset(basis_state(1, 0), QFT, 0).records[2].counts  # (z, 0)
         np.testing.assert_allclose(p, [0.5, 0.5, 0, 0], atol=1e-15)
 
     def test_projector_eigenstate_keeps_one_block(self):
         plus = StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        p = exact_joint_distribution(plus, "x", 0, UnitarySpec.hadamard())
+        p = generate_dataset(plus, UnitarySpec.hadamard(), 0).records[0].counts  # (x, 0)
         assert p[:2].sum() == pytest.approx(1.0, abs=1e-12)
         assert p[2:].sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -41,8 +41,8 @@ class TestExactJointDistribution:
         rng = np.random.default_rng(71)
         for n in (1, 2, 3):
             state = StateVector(n, haar_state(n, rng))
-            for axis, q in circuit_settings(n):
-                p = exact_joint_distribution(state, axis, q, QFT)
+            for rec in generate_dataset(state, QFT, 0).records:
+                axis, q, p = rec.axis, rec.qubit, rec.counts
                 assert p.sum() == pytest.approx(1.0, abs=1e-10)
                 for s_index, sign in enumerate((1, -1)):
                     branch = _project_amps(state.amps, axis, q, sign)
@@ -54,8 +54,8 @@ class TestExactJointDistribution:
         for n in (1, 2, 3):
             mat = dense_qft(n)
             state = StateVector(n, haar_state(n, rng))
-            for axis, q in circuit_settings(n):
-                p = exact_joint_distribution(state, axis, q, QFT)
+            for rec in generate_dataset(state, QFT, 0).records:
+                axis, q, p = rec.axis, rec.qubit, rec.counts
                 for s_index, sign in enumerate((1, -1)):
                     expected = dense_joint_distribution(
                         state.amps, axis, sign, q, mat, n
@@ -66,9 +66,7 @@ class TestExactJointDistribution:
 
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
-            exact_joint_distribution(
-                StateVector(1, np.array([1.0, 1.0])), "z", 0, QFT
-            )
+            generate_dataset(StateVector(1, np.array([1.0, 1.0])), QFT, 0)
 
 
 class TestSampleShots:
@@ -119,8 +117,7 @@ class TestGenerateDataset:
     def test_exact_sentinel_stores_probabilities(self):
         state = named_state("w", 3)
         dataset = generate_dataset(state, QFT, 0)
-        for rec in dataset.records:
-            expected = exact_joint_distribution(state, rec.axis, rec.qubit, QFT)
+        for rec, expected in zip(dataset.records, looped_joint_laws(state, QFT), strict=True):
             np.testing.assert_array_equal(rec.counts, expected)
 
     def test_counts_sum_to_shots(self):
@@ -156,6 +153,36 @@ class TestGenerateDataset:
         for a, b in zip(dataset.records, reference.records):
             np.testing.assert_array_equal(a.counts, b.counts)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10])
+    @pytest.mark.parametrize("kind", ["qft", "aqft", "hadamard", "separable"])
+    def test_records_match_the_looped_laws_bit_for_bit(self, kind, n):
+        rng = np.random.default_rng(90 + n)
+        unitary = {
+            "qft": QFT,
+            "aqft": UnitarySpec.aqft(min(2, n)),
+            "hadamard": UnitarySpec.hadamard(),
+            "separable": UnitarySpec.random_separable(n, rng),
+        }[kind]
+        state = StateVector(n, haar_state(n, rng))
+        laws = looped_joint_laws(state, unitary)
+        for shots in (0, 8192):
+            for noise in (None, ReadoutNoiseModel.symmetric(n + 1, 0.025)):
+                dataset = generate_dataset(state, unitary, shots, noise=noise, seed=91)
+                children = np.random.SeedSequence(91).spawn(3 * n)
+                for rec, law, child in zip(dataset.records, laws, children, strict=True):
+                    expected = law if noise is None else corrupt_counts(law, noise)
+                    if shots:
+                        expected = sample_shots(expected, shots, child).astype(np.float64)
+                    np.testing.assert_array_equal(
+                        rec.counts.view(np.uint64), expected.view(np.uint64)
+                    )
+
+    def test_exact_run_draws_no_entropy_without_a_seed(self):
+        state = named_state("w", 3)
+        assert generate_dataset(state, QFT, 0).seed is None
+        assert generate_dataset(state, QFT, 0, seed=5).seed == 5
+        assert type(generate_dataset(state, QFT, 10).seed) is int
+
     def test_noise_model_size_checked(self):
         with pytest.raises(ValueError):
             generate_dataset(
@@ -182,8 +209,9 @@ class TestNormalizeDataset:
         state = StateVector(3, haar_state(3, np.random.default_rng(73)))
         targets = normalize_dataset(generate_dataset(state, QFT, 0))
         assert targets.shape == (18, 8)
+        laws = dict(zip(circuit_settings(3), looped_joint_laws(state, QFT), strict=True))
         for row, pid in zip(targets, projector_ids(3), strict=True):
-            p = exact_joint_distribution(state, pid.axis, pid.qubit, QFT)
+            p = laws[pid.axis, pid.qubit]
             np.testing.assert_array_equal(row, np.sqrt(p[:8] if pid.sign == 1 else p[8:]))
 
     def test_exact_path_sums_to_one(self):

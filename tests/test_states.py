@@ -7,8 +7,6 @@ import pytest
 from qptycho import (
     ProjectorId,
     StateVector,
-    UnitarySpec,
-    exact_joint_distribution,
     fidelity,
     load_state,
     projector_ids,
@@ -147,11 +145,6 @@ class TestApplyPauliProjector:
         # <y-|0>|y-> = (1/2)(1, -i)
         out = _project_amps(basis_state(1, 0).amps, "y", 0, -1)
         np.testing.assert_allclose(out, [0.5, -0.5j], atol=1e-15)
-
-    def test_out_of_range_qubit(self):
-        # The public path that projects onto a named qubit checks its range.
-        with pytest.raises(IndexError):
-            exact_joint_distribution(basis_state(1, 0), "z", 1, UnitarySpec.qft())
 
     @pytest.mark.parametrize("axis,sign", AXES_SIGNS)
     def test_idempotent(self, axis, sign):

@@ -52,6 +52,8 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_values", _qubit_counts(self.n_values))
         shots = tuple(_integer(s, "shots must hold integers", 0) for s in self.shots)
+        if not shots:
+            raise ValueError("shots must be non-empty")
         object.__setattr__(self, "shots", shots)  # 0 means exact
         for name, minimum in (("states_per_n", 1), ("runs_per_state", 1), ("master_seed", 0)):
             value = _integer(getattr(self, name), f"{name} must be an integer", minimum)
@@ -153,6 +155,8 @@ def run_aqft_study(
     """
     pie = pie if pie is not None else PieConfig(delta_beta=0.04)
     m_values = [_integer(m, "m_values must hold integers", 1) for m in m_values]
+    if not m_values:
+        raise ValueError("m_values must be non-empty")
     shots = _integer(shots, "shots must be an integer", 0)
     runs_per_state = _integer(runs_per_state, "runs_per_state must be an integer", 1)
     master_seed = _integer(master_seed, "master_seed must be an integer", 0)

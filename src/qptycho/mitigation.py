@@ -13,6 +13,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .seeding import shot_streams
 from .states import (
     _decode_array, _encode_array, _integer, _qubit_count, _read_json, _real, _write_json,
 )
@@ -94,6 +95,8 @@ def corrupt_counts(p: np.ndarray, model: ReadoutNoiseModel) -> np.ndarray:
     k = model.num_bits
     if p.shape != (1 << k,):
         raise ValueError(f"expected a length-{1 << k} vector for {k} bits, got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("distribution p must be finite")
     arr = p.reshape((2,) * k)  # axis 0 holds the most significant bit
     for i, c in enumerate(model.bit_confusions):
         axis = k - 1 - i
@@ -101,7 +104,7 @@ def corrupt_counts(p: np.ndarray, model: ReadoutNoiseModel) -> np.ndarray:
     return arr.reshape(-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationMatrix:
     """Estimated confusion matrices for the protocol's n+1 measured bits.
 
@@ -110,8 +113,8 @@ class CalibrationMatrix:
     M1 (x) Mn, intermediate bit most significant. Its singular values are
     products of the factors', so cond(M1 (x) Mn) = cond(M1) * cond(Mn).
 
-    Float64 inputs are kept as they are, not copied: at n=12 Mn alone holds
-    128 MB. Other dtypes are converted.
+    Both are read-only views of float64 inputs, not copies: at n=12 Mn alone
+    holds 128 MB. Other dtypes are converted.
     """
 
     intermediate: np.ndarray
@@ -119,16 +122,17 @@ class CalibrationMatrix:
     provenance: dict | None = None
 
     def __post_init__(self):
-        self.intermediate = np.asarray(self.intermediate, dtype=np.float64)
-        self.register = np.asarray(self.register, dtype=np.float64)
+        for name in ("intermediate", "register"):
+            mat = np.asarray(getattr(self, name), dtype=np.float64).view()
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} calibration matrix holds non-finite entries")
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
         if self.intermediate.shape != (2, 2):
             raise ValueError("intermediate calibration matrix must be 2x2")
         dim = self.register.shape[0]
         if self.register.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
             raise ValueError("register calibration matrix must be square with 2^n rows")
-        for name in ("intermediate", "register"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} calibration matrix holds non-finite entries")
 
     @property
     def n(self) -> int:
@@ -151,8 +155,8 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
     if model.num_bits != n + 1:
         raise ValueError(f"model covers {model.num_bits} bits, expected {n + 1}")
     shots = _integer(shots, "shots must be an integer", 0)
-    ss = None if shots == 0 and seed is None else np.random.SeedSequence(seed)
-    children = iter(ss.spawn((1 << n) + 2)) if shots else None
+    streams, entropy = shot_streams(seed, shots, (1 << n) + 2)
+    children = iter(streams)
 
     def estimated_matrix(bits) -> np.ndarray:
         # Exact channel: the Kronecker product of the bits' confusion
@@ -172,7 +176,7 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
     provenance = {
         "model_id": model.label,
         "shots": shots,
-        "seed": None if ss is None else int(ss.entropy),
+        "seed": entropy,
     }
     return CalibrationMatrix(intermediate, register, provenance)
 
@@ -225,6 +229,8 @@ def mitigate(record: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
     dim = cal.register.shape[0]
     if record.ndim == 0 or record.shape[-1] != 2 * dim:
         raise ValueError(f"record shape {record.shape} does not match calibration n={cal.n}")
+    if not np.all(np.isfinite(record)):
+        raise ValueError("record counts must be finite")
     # The bound (2x margin for rounding) spares the SVD; the exact value decides the rest.
     certified = _condition_bound(cal) <= MAX_CONDITION_NUMBER / 2
     if not certified and not cal.condition_number <= MAX_CONDITION_NUMBER:  # NaN fails too

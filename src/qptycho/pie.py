@@ -241,8 +241,8 @@ def _checked(jobs):
     ``(key, targets, seeds, reference)``; jobs of one key may share a pass."""
     for dataset, init_seeds, reference in jobs:
         targets = normalize_dataset(dataset)
-        n, seeds = dataset.n, list(init_seeds)
-        dataset.unitary.validate_for(n)
+        n = dataset.n
+        seeds = [_integer(seed, "init_seeds must hold integers", 0) for seed in init_seeds]
         if not seeds:
             raise ValueError("init_seeds must hold at least one seed")
         if reference is not None and reference.n != n:

@@ -8,11 +8,12 @@ significant, matching the calibration tensor order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .mitigation import CalibrationMatrix, ReadoutNoiseModel, corrupt_counts, mitigate
+from .seeding import shot_streams
 from .states import (
     PAULI_AXES,
     SIGNS,
@@ -37,7 +38,7 @@ def circuit_settings(n: int):
     return [(axis, q) for axis in PAULI_AXES for q in range(n)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitRecord:
     """Joint count vector of one circuit: length 2^(n+1), index s*2^n + j."""
 
@@ -46,14 +47,16 @@ class CircuitRecord:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.array(self.counts, dtype=np.float64)
-        if not np.all(np.isfinite(self.counts)):
+        counts = np.array(self.counts, dtype=np.float64)
+        if not np.all(np.isfinite(counts)):
             raise ValueError(f"record ({self.axis}, {self.qubit}) counts must be finite")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PtychoDataset:
-    """Counts from all 3n circuits plus the metadata needed to re-run them.
+    """Counts from all 3n circuits plus the metadata to re-run them, checked when built.
 
     ``shots_per_circuit = 0`` is the infinite-shot sentinel: records then
     hold exact outcome probabilities instead of integer counts.
@@ -62,14 +65,15 @@ class PtychoDataset:
     n: int
     unitary: UnitarySpec
     shots_per_circuit: int
-    records: list = field(default_factory=list)
+    records: tuple
     mitigated: bool = False
     seed: int | None = None
     noise_model_id: str | None = None
 
-    def validate(self):
-        expected = circuit_settings(self.n)
-        if [(r.axis, r.qubit) for r in self.records] != expected:
+    def __post_init__(self):
+        object.__setattr__(self, "records", tuple(self.records))
+        self.unitary.validate_for(self.n)
+        if [(r.axis, r.qubit) for r in self.records] != circuit_settings(self.n):
             raise ValueError(
                 f"dataset must hold {3 * self.n} records in canonical (axis, qubit) order"
             )
@@ -80,8 +84,6 @@ class PtychoDataset:
                     f"record ({rec.axis}, {rec.qubit}) has length {rec.counts.size}, "
                     f"expected {2 << self.n}"
                 )
-            if not np.all(np.isfinite(rec.counts)):
-                raise ValueError(f"record ({rec.axis}, {rec.qubit}) holds non-finite counts")
             # Only mitigation may leave negative entries (normalize_dataset clips them).
             if not self.mitigated and np.any(rec.counts < 0):
                 raise ValueError(f"record ({rec.axis}, {rec.qubit}) holds negative counts")
@@ -103,18 +105,19 @@ class PtychoDataset:
                         f"count record ({rec.axis}, {rec.qubit}) must hold integers "
                         f"summing to exactly {shots}"
                     )
-        return self
 
 
 def sample_shots(p: np.ndarray, shots: int, rng=None) -> np.ndarray:
     """One multinomial draw of ``shots`` trials over the outcome alphabet."""
     p = np.asarray(p, dtype=np.float64)
     shots = _integer(shots, "shots must be an integer", 1)
+    if p.ndim != 1:
+        raise ValueError(f"p must be one distribution (1-D), got shape {p.shape}")
     if np.any(p < -1e-12):
         raise ValueError(f"negative probability {p.min()} in distribution")
     total = p.sum()
-    if abs(total - 1.0) > _SUM_ATOL:
-        raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
+    if not abs(total - 1.0) <= _SUM_ATOL:  # NaN fails too
+        raise ValueError(f"probabilities p sum to {total}, expected 1 within 1e-9")
     p = np.clip(p, 0.0, None)
     return np.random.default_rng(rng).multinomial(shots, p / p.sum())
 
@@ -143,8 +146,7 @@ def generate_dataset(
         raise ValueError(f"noise model covers {noise.num_bits} bits, expected {n + 1}")
     if not state.is_normalized:
         raise ValueError("exact distributions require a normalized input state")
-    ss = None if shots == 0 and seed is None else np.random.SeedSequence(seed)
-    children = ss.spawn(3 * n) if shots else None
+    children, entropy = shot_streams(seed, shots, 3 * n)
     records = []
     for c, (axis, q) in enumerate(circuit_settings(n)):
         # Both sign branches go through one call, rows + then -, so the
@@ -165,9 +167,9 @@ def generate_dataset(
         shots_per_circuit=shots,
         records=records,
         mitigated=False,
-        seed=None if ss is None else int(ss.entropy),
+        seed=entropy,
         noise_model_id=noise.label if noise is not None else None,
-    ).validate()
+    )
 
 
 def mitigate_dataset(dataset: PtychoDataset, cal: CalibrationMatrix) -> PtychoDataset:
@@ -176,9 +178,9 @@ def mitigate_dataset(dataset: PtychoDataset, cal: CalibrationMatrix) -> PtychoDa
         raise ValueError(f"calibration is for n={cal.n}, dataset has n={dataset.n}")
     if dataset.mitigated:
         raise ValueError("dataset is already mitigated")
-    counts = mitigate(np.stack([rec.counts for rec in dataset.validate().records]), cal)
+    counts = mitigate(np.stack([rec.counts for rec in dataset.records]), cal)
     records = [CircuitRecord(rec.axis, rec.qubit, row) for rec, row in zip(dataset.records, counts)]
-    return replace(dataset, records=records, mitigated=True).validate()
+    return replace(dataset, records=records, mitigated=True)
 
 
 def normalize_dataset(dataset: PtychoDataset) -> np.ndarray:
@@ -191,7 +193,6 @@ def normalize_dataset(dataset: PtychoDataset) -> np.ndarray:
     be joint probabilities). Negative mitigated entries are clipped to zero
     before the square root.
     """
-    dataset.validate()
     denom = dataset.shots_per_circuit if dataset.shots_per_circuit >= 1 else 1.0
     omega = np.stack([rec.counts for rec in dataset.records]) / denom
     return np.sqrt(np.clip(omega, 0.0, None)).reshape(6 * dataset.n, 1 << dataset.n)
@@ -247,7 +248,7 @@ def dataset_from_dict(doc: dict, where: str = "dataset") -> PtychoDataset:
         mitigated=mitigated,
         seed=seed,
         noise_model_id=noise_model_id,
-    ).validate()
+    )
 
 
 def save_dataset(dataset: PtychoDataset, path):

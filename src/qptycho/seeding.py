@@ -37,3 +37,17 @@ def derive_seed(*key) -> int:
     entropy = [_key_to_int(part) for part in key]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, np.uint32)[0])
+
+
+def shot_streams(seed, shots: int, count: int) -> tuple[list, int | None]:
+    """Child seed sequences for ``count`` shot draws, and the seed a run records.
+
+    An exact (``shots = 0``) unseeded run draws no entropy: no children, and
+    None to record. Otherwise the record is the entropy of
+    ``SeedSequence(seed)`` (``seed`` itself, or fresh OS entropy for None),
+    and children are spawned only when shots are drawn.
+    """
+    if shots == 0 and seed is None:
+        return [], None
+    ss = np.random.SeedSequence(seed)
+    return ss.spawn(count) if shots else [], int(ss.entropy)

@@ -1,8 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from qptycho import pie
+from qptycho.protocol import CircuitRecord
 
 ACCEPTANCE_LINES = []
 
@@ -15,6 +17,14 @@ def peak_traced_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def with_counts(dataset, index, counts):
+    """A new dataset, built and checked like any other, that is ``dataset``
+    with record ``index`` holding ``counts``."""
+    records = list(dataset.records)
+    records[index] = CircuitRecord(records[index].axis, records[index].qubit, counts)
+    return replace(dataset, records=records)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

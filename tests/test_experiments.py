@@ -188,6 +188,14 @@ class TestSerialRowsReproduced:
 
 
 class TestHarnessArguments:
+    @pytest.mark.parametrize("run, field", [
+        (lambda: small_sweep(shots=()), "shots"),
+        (lambda: run_aqft_study((2,), ()), "m_values"),
+    ], ids=["sweep", "aqft-study"])
+    def test_empty_grids_rejected(self, run, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-empty$"):
+            run()
+
     @pytest.mark.parametrize("kwargs, field", [
         (dict(runs_per_state=0), "runs_per_state"),
         (dict(runs_per_state=2.5), "runs_per_state"),

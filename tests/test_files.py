@@ -4,6 +4,7 @@ import base64
 import json
 import re
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from qptycho import (
 )
 from qptycho.cli import main
 from qptycho.mitigation import _condition_bound
-from qptycho.protocol import dataset_to_dict
+from qptycho.protocol import CircuitRecord, dataset_to_dict
 from qptycho.states import _decode_array, _encode_array
 
 from conftest import peak_traced_bytes
@@ -51,8 +52,7 @@ def write_json(path, doc):
 
 def small_dataset(mitigated=False):
     data = generate_dataset(StateVector(1, [1, 0]), UnitarySpec.qft(), 10, seed=1)
-    data.mitigated = mitigated
-    return data
+    return replace(data, mitigated=mitigated)
 
 
 class TestArrayPayload:
@@ -347,14 +347,26 @@ def assert_round_trips(save, load, obj, path):
 
 
 def with_specials(dataset):
-    """Plant a negative entry, -0.0 and subnormals in each mitigated record,
-    moving what they replace onto its last entry so that its sum holds."""
+    """A copy of a mitigated dataset with a negative entry, -0.0 and
+    subnormals planted in each record, what they replace moved onto the
+    record's last entry so that its sum holds."""
+    records = []
     for rec in dataset.records:
-        counts = rec.counts
+        counts = rec.counts.copy()
         for k, value in enumerate((-2.5, -0.0, 5e-324, -5e-324)[: counts.size - 1]):
             counts[-1] += counts[k] - value
             counts[k] = value
-    return dataset.validate()
+        records.append(CircuitRecord(rec.axis, rec.qubit, counts))
+    return replace(dataset, records=records)
+
+
+def with_planted(cal, values):
+    """A copy of a calibration with ``values`` planted in the first entries
+    of both matrices."""
+    mats = [cal.intermediate.copy(), cal.register.copy()]
+    for mat in mats:
+        mat.flat[: len(values)] = values
+    return CalibrationMatrix(*mats, cal.provenance)
 
 
 KINDS = st.sampled_from([UnitarySpec.qft(), UnitarySpec.hadamard(), UnitarySpec.aqft(1)])
@@ -394,8 +406,7 @@ class TestRoundTrips:
             for a, b in ((loaded.intermediate, cal.intermediate), (loaded.register, cal.register)):
                 assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
             assert loaded.provenance == cal.provenance
-            for mat in (cal.intermediate, cal.register):  # the second pass has extreme entries
-                mat.flat[: len(specials)] = specials
+            cal = with_planted(cal, specials)  # the second pass has extreme entries
 
     def test_state_file_bytes_repeat(self, tmp_path):
         amps = haar_state(3, np.random.default_rng(4))
@@ -429,7 +440,7 @@ class TestOlderFiles:
 
     def test_calibration(self, tmp_path):
         cal = build_calibration(3, ReadoutNoiseModel.symmetric(4, 0.05), shots=700, seed=3)
-        cal.register.flat[:3] = [-0.0, 5e-324, -5e-324]
+        cal = with_planted(cal, [-0.0, 5e-324, -5e-324])
         doc = {"n": 3, "M1": raw_payload(cal.intermediate), "Mn": raw_payload(cal.register),
                "provenance": cal.provenance}
         loaded = load_calibration(write_json(tmp_path / "old.json", doc))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -299,6 +300,20 @@ class TestCalibrationMatrixInputs:
         m1, mn = np.array([[0.9, 0.2], [0.1, 0.8]]), np.eye(4)
         cal = CalibrationMatrix(m1, mn)
         assert np.shares_memory(cal.intermediate, m1) and np.shares_memory(cal.register, mn)
+
+    def test_a_checked_calibration_cannot_be_swapped_for_an_ill_conditioned_one(self):
+        # Reassigning Mn after the condition number was cached would let the
+        # stale value vouch for the new matrix and mitigate through it.
+        model = ReadoutNoiseModel.symmetric(3, 0.1)
+        cal = build_calibration(2, model, 0)
+        assert cal.condition_number == pytest.approx(1.953125)
+        ill = np.diag([1.0, 1.0, 1.0, 1e-13])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cal.register = ill
+        p = np.full(8, 1 / 8)
+        np.testing.assert_allclose(mitigate(corrupt_counts(p, model), cal), p)
+        with pytest.raises(np.linalg.LinAlgError, match="condition number 1.25e\\+13 exceeds 1e\\+12"):
+            mitigate(corrupt_counts(p, model), CalibrationMatrix(cal.intermediate, ill))
 
     def test_converts_other_dtypes(self):
         m1, mn = np.eye(2, dtype=np.float32), np.eye(4, dtype=np.int64)

@@ -4,6 +4,9 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qptycho
 
 PACKAGE = Path(qptycho.__file__).resolve().parent
@@ -59,3 +62,53 @@ def test_every_config_field_is_passed_by_a_caller():
         }
         unset = [f.name for f in dataclasses.fields(cls) if f.name not in passed]
         assert unset == [], cls.__name__
+
+
+def _dataset():
+    return qptycho.generate_dataset(
+        qptycho.named_state("ghz", 2), qptycho.UnitarySpec.qft(), 10, seed=1
+    )
+
+
+#: One instance of each value type that the pipeline passes between stages.
+PIPELINE_VALUES = {
+    "StateVector": lambda: qptycho.named_state("ghz", 2),
+    "ProjectorId": lambda: qptycho.ProjectorId("x", 0, 1),
+    "UnitarySpec": lambda: qptycho.UnitarySpec.random_separable(2, 0),
+    "CircuitRecord": lambda: _dataset().records[0],
+    "PtychoDataset": _dataset,
+    "CalibrationMatrix": lambda: qptycho.build_calibration(
+        2, qptycho.ReadoutNoiseModel.symmetric(3, 0.1), 10, seed=1
+    ),
+    "PieConfig": qptycho.PieConfig,
+    "SweepConfig": lambda: qptycho.SweepConfig(n_values=(2,)),
+}
+
+
+def _arrays(value):
+    """Every numpy array reachable from ``value`` through dataclass fields,
+    tuples, lists and dict values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("name", PIPELINE_VALUES)
+def test_pipeline_values_are_immutable(name):
+    value = PIPELINE_VALUES[name]()
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+    for arr in _arrays(value):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+    if name == "PtychoDataset":  # checked once, when built: no list to append to, no re-check
+        assert type(value.records) is tuple and not hasattr(value, "validate")

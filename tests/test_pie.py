@@ -26,6 +26,7 @@ from qptycho import pie
 from qptycho.pie import _correction_amps, _normalized_rows
 from qptycho.states import _project_amps
 
+from conftest import with_counts
 from oracles import basis_state, haar_state
 
 QFT = UnitarySpec.qft()
@@ -214,17 +215,15 @@ class TestCorrectionStep:
         np.testing.assert_array_equal(out, expected)
 
     def test_input_validation(self):
-        # Targets reach the step only through the engine, which validates the
-        # dataset they come from: a record of the wrong length, or negative
-        # counts that would give negative targets.
-        short = generate_dataset(named_state("psi5", 2), QFT, 64, seed=1)
-        short.records[0].counts = short.records[0].counts[:6]
-        with pytest.raises(ValueError, match="has length 6"):
-            pie_run(short)
-        negative = generate_dataset(named_state("psi5", 2), QFT, 64, seed=1)
-        negative.records[0].counts[0] = -1.0
-        with pytest.raises(ValueError, match="negative counts"):
-            pie_run(negative)
+        # Targets reach the step only from a dataset, which is checked when
+        # built: a record of the wrong length, or negative counts that would
+        # give negative targets, never reaches the engine.
+        dataset = generate_dataset(named_state("psi5", 2), QFT, 64, seed=1)
+        counts = dataset.records[0].counts
+        with pytest.raises(ValueError, match=r"record \(x, 0\) has length 6"):
+            pie_run(with_counts(dataset, 0, counts[:6]))
+        with pytest.raises(ValueError, match=r"record \(x, 0\) holds negative counts"):
+            pie_run(with_counts(dataset, 0, np.r_[-1.0, counts[1:]]))
 
 
 class TestPieRun:
@@ -416,6 +415,12 @@ class TestPieRunBatch:
         with pytest.raises(ValueError):
             pie_run_batch(dataset, PieConfig(), [])
 
+    @pytest.mark.parametrize("seeds", [[1.5], [-1], [True], ["3"], [0, np.float64(2.0)]])
+    def test_seeds_must_be_non_negative_integers(self, seeds):
+        dataset = generate_dataset(named_state("psi5", 2), QFT, 0)
+        with pytest.raises(ValueError, match="init_seeds must hold integers >= 0"):
+            pie_run_batch(dataset, PieConfig(), seeds)
+
     @settings(max_examples=20, deadline=None)
     @given(
         n=st.integers(1, 3),
@@ -448,9 +453,9 @@ class TestNonFiniteEstimates:
     def test_nan_dataset_never_reports_a_fidelity(self):
         state = named_state("psi5", 2)
         dataset = generate_dataset(state, QFT, 0)
-        dataset.records[0].counts[0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            pie_run(dataset, PieConfig(), reference=state)
+        counts = np.r_[np.nan, dataset.records[0].counts[1:]]
+        with pytest.raises(ValueError, match=r"record \(x, 0\) counts must be finite"):
+            pie_run(with_counts(dataset, 0, counts), PieConfig(), reference=state)
 
 
 def grouped_and_lone(datasets, config, seeds, states):

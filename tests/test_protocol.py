@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from qptycho import (
     sample_shots,
     save_dataset,
 )
-from qptycho.mitigation import corrupt_counts
+from qptycho.mitigation import build_calibration, corrupt_counts, mitigate
 from qptycho.protocol import CircuitRecord, PtychoDataset
 from qptycho.states import _project_amps
 
+from conftest import with_counts
 from oracles import basis_state, dense_joint_distribution, dense_qft, haar_state, looped_joint_laws
 
 QFT = UnitarySpec.qft()
@@ -106,6 +108,20 @@ class TestSampleShots:
 
     def test_numpy_integer_shots_accepted(self):
         assert sample_shots(np.array([0.5, 0.5]), np.int64(7), 1).sum() == 7
+
+
+class TestPublicEntryPoints:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sample_shots([np.nan, 1.0], 10, 0), "probabilities p sum to nan"),
+        (lambda: sample_shots([[0.6, 0.4]], 10, 0), r"p must be one distribution \(1-D\)"),
+        (lambda: corrupt_counts([np.nan, 1.0, 0.0, 0.0], ReadoutNoiseModel.identity(2)),
+         "distribution p must be finite"),
+        (lambda: mitigate([1.0, np.inf, 0.0, 0.0], build_calibration(1, ReadoutNoiseModel.identity(2), 0)),
+         "record counts must be finite"),
+    ], ids=["sample_shots-nan", "sample_shots-2d", "corrupt_counts-nan", "mitigate-inf"])
+    def test_bad_input_names_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestGenerateDataset:
@@ -235,9 +251,8 @@ class TestNormalizeDataset:
         assert targets[0][1] == 0.0  # row 0 is (x, 0, +)
 
     def test_missing_records_rejected(self):
-        dataset = PtychoDataset(n=2, unitary=QFT, shots_per_circuit=10, records=[])
-        with pytest.raises(ValueError):
-            normalize_dataset(dataset)
+        with pytest.raises(ValueError, match="must hold 6 records in canonical"):
+            normalize_dataset(PtychoDataset(n=2, unitary=QFT, shots_per_circuit=10, records=[]))
 
 
 class TestDatasetValidation:
@@ -248,49 +263,47 @@ class TestDatasetValidation:
 
     def test_noninteger_unmitigated_counts_rejected(self):
         counts = np.full(4, 2.5)
-        dataset = PtychoDataset(
-            n=1,
-            unitary=QFT,
-            shots_per_circuit=10,
-            records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
-        )
-        with pytest.raises(ValueError):
-            dataset.validate()
+        with pytest.raises(ValueError, match=r"\(x, 0\) must hold integers summing to exactly 10"):
+            PtychoDataset(
+                n=1,
+                unitary=QFT,
+                shots_per_circuit=10,
+                records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
+            )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_counts_rejected(self, bad):
+        # The record's own check refuses them, so no dataset of any kind holds one.
         for shots, mitigated in ((0, False), (1000, False), (1000, True)):
             dataset = generate_dataset(named_state("ghz", 2), QFT, shots, seed=3)
-            dataset.mitigated = mitigated
-            dataset.records[2].counts[1] = bad
-            with pytest.raises(ValueError, match="non-finite"):
-                dataset.validate()
+            counts = dataset.records[2].counts.copy()
+            counts[1] = bad
+            with pytest.raises(ValueError, match=r"record \(y, 0\) counts must be finite"):
+                with_counts(replace(dataset, mitigated=mitigated), 2, counts)
 
     def test_negative_raw_and_exact_entries_rejected(self):
         # Same totals as a valid record, so only the sign check can fire.
         raw = np.array([600.0, 500.0, -100.0, 0.0])
         exact = np.array([0.6, 0.5, -0.1, 0.0])
         for shots, counts in ((1000, raw), (0, exact)):
-            dataset = PtychoDataset(
-                n=1,
-                unitary=QFT,
-                shots_per_circuit=shots,
-                records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
-            )
-            with pytest.raises(ValueError, match="negative"):
-                dataset.validate()
+            with pytest.raises(ValueError, match=r"\(x, 0\) holds negative counts"):
+                PtychoDataset(
+                    n=1,
+                    unitary=QFT,
+                    shots_per_circuit=shots,
+                    records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
+                )
 
     def test_mitigated_sum_tolerance(self):
         counts = np.array([600.0, 500.0, -50.0, -49.0])
-        dataset = PtychoDataset(
-            n=1,
-            unitary=QFT,
-            shots_per_circuit=1000,
-            records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
-            mitigated=True,
-        )
-        with pytest.raises(ValueError):
-            dataset.validate()
+        with pytest.raises(ValueError, match=r"sums to 1001.0, expected 1000 within rel. 1e-6"):
+            PtychoDataset(
+                n=1,
+                unitary=QFT,
+                shots_per_circuit=1000,
+                records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
+                mitigated=True,
+            )
 
 
 class TestDatasetFiles:

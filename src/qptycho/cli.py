@@ -34,7 +34,7 @@ from .protocol import (
 )
 from .seeding import derive_seed
 from .stateprep import named_state, random_arbitrary, random_separable
-from .states import _integer, _read_json, load_state, save_state
+from .states import _integer, _json_object, _load, load_state, save_state
 from .transforms import UnitarySpec
 
 
@@ -46,43 +46,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(json.dumps({"error": message}), file=sys.stderr)
         raise SystemExit(2)
-
-
-def _aqft_degree(text: str) -> int:
-    """The degree m of ``aqft:<m>``."""
-    try:
-        return int(text.split(":", 1)[1])
-    except ValueError:
-        raise CliError(f"bad aqft degree in {text!r}; use aqft:<m>")
-
-
-def parse_unitary(text: str, n: int, seed) -> UnitarySpec:
-    """Parse qft | aqft:<m> | hadamard | separable into a spec for n qubits.
-
-    The separable kind draws its per-qubit angles deterministically from the
-    command seed; the angles end up serialized in the dataset file.
-    """
-    text = text.lower()
-    if text == "qft":
-        return UnitarySpec.qft()
-    if text == "hadamard":
-        return UnitarySpec.hadamard()
-    if text.startswith("aqft:"):
-        return UnitarySpec.aqft(_aqft_degree(text))
-    if text == "separable":
-        return UnitarySpec.random_separable(
-            n, derive_seed(seed if seed is not None else 0, "separable-unitary", n)
-        )
-    raise CliError(f"unknown unitary {text!r}; use qft, aqft:<m>, hadamard, or separable")
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise CliError("config file must hold a JSON object")
-    return doc
 
 
 def _require(value, flag: str):
@@ -207,7 +170,9 @@ def _cmd_prepare_state(opts):
 
 def _cmd_run_protocol(opts):
     state = load_state(_require(opts.state, "--state"))
-    unitary = parse_unitary(opts.unitary, state.n, opts.seed)
+    # A separable basis draws its angles from the command seed; the dataset file keeps them.
+    seed = derive_seed(opts.seed if opts.seed is not None else 0, "separable-unitary", state.n)
+    unitary = UnitarySpec.parse(opts.unitary, state.n, seed)
     eps = opts.readout_error
     noise = ReadoutNoiseModel.symmetric(state.n + 1, eps) if eps is not None else None
     dataset = generate_dataset(state, unitary, opts.shots, noise=noise, seed=opts.seed)
@@ -255,9 +220,6 @@ def _cmd_estimate(opts):
 
 
 def _cmd_sweep(opts):
-    family, aqft_m = opts.unitary.lower(), None
-    if family.startswith("aqft:"):
-        family, aqft_m = "aqft", _aqft_degree(family)
     count = 100 if opts.full_scale else 20
     sweep_cfg = SweepConfig(
         n_values=tuple(_require(opts.qubits, "--qubits")),
@@ -265,8 +227,7 @@ def _cmd_sweep(opts):
         states_per_n=count if opts.states is None else opts.states,
         runs_per_state=count if opts.runs is None else opts.runs,
         shots=tuple(opts.shots),
-        unitary_family=family,
-        aqft_m=aqft_m,
+        unitary_family=opts.unitary,
         pie=PieConfig(beta0=opts.beta0, delta_beta=opts.delta_beta, iterations=opts.iterations),
         master_seed=opts.seed,
     )
@@ -313,13 +274,11 @@ def main(argv=None) -> int:
     try:
         # Flags given win over the config file, which wins over the defaults.
         given = {name: value for name, value in vars(args).items() if value is not None}
-        config = _load_config(args.config)
+        config = {} if args.config is None else _load(args.config, "config", _json_object)
         opts = argparse.Namespace(**{**vars(args), **_DEFAULTS[args.command], **config, **given})
         _require(opts.out, "--out")
         _COMMANDS[args.command](opts)
         print(f"wrote {opts.out}")
-    except SystemExit:
-        raise
     except Exception as exc:  # deliberate catch-all: one JSON error line, nonzero exit
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from .seeding import derive_seed
 from .stateprep import random_arbitrary, random_separable, table_states
 from .states import _integer
 from .states import _write_csv as write_csv  # the CLI's table writer
-from .transforms import KINDS, UnitarySpec
+from .transforms import UnitarySpec
 
 MAX_QUBITS = 16
 
@@ -37,7 +37,8 @@ def _qubit_counts(n_values) -> tuple:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid description for :func:`run_fidelity_sweep`."""
+    """Grid description for :func:`run_fidelity_sweep`. ``unitary_family`` is
+    spelled as :meth:`UnitarySpec.parse` reads it, e.g. ``"aqft:2"``."""
 
     n_values: tuple
     ensemble: str = "arbitrary"
@@ -45,7 +46,6 @@ class SweepConfig:
     runs_per_state: int = 20
     shots: tuple = (2**13,)
     unitary_family: str = "qft"
-    aqft_m: int | None = None
     pie: PieConfig = field(default_factory=lambda: PieConfig(delta_beta=0.1))
     master_seed: int = 0
 
@@ -60,11 +60,8 @@ class SweepConfig:
             object.__setattr__(self, name, value)
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"ensemble must be one of {ENSEMBLES}, got {self.ensemble!r}")
-        if self.unitary_family not in KINDS:
-            raise ValueError(f"unknown unitary family {self.unitary_family!r}")
-        if self.unitary_family == "aqft":
-            # The degree's own checks, against every qubit count of the grid.
-            UnitarySpec.aqft(self.aqft_m).validate_for(min(self.n_values))
+        # Checked against the smallest n: a degree that fits it fits every n.
+        UnitarySpec.parse(self.unitary_family, min(self.n_values), 0)
 
 
 def _draw_states(cfg: SweepConfig, n: int):
@@ -75,19 +72,6 @@ def _draw_states(cfg: SweepConfig, n: int):
         (f"{cfg.ensemble}-{idx}", draw(n, derive_seed(cfg.master_seed, "state", n, idx)))
         for idx in range(cfg.states_per_n)
     ]
-
-
-def _resolve_unitary(cfg: SweepConfig, n: int, state_idx: int) -> UnitarySpec:
-    if cfg.unitary_family == "qft":
-        return UnitarySpec.qft()
-    if cfg.unitary_family == "aqft":
-        return UnitarySpec.aqft(cfg.aqft_m)
-    if cfg.unitary_family == "hadamard":
-        return UnitarySpec.hadamard()
-    # A fresh random separable basis per state, as in the measurement studies.
-    return UnitarySpec.random_separable(
-        n, derive_seed(cfg.master_seed, "unitary", n, state_idx)
-    )
 
 
 def _cell_fidelities(jobs, shots: int, runs: int, master_seed: int, pie: PieConfig, prefix=""):
@@ -128,10 +112,15 @@ def run_fidelity_sweep(cfg: SweepConfig):
     rows = []
     for n in cfg.n_values:
         states = [state for _, state in _draw_states(cfg, n)]
+        # A separable family draws a fresh basis per state, as in the measurement studies.
+        unitaries = [
+            UnitarySpec.parse(cfg.unitary_family, n, derive_seed(cfg.master_seed, "unitary", n, idx))
+            for idx in range(len(states))
+        ]
         for shots in cfg.shots:
             jobs = (
-                (state, _resolve_unitary(cfg, n, idx), (n, idx, shots))
-                for idx, state in enumerate(states)
+                (state, unitary, (n, idx, shots))
+                for idx, (state, unitary) in enumerate(zip(states, unitaries))
             )
             fids = _cell_fidelities(jobs, shots, cfg.runs_per_state, cfg.master_seed, cfg.pie)
             rows.append((n, shots, *_mean_std([float(np.mean(f)) for f in fids])))

@@ -8,6 +8,7 @@ M1 (x) Mn through its factors, never forming the 2^(n+1)-square product.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .seeding import shot_streams
 from .states import (
-    _decode_array, _encode_array, _integer, _qubit_count, _read_json, _real, _write_json,
+    _decode_array, _encode_array, _integer, _load, _qubit_count, _real, _write_json,
 )
 
 #: Refuse to mitigate through a calibration matrix worse-conditioned than this.
@@ -104,6 +105,18 @@ def corrupt_counts(p: np.ndarray, model: ReadoutNoiseModel) -> np.ndarray:
     return arr.reshape(-1)
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change; it still equals a dict, and ``json`` writes it as one."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("provenance is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # copy and pickle rebuild it whole, not key by key
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class CalibrationMatrix:
     """Estimated confusion matrices for the protocol's n+1 measured bits.
@@ -114,12 +127,13 @@ class CalibrationMatrix:
     products of the factors', so cond(M1 (x) Mn) = cond(M1) * cond(Mn).
 
     Both are read-only views of float64 inputs, not copies: at n=12 Mn alone
-    holds 128 MB. Other dtypes are converted.
+    holds 128 MB. Other dtypes are converted. ``provenance``, a mapping or
+    None, is kept as a read-only copy of its top level.
     """
 
     intermediate: np.ndarray
     register: np.ndarray
-    provenance: dict | None = None
+    provenance: Mapping | None = None
 
     def __post_init__(self):
         for name in ("intermediate", "register"):
@@ -133,6 +147,11 @@ class CalibrationMatrix:
         dim = self.register.shape[0]
         if self.register.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
             raise ValueError("register calibration matrix must be square with 2^n rows")
+        provenance = self.provenance
+        if provenance is not None and not isinstance(provenance, Mapping):
+            raise ValueError(f"provenance must be an object or null, got {type(provenance).__name__}")
+        if provenance is not None:
+            object.__setattr__(self, "provenance", _ReadOnlyDict(provenance))
 
     @property
     def n(self) -> int:
@@ -173,11 +192,7 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
 
     register = estimated_matrix(range(n))  # spends the first 2^n seed children
     intermediate = estimated_matrix([n])
-    provenance = {
-        "model_id": model.label,
-        "shots": shots,
-        "seed": entropy,
-    }
+    provenance = {"model_id": model.label, "shots": shots, "seed": entropy}
     return CalibrationMatrix(intermediate, register, provenance)
 
 
@@ -257,20 +272,23 @@ def save_calibration(cal: CalibrationMatrix, path):
     _write_json(doc, path)
 
 
-def load_calibration(path) -> CalibrationMatrix:
-    where = f"calibration file {path}"
-    doc = _read_json(path)
-    n = _qubit_count(doc, where)
+def calibration_from_dict(doc: dict) -> CalibrationMatrix:
+    """Inverse of the document :func:`save_calibration` writes."""
+    n = _qubit_count(doc)
     entries = {}
     for key, size in (("M1", 4), ("Mn", 4**n)):
-        values = _decode_array(doc.get(key), f"{where}: {key}", size).ravel()
+        values = _decode_array(doc.get(key), key, size).ravel()
         if values.size != size:
-            raise ValueError(f"{where}: {key} has {values.size} entries, expected {size} for n={n}")
+            raise ValueError(f"{key} has {values.size} entries, expected {size} for n={n}")
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"{where}: {key} holds non-finite entries")
+            raise ValueError(f"{key} holds non-finite entries")
         entries[key] = values
     return CalibrationMatrix(
         entries["M1"].reshape(2, 2),
         entries["Mn"].reshape(1 << n, 1 << n),
         doc.get("provenance"),
     )
+
+
+def load_calibration(path) -> CalibrationMatrix:
+    return _load(path, "calibration", calibration_from_dict)

@@ -21,9 +21,9 @@ from .states import (
     _decode_array,
     _encode_array,
     _integer,
+    _load,
     _project_amps,
     _qubit_count,
-    _read_json,
     _write_csv,
     _write_json,
 )
@@ -47,6 +47,7 @@ class CircuitRecord:
     counts: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index must be an integer", 0))
         counts = np.array(self.counts, dtype=np.float64)
         if not np.all(np.isfinite(counts)):
             raise ValueError(f"record ({self.axis}, {self.qubit}) counts must be finite")
@@ -71,18 +72,32 @@ class PtychoDataset:
     noise_model_id: str | None = None
 
     def __post_init__(self):
+        n = _integer(self.n, "n must be an integer", 1)
+        shots = _integer(self.shots_per_circuit, "shots must be an integer", 0)
+        if not isinstance(self.mitigated, bool):
+            raise ValueError(f"mitigated must be true or false, got {self.mitigated!r}")
+        seed = self.seed
+        if seed is not None:
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+                raise ValueError(f"seed must be an integer or null, got {seed!r}")
+            seed = int(seed)
+        noise_model_id = self.noise_model_id
+        if noise_model_id is not None and not isinstance(noise_model_id, str):
+            raise ValueError(f"noise_model_id must be a string or null, got {noise_model_id!r}")
+        if not isinstance(self.unitary, UnitarySpec):
+            raise ValueError(f"unitary must be a UnitarySpec, got {type(self.unitary).__name__}")
+        self.unitary.validate_for(n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shots_per_circuit", shots)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "records", tuple(self.records))
-        self.unitary.validate_for(self.n)
-        if [(r.axis, r.qubit) for r in self.records] != circuit_settings(self.n):
-            raise ValueError(
-                f"dataset must hold {3 * self.n} records in canonical (axis, qubit) order"
-            )
-        shots = self.shots_per_circuit
+        if [(r.axis, r.qubit) for r in self.records] != circuit_settings(n):
+            raise ValueError(f"dataset must hold {3 * n} records in canonical (axis, qubit) order")
         for rec in self.records:
-            if rec.counts.shape != (2 << self.n,):
+            if rec.counts.shape != (2 << n,):
                 raise ValueError(
                     f"record ({rec.axis}, {rec.qubit}) has length {rec.counts.size}, "
-                    f"expected {2 << self.n}"
+                    f"expected {2 << n}"
                 )
             # Only mitigation may leave negative entries (normalize_dataset clips them).
             if not self.mitigated and np.any(rec.counts < 0):
@@ -217,37 +232,26 @@ def dataset_to_dict(dataset: PtychoDataset) -> dict:
     }
 
 
-def dataset_from_dict(doc: dict, where: str = "dataset") -> PtychoDataset:
-    n = _qubit_count(doc, where)
-    shots = _integer(doc.get("shots"), f"{where}: shots must be an integer", 0)
-    mitigated, entries = doc.get("mitigated", False), doc.get("records")
-    if not isinstance(mitigated, bool):
-        raise ValueError(f"{where}: mitigated must be true or false, got {mitigated!r}")
-    if not isinstance(doc.get("unitary"), dict):
-        raise ValueError(f"{where}: unitary must be an object")
-    seed, noise_model_id = doc.get("seed"), doc.get("noise_model_id")
-    if seed is not None and type(seed) is not int:
-        raise ValueError(f"{where}: seed must be an integer or null, got {seed!r}")
-    if noise_model_id is not None and not isinstance(noise_model_id, str):
-        raise ValueError(
-            f"{where}: noise_model_id must be a string or null, got {noise_model_id!r}"
-        )
+def dataset_from_dict(doc: dict) -> PtychoDataset:
+    """Inverse of :func:`dataset_to_dict`. Checks the document's shape here
+    and leaves every field's own check to the types it builds."""
+    n, entries = _qubit_count(doc), doc.get("records")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f"{where}: records must be a list of objects")
+        raise ValueError("records must be a list of objects")
     records = []
     for i, entry in enumerate(entries):
         if type(entry.get("q")) is not int:
-            raise ValueError(f"{where}: records[{i}].q must be an integer")
-        counts = _decode_array(entry.get("counts"), f"{where}: records[{i}].counts", 2 << n)
+            raise ValueError(f"records[{i}].q must be an integer")
+        counts = _decode_array(entry.get("counts"), f"records[{i}].counts", 2 << n)
         records.append(CircuitRecord(entry.get("xi"), entry["q"], counts))
     return PtychoDataset(
         n=n,
-        unitary=UnitarySpec.from_dict(doc["unitary"], f"{where}: unitary"),
-        shots_per_circuit=shots,
+        unitary=UnitarySpec.from_dict(doc.get("unitary")),
+        shots_per_circuit=doc.get("shots"),
         records=records,
-        mitigated=mitigated,
-        seed=seed,
-        noise_model_id=noise_model_id,
+        mitigated=doc.get("mitigated", False),
+        seed=doc.get("seed"),
+        noise_model_id=doc.get("noise_model_id"),
     )
 
 
@@ -256,7 +260,7 @@ def save_dataset(dataset: PtychoDataset, path):
 
 
 def load_dataset(path) -> PtychoDataset:
-    return dataset_from_dict(_read_json(path), f"dataset file {path}")
+    return _load(path, "dataset", dataset_from_dict)
 
 
 def dataset_to_csv(dataset: PtychoDataset, path):

@@ -181,52 +181,52 @@ def _inflate_into(data: bytes, dest: np.ndarray) -> int:
     return total
 
 
-def _decode_array(value, where: str, size: int | None = None) -> np.ndarray:
+def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
     """Owned, writable, C-contiguous float64 array from a payload object or
     from a plain JSON list of numbers, the form that older files hold. A
     payload without ``encoding`` holds the raw bytes, as older files do.
 
     ``size`` is the entry count the reader expects: a payload whose shape
     declares more is refused before its buffer is allocated. A smaller one
-    decodes, and the reader's own length check names it."""
+    decodes, and the length check of the value built from it names it."""
     if isinstance(value, list):
         try:
             arr = np.array(value)
         except ValueError:
             arr = None  # ragged nesting
         if arr is None or arr.dtype.kind not in "fiu":
-            raise ValueError(f"{where} must be a list of numbers")
+            raise ValueError(f"{field} must be a list of numbers")
         return arr.astype(np.float64)
     if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a payload object or a list of numbers")
+        raise ValueError(f"{field} must be a payload object or a list of numbers")
     if value.get("dtype") != _PAYLOAD_DTYPE:
-        raise ValueError(f"{where}: dtype must be {_PAYLOAD_DTYPE!r}, got {value.get('dtype')!r}")
+        raise ValueError(f"{field}: dtype must be {_PAYLOAD_DTYPE!r}, got {value.get('dtype')!r}")
     shape = value.get("shape")
     if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-        raise ValueError(f"{where}: shape must be a list of integers >= 0, got {shape!r}")
+        raise ValueError(f"{field}: shape must be a list of integers >= 0, got {shape!r}")
     count = math.prod(shape)
     if size is not None and count > size:
-        raise ValueError(f"{where}: shape {shape} declares {count} entries, expected {size}")
+        raise ValueError(f"{field}: shape {shape} declares {count} entries, expected {size}")
     encoding = value.get("encoding")
     if encoding not in (None, "zlib"):
-        raise ValueError(f"{where}: encoding must be 'zlib' or absent, got {encoding!r}")
+        raise ValueError(f"{field}: encoding must be 'zlib' or absent, got {encoding!r}")
     try:
         raw = base64.b64decode(value.get("data"), validate=True)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: data is not valid base64 ({exc})") from None
+        raise ValueError(f"{field}: data is not valid base64 ({exc})") from None
     out = np.empty(shape, dtype=_PAYLOAD_DTYPE)
     dest = out.reshape(-1).view(np.uint8)
     if encoding == "zlib":
         try:
             length = _inflate_into(raw, dest)
         except zlib.error as exc:
-            raise ValueError(f"{where}: data is not a valid zlib stream ({exc})") from None
+            raise ValueError(f"{field}: data is not a valid zlib stream ({exc})") from None
     else:
         length = len(raw)
         if length == dest.size:
             dest[:] = np.frombuffer(raw, np.uint8)
     if length != dest.size:
-        raise ValueError(f"{where}: data holds {length} bytes, shape {shape} needs {dest.size}")
+        raise ValueError(f"{field}: data holds {length} bytes, shape {shape} needs {dest.size}")
     return out.astype(np.float64, copy=False)  # a copy only where float64 is big-endian
 
 
@@ -248,18 +248,29 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_json(path):
-    """The JSON value held in the file ``path``."""
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _qubit_count(doc, where: str) -> int:
-    """Check that a file document is a JSON object and return its ``n``,
-    an integer >= 1 (a JSON ``true`` is not an integer here)."""
+def _json_object(doc) -> dict:
+    """``doc`` if it is a JSON object (a dict)."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    return _integer(doc.get("n"), f"{where}: n must be an integer", 1)
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _qubit_count(doc) -> int:
+    """The ``n`` of a JSON-object document: an integer >= 1 (``true`` is not)."""
+    return _integer(_json_object(doc).get("n"), "n must be an integer", 1)
+
+
+def _load(path, kind: str, from_dict):
+    """``from_dict`` of the JSON document in the file ``path``: the one reader
+    of every file the package reads. Any ``ValueError`` on the way, a JSON
+    syntax error or a check of the built value included, is raised again as
+    ``"<kind> file <path>: <message>"``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        return from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{kind} file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +285,11 @@ def state_to_dict(state: StateVector) -> dict:
     }
 
 
-def state_from_dict(data: dict, where: str = "state") -> StateVector:
-    n = _qubit_count(data, where)
-    pairs = _decode_array(data.get("amps"), f"{where}: amps", 2 << n)
+def state_from_dict(data: dict) -> StateVector:
+    n = _qubit_count(data)
+    pairs = _decode_array(data.get("amps"), "amps", 2 << n)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"{where}: amps must be a list of [re, im] pairs")
-    if len(pairs) != (1 << n):
-        raise ValueError(
-            f"{where}: amps holds {len(pairs)} amplitudes, expected {1 << n} for n={n}"
-        )
+        raise ValueError("amps must be a list of [re, im] pairs")
     return StateVector(n, pairs.view(np.complex128)[:, 0])
 
 
@@ -294,4 +301,4 @@ def save_state(state: StateVector, path, provenance: dict | None = None):
 
 
 def load_state(path) -> StateVector:
-    return state_from_dict(_read_json(path), f"state file {path}")
+    return _load(path, "state", state_from_dict)

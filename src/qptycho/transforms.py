@@ -236,12 +236,33 @@ class UnitarySpec:
         return doc
 
     @classmethod
-    def from_dict(cls, data: dict, where: str = "unitary") -> "UnitarySpec":
+    def from_dict(cls, data: dict) -> "UnitarySpec":
         """Inverse of :meth:`to_dict`. A malformed document raises a
-        ValueError that starts with ``where`` and names the field."""
+        ValueError that starts with ``unitary`` and names the field."""
         if not isinstance(data, dict):
-            raise ValueError(f"{where} must be an object, got {type(data).__name__}")
+            raise ValueError(f"unitary must be an object, got {type(data).__name__}")
         try:
             return cls(data.get("kind"), m=data.get("m"), angles=data.get("angles"))
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            raise ValueError(f"unitary: {exc}") from None
+
+    @classmethod
+    def parse(cls, text, n: int, seed) -> "UnitarySpec":
+        """The spec that ``text`` names for n qubits, checked against n:
+        ``qft``, ``aqft:<m>``, ``hadamard`` or ``separable``, in any case.
+        The separable kind draws its angles from ``seed`` (any seed that
+        :meth:`random_separable` takes)."""
+        kind, colon, degree = str(text).lower().partition(":")
+        if kind == "aqft":
+            try:
+                m = int(degree)
+            except ValueError:
+                hint = "use aqft:<m> with an integer degree m >= 1"
+                raise ValueError(f"bad aqft degree in {text!r}; {hint}") from None
+            spec = cls.aqft(m)
+        elif kind in KINDS and not colon:
+            spec = cls.random_separable(n, seed) if kind == "separable" else cls(kind)
+        else:
+            raise ValueError(f"unknown unitary {text!r}; use qft, aqft:<m>, hadamard, or separable")
+        spec.validate_for(n)
+        return spec

@@ -58,16 +58,16 @@ class TestSweepConfig:
         assert (cfg.n_values, cfg.shots, cfg.states_per_n) == ((2,), (0,), 2)
         assert all(type(v) is int for v in (cfg.n_values[0], cfg.shots[0], cfg.states_per_n))
 
-    @pytest.mark.parametrize("aqft_m", [2.5, True, "2", 0])
-    def test_rejects_non_integer_aqft_degree(self, aqft_m):
+    @pytest.mark.parametrize("family", ["aqft:2.5", "aqft:x", "aqft:0", "aqft"])
+    def test_rejects_non_integer_aqft_degree(self, family):
         with pytest.raises(ValueError, match="integer degree m >= 1"):
-            small_sweep(unitary_family="aqft", aqft_m=aqft_m)
+            small_sweep(unitary_family=family)
 
     def test_rejects_aqft_degree_above_the_smallest_qubit_count(self):
         # n_values=(2, 3): degree 3 fits n=3 but not n=2, so no cell may run.
         with pytest.raises(ValueError, match="m=3 exceeds qubit count n=2"):
-            small_sweep(unitary_family="aqft", aqft_m=3)
-        assert small_sweep(unitary_family="aqft", aqft_m=2).aqft_m == 2
+            small_sweep(unitary_family="aqft:3", n_values=(2, 3))
+        assert small_sweep(unitary_family="aqft:2", n_values=(2, 3)).unitary_family == "aqft:2"
 
 
 class TestFidelitySweep:

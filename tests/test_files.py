@@ -327,6 +327,94 @@ class TestMetadataChecks:
         assert (loaded.seed, loaded.noise_model_id) == (seed, noise_model_id)
 
 
+class TestDatasetOwnsItsChecks:
+    """A dataset built directly refuses what the reader refuses, with the same
+    message; the reader adds only the file's name."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mitigated", "no", "mitigated must be true or false, got 'no'"),
+        ("seed", "x", "seed must be an integer or null, got 'x'"),
+        ("shots_per_circuit", 10.0, "shots must be an integer >= 0, got 10.0"),
+        ("n", True, "n must be an integer >= 1, got True"),
+        ("noise_model_id", 5, "noise_model_id must be a string or null, got 5"),
+        ("unitary", {"kind": "qft"}, "unitary must be a UnitarySpec, got dict"),
+    ])
+    def test_built_dataset_rejects_bad_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(small_dataset(), **{field: value})
+
+    def test_record_rejects_a_bool_qubit(self):
+        # True == 1 would pass the canonical-order check and save a file that
+        # no reader loads.
+        with pytest.raises(ValueError, match="qubit index must be an integer >= 0, got True"):
+            CircuitRecord("x", True, [10.0, 0.0])
+
+    @pytest.mark.parametrize("field", ["n", "shots_per_circuit", "seed", "qubit"])
+    def test_numpy_integers_round_trip(self, tmp_path, field):
+        data = generate_dataset(StateVector(2, [1, 0, 0, 0]), UnitarySpec.qft(), 10, seed=1)
+        if field == "qubit":
+            records = [CircuitRecord(r.axis, np.int64(r.qubit), r.counts) for r in data.records]
+            built = replace(data, records=records)
+        else:
+            built = replace(data, **{field: np.int64(getattr(data, field))})
+        assert all(type(v) is int for v in (built.n, built.shots_per_circuit, built.seed))
+        assert all(type(r.qubit) is int for r in built.records)
+        path = tmp_path / "d.json"
+        assert_datasets_equal(assert_round_trips(save_dataset, load_dataset, built, path), built)
+
+
+def _not_json(path):
+    path.write_text('{"n": 2,')
+    return path
+
+
+def _aqft_degree_above_n(path):
+    doc = dataset_to_dict(generate_dataset(StateVector(2, [1, 0, 0, 0]), UnitarySpec.qft(), 10, seed=1))
+    doc["unitary"] = {"kind": "aqft", "m": 3}
+    return write_json(path, doc)
+
+
+def _five_records(path):
+    doc = dataset_to_dict(generate_dataset(StateVector(2, [1, 0, 0, 0]), UnitarySpec.qft(), 10, seed=1))
+    del doc["records"][-1]
+    return write_json(path, doc)
+
+
+BAD_FILES = {
+    "not JSON": (_not_json, "Expecting"),
+    "aqft m=3 at n=2": (_aqft_degree_above_n, "aqft degree m=3 exceeds qubit count n=2"),
+    "5 records at n=2": (_five_records, "dataset must hold 6 records in canonical"),
+}
+
+
+class TestEveryReaderNamesTheFile:
+    @pytest.mark.parametrize("case", BAD_FILES)
+    def test_readers(self, tmp_path, case):
+        make, message = BAD_FILES[case]
+        path = make(tmp_path / "bad.json")
+        for reader, kind in ((load_state, "state"), (load_dataset, "dataset"),
+                             (load_calibration, "calibration")):
+            with pytest.raises(ValueError, match=rf"^{kind} file {re.escape(str(path))}: "):
+                reader(path)
+        with pytest.raises(ValueError, match=rf"^dataset file {re.escape(str(path))}: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("case", BAD_FILES)
+    def test_cli_data_and_config(self, tmp_path, capsys, case):
+        make, message = BAD_FILES[case]
+        path = make(tmp_path / "bad.json")
+        out = str(tmp_path / "e.json")
+        assert main(["estimate", "--data", str(path), "--out", out]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"ValueError: dataset file {path}: {message}")
+        # A dataset document is a JSON object, so only a file that is not JSON
+        # fails as a config file.
+        config = path if case == "not JSON" else write_json(tmp_path / "list.json", [1])
+        assert main(["estimate", "--config", str(config), "--data", str(path), "--out", out]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"ValueError: config file {config}: ")
+
+
 def assert_datasets_equal(a, b):
     assert (a.n, a.unitary, a.shots_per_circuit, a.mitigated, a.seed, a.noise_model_id) == (
         b.n, b.unitary, b.shots_per_circuit, b.mitigated, b.seed, b.noise_model_id)

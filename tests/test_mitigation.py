@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -410,6 +411,43 @@ class TestCalibrationFile:
         np.testing.assert_allclose(loaded.register, cal.register)
         np.testing.assert_allclose(loaded.intermediate, cal.intermediate)
         assert loaded.provenance["shots"] == 500
+
+    def test_provenance_is_read_only(self, tmp_path):
+        cal = build_calibration(1, ReadoutNoiseModel.symmetric(2, 0.125), shots=0)
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        save_calibration(cal, before)
+        for change in (lambda p: p.__setitem__("seed", 99), lambda p: p.update(seed=99),
+                       lambda p: p.pop("seed"), lambda p: p.clear()):
+            with pytest.raises(TypeError, match="provenance is read-only"):
+                change(cal.provenance)
+        assert cal.provenance == {"model_id": "symmetric-0.125", "shots": 0, "seed": None}
+        save_calibration(cal, after)
+        assert after.read_bytes() == before.read_bytes()
+        # The provenance block as the package wrote it before it became read-only.
+        assert before.read_text().endswith(
+            '  "provenance": {\n    "model_id": "symmetric-0.125",\n    "shots": 0,\n'
+            '    "seed": null\n  }\n}\n'
+        )
+
+    def test_provenance_is_a_copy(self):
+        source = {"model_id": "lab", "shots": 5}
+        cal = CalibrationMatrix(np.eye(2), np.eye(2), source)
+        source["shots"] = 6
+        assert cal.provenance == {"model_id": "lab", "shots": 5}
+        assert dataclasses.replace(cal).provenance == cal.provenance
+        assert copy.deepcopy(cal).provenance == cal.provenance  # rebuilt whole, not key by key
+
+    @pytest.mark.parametrize("provenance", [["seed", 1], "lab", 5])
+    def test_provenance_must_be_an_object_or_null(self, tmp_path, provenance):
+        with pytest.raises(ValueError, match="provenance must be an object or null"):
+            CalibrationMatrix(np.eye(2), np.eye(2), provenance)
+        path = tmp_path / "cal.json"
+        save_calibration(CalibrationMatrix(np.eye(2), np.eye(2)), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, provenance=provenance)))
+        with pytest.raises(ValueError, match=rf"^calibration file .*cal\.json: provenance must be "
+                                             rf"an object or null, got {type(provenance).__name__}$"):
+            load_calibration(path)
 
     @pytest.mark.parametrize(
         "change, message",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,26 @@ class TestUnitarySpec:
             UnitarySpec("dft")
         with pytest.raises(ValueError):
             UnitarySpec.aqft(4).validate_for(2)
+
+    @pytest.mark.parametrize("text, spec", [
+        ("qft", UnitarySpec.qft()), ("AQFT:2", UnitarySpec.aqft(2)), ("aqft:3", UnitarySpec.aqft(3)),
+        ("Hadamard", UnitarySpec.hadamard()), ("separable", UnitarySpec.random_separable(3, 9)),
+    ])
+    def test_parse_reads_every_spelling(self, text, spec):
+        # The separable angles are drawn from the seed given, as random_separable draws them.
+        assert UnitarySpec.parse(text, 3, 9) == spec
+
+    @pytest.mark.parametrize("text, message", [
+        ("aqft:4", "aqft degree m=4 exceeds qubit count n=3"),
+        ("aqft:x", "bad aqft degree in 'aqft:x'; use aqft:<m> with an integer degree m >= 1"),
+        ("aqft:-1", "aqft requires an integer degree m >= 1, got -1"),
+        ("qft:2", "unknown unitary 'qft:2'; use qft, aqft:<m>, hadamard, or separable"),
+        ("dft", "unknown unitary 'dft'"),
+        (None, "unknown unitary None"),
+    ])
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            UnitarySpec.parse(text, 3, 9)
 
     def test_random_separable_angles_pinned(self):
         # Literals captured before the angle draw was shared with

@@ -7,12 +7,7 @@ iterative phase-retrieval engine, reporting fidelity and trace-distance
 convergence.
 """
 
-from .experiments import (
-    SweepConfig,
-    run_aqft_study,
-    run_fidelity_sweep,
-    run_timing_bench,
-)
+from .experiments import SweepConfig, run_aqft_study, run_fidelity_sweep
 from .mitigation import (
     CalibrationMatrix,
     ReadoutNoiseModel,
@@ -100,7 +95,6 @@ __all__ = [
     "random_separable",
     "run_aqft_study",
     "run_fidelity_sweep",
-    "run_timing_bench",
     "sample_shots",
     "save_calibration",
     "save_dataset",

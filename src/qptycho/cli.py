@@ -14,13 +14,11 @@ import sys
 
 from .experiments import (
     AQFT_HEADER,
-    BENCH_HEADER,
     ENSEMBLES,
     SWEEP_HEADER,
     SweepConfig,
     run_aqft_study,
     run_fidelity_sweep,
-    run_timing_bench,
     write_csv,
 )
 from .mitigation import ReadoutNoiseModel, build_calibration, load_calibration, save_calibration
@@ -112,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=float, default=None)
     p.add_argument("--delta-beta", type=float, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument(
-        "--full-scale", action="store_true", default=None,
-        help="use 100 states x 100 runs instead of the 20 x 20 default",
-    )
     _add_common(p)
 
     p = sub.add_parser("aqft-study", help="benchmark states vs approximation degree")
@@ -125,13 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--delta-beta", type=float, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("bench", help="wall-clock benchmark of the reconstruction engine")
-    p.add_argument("-n", "--qubits", type=int, nargs="+", default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--shots", type=int, default=None)
     _add_common(p)
 
     return parser
@@ -145,11 +132,10 @@ _DEFAULTS = {
     "mitigate": {},
     "estimate": {"beta0": 2.0, "delta_beta": 0.04, "seed": 0},
     "sweep": {
-        "unitary": "qft", "ensemble": "arbitrary", "shots": [2**13],
+        "unitary": "qft", "ensemble": "arbitrary", "shots": [2**13], "states": 20, "runs": 20,
         "beta0": 2.0, "delta_beta": 0.1, "seed": 0,
     },
     "aqft-study": {"shots": 20_000, "runs": 10, "delta_beta": 0.04, "seed": 0},
-    "bench": {"iterations": 20, "repeats": 10, "shots": 2**13, "seed": 0},
 }
 
 
@@ -220,12 +206,11 @@ def _cmd_estimate(opts):
 
 
 def _cmd_sweep(opts):
-    count = 100 if opts.full_scale else 20
     sweep_cfg = SweepConfig(
         n_values=tuple(_require(opts.qubits, "--qubits")),
         ensemble=opts.ensemble,
-        states_per_n=count if opts.states is None else opts.states,
-        runs_per_state=count if opts.runs is None else opts.runs,
+        states_per_n=opts.states,
+        runs_per_state=opts.runs,
         shots=tuple(opts.shots),
         unitary_family=opts.unitary,
         pie=PieConfig(beta0=opts.beta0, delta_beta=opts.delta_beta, iterations=opts.iterations),
@@ -246,17 +231,6 @@ def _cmd_aqft_study(opts):
     write_csv(opts.out, AQFT_HEADER, rows)
 
 
-def _cmd_bench(opts):
-    rows = run_timing_bench(
-        _require(opts.qubits, "--qubits"),
-        iterations=opts.iterations,
-        repeats=opts.repeats,
-        shots=opts.shots,
-        master_seed=opts.seed,
-    )
-    write_csv(opts.out, BENCH_HEADER, rows)
-
-
 _COMMANDS = {
     "prepare-state": _cmd_prepare_state,
     "run-protocol": _cmd_run_protocol,
@@ -265,7 +239,6 @@ _COMMANDS = {
     "estimate": _cmd_estimate,
     "sweep": _cmd_sweep,
     "aqft-study": _cmd_aqft_study,
-    "bench": _cmd_bench,
 }
 
 
@@ -274,7 +247,16 @@ def main(argv=None) -> int:
     try:
         # Flags given win over the config file, which wins over the defaults.
         given = {name: value for name, value in vars(args).items() if value is not None}
-        config = {} if args.config is None else _load(args.config, "config", _json_object)
+        # A config key that names no option of the command would be ignored: refuse it.
+        options = set(vars(args)) - {"command", "config"}
+
+        def only_options(doc):
+            unknown = sorted(set(_json_object(doc)) - options)
+            if unknown:
+                raise ValueError(f"{args.command} has no option {', '.join(map(repr, unknown))}")
+            return doc
+
+        config = {} if args.config is None else _load(args.config, "config", only_options)
         opts = argparse.Namespace(**{**vars(args), **_DEFAULTS[args.command], **config, **given})
         _require(opts.out, "--out")
         _COMMANDS[args.command](opts)

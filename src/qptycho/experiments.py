@@ -1,17 +1,18 @@
 """Scripted simulation studies with CSV output.
 
-Three harnesses: a fidelity sweep over qubit counts and shot budgets for a
-random state ensemble, a study of the approximate-transform degree on the
-fixed benchmark states, and a wall-clock benchmark of the reconstruction
-engine. Every cell derives its RNG seeds from the master seed and a
-structured key, so re-runs (including partial ones) are bit-identical.
+Two harnesses: a fidelity sweep over qubit counts and shot budgets for a
+random state ensemble, and a study of the approximate-transform degree on
+the fixed benchmark states. Every cell derives its RNG seeds from the
+master seed and a structured key, so re-runs (including partial ones) are
+bit-identical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+# pie_run is unused here; perfbench's multistart-sweep workload patches experiments.pie_run.
 from .pie import PieConfig, _run_datasets, pie_run
 from .protocol import generate_dataset
 from .seeding import derive_seed
@@ -165,43 +166,5 @@ def run_aqft_study(
     return rows
 
 
-def run_timing_bench(
-    n_values,
-    iterations: int = 20,
-    repeats: int = 10,
-    shots: int = 2**13,
-    master_seed: int = 0,
-):
-    """Wall-clock cost of the reconstruction engine itself.
-
-    Times ``pie_run`` on a pre-generated dataset (generation excluded) for a
-    random state per qubit count. Rows are ``(n, mean_seconds, std_seconds)``
-    over ``repeats`` runs. Each repeat is its own single-start ``pie_run``,
-    not one row of a batch: the rows report the time of one reconstruction
-    and its spread, which a batch would share out and hide.
-    """
-    repeats = _integer(repeats, "repeats must be an integer", 2)  # 2 to report a spread
-    shots = _integer(shots, "shots must be an integer", 0)
-    master_seed = _integer(master_seed, "master_seed must be an integer", 0)
-    pie_cfg = PieConfig(delta_beta=0.1, iterations=iterations)
-    rows = []
-    for n in _qubit_counts(n_values):
-        state = random_arbitrary(n, derive_seed(master_seed, "bench-state", n))
-        dataset = generate_dataset(
-            state,
-            UnitarySpec.qft(),
-            shots,
-            seed=derive_seed(master_seed, "bench-data", n),
-        )
-        times = []
-        for rep in range(repeats):
-            cfg = replace(pie_cfg, init_seed=derive_seed(master_seed, "bench-init", n, rep))
-            _, trace = pie_run(dataset, cfg)
-            times.append(trace.total_seconds)
-        rows.append((n, *_mean_std(times)))
-    return rows
-
-
 SWEEP_HEADER = ("n", "shots", "mean_fidelity", "std_fidelity")
 AQFT_HEADER = ("state", "n", "m", "mean_fidelity", "std_fidelity")
-BENCH_HEADER = ("n", "mean_seconds", "std_seconds")

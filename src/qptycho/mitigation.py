@@ -105,16 +105,36 @@ def corrupt_counts(p: np.ndarray, model: ReadoutNoiseModel) -> np.ndarray:
     return arr.reshape(-1)
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError("provenance is read-only")
+
+
 class _ReadOnlyDict(dict):
     """A dict that refuses every change; it still equals a dict, and ``json`` writes it as one."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("provenance is read-only")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
     def __reduce__(self):  # copy and pickle rebuild it whole, not key by key
         return type(self), (dict(self),)
+
+
+class _ReadOnlyList(list):
+    """A list that refuses every change; it still equals a list, and ``json`` writes it as one."""
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+def _read_only(value):
+    """``value`` with each dict and list in it, nested ones included, a read-only copy."""
+    if isinstance(value, Mapping):
+        return _ReadOnlyDict({key: _read_only(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return _ReadOnlyList(map(_read_only, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -128,7 +148,7 @@ class CalibrationMatrix:
 
     Both are read-only views of float64 inputs, not copies: at n=12 Mn alone
     holds 128 MB. Other dtypes are converted. ``provenance``, a mapping or
-    None, is kept as a read-only copy of its top level.
+    None, is kept as a read-only copy, its nested dicts and lists included.
     """
 
     intermediate: np.ndarray
@@ -151,7 +171,7 @@ class CalibrationMatrix:
         if provenance is not None and not isinstance(provenance, Mapping):
             raise ValueError(f"provenance must be an object or null, got {type(provenance).__name__}")
         if provenance is not None:
-            object.__setattr__(self, "provenance", _ReadOnlyDict(provenance))
+            object.__setattr__(self, "provenance", _read_only(provenance))
 
     @property
     def n(self) -> int:

@@ -98,8 +98,9 @@ def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
     # matrix-vector product per state, so a batched state rounds exactly as a
     # lone one (a matrix-matrix product would round differently, and the
     # engine amplifies that). The adjoint conj(mat).T @ x is taken as
-    # conj(conj(x) @ mat), which copies no matrix; mat is symmetric in (j, k)
-    # only for m = n, so the transpose cannot be dropped.
+    # conj(conj(x) @ mat), which copies no matrix. mat equals its transpose
+    # exactly, as its phase is symmetric in (j, k), yet x @ mat.T and x @ mat
+    # round differently, so the transpose stays to keep the forward's rounding.
     mat = aqft_matrix(n, m)
     rows = amps[..., None, :]
     if adjoint:

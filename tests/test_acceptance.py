@@ -330,11 +330,7 @@ def _run_cli(args, cwd):
 
 
 def test_10_cli_determinism(tmp_path):
-    """Re-running every file-producing command with the same seed is byte-identical.
-
-    The bench command reports wall-clock times and is exercised elsewhere;
-    its numbers are inherently non-reproducible and exempt by contract.
-    """
+    """Re-running every file-producing command with the same seed is byte-identical."""
     outputs = {}
     for run in ("one", "two"):
         d = tmp_path / run

@@ -127,15 +127,6 @@ def test_aqft_study_command(tmp_path):
     assert len(lines) == 6
 
 
-def test_bench_command(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run_cli(
-        "bench", "-n", "2", "--iterations", "3", "--repeats", "2",
-        "--shots", "128", "--out", str(out),
-    ) == 0
-    assert out.read_text().startswith("n,mean_seconds,std_seconds")
-
-
 def test_unitary_flag_variants(tmp_path):
     state_path = tmp_path / "state.json"
     run_cli("prepare-state", "--kind", "named", "--tag", "psi1_n", "-n", "3", "--out", str(state_path))
@@ -192,12 +183,34 @@ def test_flag_overrides_config(tmp_path):
     np.testing.assert_allclose(load_state(out).amps, named_state("psi7", 2).amps)
 
 
+@pytest.mark.parametrize("argv, config, keys", [
+    (("sweep", "-n", "2"), {"full_scale": True}, "'full_scale'"),
+    (("sweep", "-n", "2"), {"repeats": 5, "runs": 2}, "'repeats'"),
+    (("prepare-state", "-n", "2"), {"qubit": 3, "tag": "ghz"}, "'qubit'"),
+    (("calibrate", "-n", "2"), {"readout-error": 0.1, "Shots": 0}, "'Shots', 'readout-error'"),
+    (("prepare-state", "-n", "2", "--tag", "ghz"), {"command": "calibrate"}, "'command'"),
+    (("prepare-state", "-n", "2", "--tag", "ghz"), {"config": "other.json"}, "'config'"),
+], ids=["full_scale", "other-command", "misspelt", "two-keys", "command", "config"])
+def test_config_key_that_no_option_reads_is_rejected(tmp_path, capsys, argv, config, keys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(path), "--out", str(out)) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        f"ValueError: config file {path}: {argv[0]} has no option {keys}"
+    )
+    assert not out.exists()
+
+
+# The full 100 x 100 scale has no switch of its own: it is --states 100 --runs 100.
 @pytest.mark.parametrize("flags, config, count", [
     ((), {}, 20),
-    (("--full-scale",), {}, 100),
-    ((), {"full_scale": True}, 100),
-    (("--full-scale",), {"full_scale": False}, 100),
-    (("--states", "3"), {"full_scale": True, "runs": 4}, None),
+    (("--states", "100", "--runs", "100"), {}, 100),
+    ((), {"states": 100, "runs": 100}, 100),
+    (("--states", "100"), {"states": 3, "runs": 100}, 100),
+    (("--states", "3"), {"runs": 4}, None),
 ])
 def test_sweep_full_scale_from_flag_or_config(tmp_path, monkeypatch, flags, config, count):
     captured = []

@@ -10,7 +10,6 @@ from qptycho import (
     random_arbitrary,
     run_aqft_study,
     run_fidelity_sweep,
-    run_timing_bench,
 )
 from qptycho import pie
 from qptycho.experiments import AQFT_HEADER, SWEEP_HEADER, write_csv
@@ -208,32 +207,6 @@ class TestHarnessArguments:
         args = dict(n_values=(3,), m_values=(2,), shots=64, runs_per_state=2)
         with pytest.raises(ValueError, match=field):
             run_aqft_study(**{**args, **kwargs})
-
-    @pytest.mark.parametrize("kwargs, field", [
-        (dict(n_values=(30,)), "qubit counts must be within 1..16"),
-        (dict(n_values=(2.5,)), "n_values"),
-        (dict(repeats=1), "repeats"),
-        (dict(iterations=2.5), "iterations"),
-        (dict(shots=2.5), "shots"),
-        (dict(master_seed=-1), "master_seed"),
-    ])
-    def test_timing_bench(self, kwargs, field):
-        args = dict(n_values=(2,), iterations=2, repeats=2, shots=64)
-        with pytest.raises(ValueError, match=field):
-            run_timing_bench(**{**args, **kwargs})
-
-
-class TestTimingBench:
-    def test_rows_and_positive_times(self):
-        rows = run_timing_bench((2, 4), iterations=5, repeats=3, shots=256)
-        assert [r[0] for r in rows] == [2, 4]
-        for n, mean, std in rows:
-            assert mean > 0.0
-            assert std >= 0.0
-
-    def test_cost_grows_with_qubits(self):
-        rows = run_timing_bench((2, 6), iterations=5, repeats=3, shots=256)
-        assert rows[1][1] > rows[0][1]
 
 
 class TestShotBudget:

@@ -429,6 +429,21 @@ class TestCalibrationFile:
             '    "seed": null\n  }\n}\n'
         )
 
+    def test_nested_provenance_is_read_only(self, tmp_path):
+        source = {"lab": {"x": 0, "runs": [{"id": 1}]}, "l": [1, [2]]}
+        path = tmp_path / "cal.json"
+        save_calibration(CalibrationMatrix(np.eye(2), np.eye(2), source), path)
+        cal = load_calibration(path)
+        for change in (lambda p: p["lab"].__setitem__("x", 1), lambda p: p["l"].append(2),
+                       lambda p: p["l"][1].extend([3]), lambda p: p["lab"]["runs"][0].pop("id"),
+                       lambda p: p["l"].__setitem__(0, 9), lambda p: p["lab"]["runs"].clear()):
+            with pytest.raises(TypeError, match="provenance is read-only"):
+                change(cal.provenance)
+        assert cal.provenance == source
+        save_calibration(cal, path)
+        assert load_calibration(path).provenance == source
+        assert json.loads(path.read_text())["provenance"] == source
+
     def test_provenance_is_a_copy(self):
         source = {"model_id": "lab", "shots": 5}
         cal = CalibrationMatrix(np.eye(2), np.eye(2), source)

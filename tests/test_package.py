@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import qptycho
+from qptycho import cli
 
 PACKAGE = Path(qptycho.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
@@ -112,3 +114,22 @@ def test_pipeline_values_are_immutable(name):
             arr.flat[0] = arr.flat[0]
     if name == "PtychoDataset":  # checked once, when built: no list to append to, no re-check
         assert type(value.records) is tuple and not hasattr(value, "validate")
+
+
+def test_readme_command_lines_parse():
+    # Each `qptycho <command> ...` line of the README's code blocks, and each
+    # such inline span, names a command and only that command's options; every
+    # command has one.
+    text = README.read_text()
+    blocks = re.findall(r"^```\w*\n(.*?)^```", text, re.S | re.M)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    lines += re.findall(r"`(qptycho [^`\n]+)`", text)
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("qptycho ")]
+    parser, refused = cli.build_parser(), []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            refused.append(shlex.join(argv))
+    assert refused == []
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)

@@ -52,6 +52,13 @@ class TestStateVector:
         assert basis_state(3, 5).is_normalized
         assert not StateVector(1, np.array([1.0, 1.0])).is_normalized
 
+    @pytest.mark.parametrize("amps", [[1e308, 0.0], [1e308, 1e308j]])
+    def test_huge_amplitudes_are_not_normalized_without_a_warning(self, amps):
+        # Their squared norm overflows; warnings are errors under this suite's settings.
+        state = StateVector(1, amps)
+        assert not state.is_normalized
+        assert state_to_dict(state)["normalized"] is False
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_rejects_non_finite_amplitudes(self, bad):
         amps = np.array([0.6, 0.8, 0.0, 0.0], dtype=complex)

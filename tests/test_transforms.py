@@ -141,6 +141,13 @@ class TestAqftMatrix:
         assert mat.dtype == np.complex128 and not mat.flags.writeable
         assert np.array_equal(mat.view(np.float64), looped_aqft(n, m).view(np.float64))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_its_transpose_exactly(self, n):
+        # The adjoint may then be taken as conj(forward(conj(x))) at every degree.
+        for m in range(1, n + 1):
+            mat = aqft_matrix(n, m)
+            assert np.array_equal(mat, mat.T), (n, m)
+
     def test_build_peak_is_the_result_plus_one_block(self):
         aqft_matrix.cache_clear()
         peak = peak_traced_bytes(lambda: aqft_matrix(10, 2))

@@ -13,23 +13,11 @@ import json
 import sys
 
 from .experiments import (
-    AQFT_HEADER,
-    ENSEMBLES,
-    SWEEP_HEADER,
-    SweepConfig,
-    run_aqft_study,
-    run_fidelity_sweep,
-    write_csv,
+    AQFT_HEADER, ENSEMBLES, SWEEP_HEADER, SweepConfig, run_aqft_study, run_fidelity_sweep, write_csv,
 )
 from .mitigation import ReadoutNoiseModel, build_calibration, load_calibration, save_calibration
 from .pie import PieConfig, pie_run
-from .protocol import (
-    dataset_to_csv,
-    generate_dataset,
-    load_dataset,
-    mitigate_dataset,
-    save_dataset,
-)
+from .protocol import dataset_to_csv, generate_dataset, load_dataset, mitigate_dataset, save_dataset
 from .seeding import derive_seed
 from .stateprep import named_state, random_arbitrary, random_separable
 from .states import _integer, _json_object, _load, load_state, save_state
@@ -52,8 +40,8 @@ def _require(value, flag: str):
     return value
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+def _add_common(p: argparse.ArgumentParser, seed=None):
+    p.add_argument("--seed", type=int, default=seed, help="master RNG seed")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--config", default=None, help="JSON file with default option values")
 
@@ -63,26 +51,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare-state", help="write a state file")
-    p.add_argument("--kind", choices=("named", "separable", "arbitrary"), default=None)
+    p.add_argument("--kind", choices=("named", "separable", "arbitrary"), default="named")
     p.add_argument("--tag", default=None, help="state tag for --kind named (e.g. ghz, psi5)")
     p.add_argument("-n", "--qubits", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("run-protocol", help="generate a measurement dataset for a state")
     p.add_argument("--state", default=None, help="input state file")
-    p.add_argument("--unitary", default=None, help="qft | aqft:<m> | hadamard | separable")
-    p.add_argument("--shots", type=int, default=None, help="shots per circuit; 0 = exact")
-    p.add_argument(
-        "--readout-error", type=float, default=None,
-        help="symmetric per-bit readout flip probability (default: noiseless)",
-    )
+    p.add_argument("--unitary", default="qft", help="qft | aqft:<m> | hadamard | separable")
+    p.add_argument("--shots", type=int, default=2**13, help="shots per circuit; 0 = exact")
+    p.add_argument("--readout-error", type=float, default=None,
+                   help="symmetric per-bit readout flip probability (default: noiseless)")
     p.add_argument("--csv", default=None, help="also export the dataset as CSV here")
     _add_common(p)
 
     p = sub.add_parser("calibrate", help="build a readout calibration matrix")
     p.add_argument("-n", "--qubits", type=int, default=None)
-    p.add_argument("--readout-error", type=float, default=None)
-    p.add_argument("--shots", type=int, default=None, help="shots per calibration circuit; 0 = exact")
+    p.add_argument("--readout-error", type=float, default=0.0)
+    p.add_argument("--shots", type=int, default=0, help="shots per calibration circuit; 0 = exact")
     _add_common(p)
 
     p = sub.add_parser("mitigate", help="apply a calibration to a dataset")
@@ -93,64 +79,82 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="reconstruct a state from a dataset")
     p.add_argument("--data", default=None, help="input dataset file")
     p.add_argument("--reference", default=None, help="optional reference state file")
-    p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--delta-beta", type=float, default=None)
+    p.add_argument("--beta0", type=float, default=2.0)
+    p.add_argument("--delta-beta", type=float, default=0.04)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--shuffle-seed", type=int, default=None)
     p.add_argument("--trace-out", default=None, help="write per-iteration CSV here")
-    _add_common(p)
+    _add_common(p, seed=0)
 
     p = sub.add_parser("sweep", help="fidelity sweep over qubit counts and shot budgets")
     p.add_argument("-n", "--qubits", type=int, nargs="+", default=None)
-    p.add_argument("--shots", type=int, nargs="+", default=None)
-    p.add_argument("--ensemble", choices=ENSEMBLES, default=None)
-    p.add_argument("--states", type=int, default=None, help="states per qubit count")
-    p.add_argument("--runs", type=int, default=None, help="engine runs per state")
-    p.add_argument("--unitary", default=None)
-    p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--delta-beta", type=float, default=None)
+    p.add_argument("--shots", type=int, nargs="+", default=[2**13])
+    p.add_argument("--ensemble", choices=ENSEMBLES, default="arbitrary")
+    p.add_argument("--states", type=int, default=20, help="states per qubit count")
+    p.add_argument("--runs", type=int, default=20, help="engine runs per state")
+    p.add_argument("--unitary", default="qft")
+    p.add_argument("--beta0", type=float, default=2.0)
+    p.add_argument("--delta-beta", type=float, default=0.1)
     p.add_argument("--iterations", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed=0)
 
     p = sub.add_parser("aqft-study", help="benchmark states vs approximation degree")
     p.add_argument("-n", "--qubits", type=int, nargs="+", default=None)
     p.add_argument("-m", "--degrees", type=int, nargs="+", default=None)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--delta-beta", type=float, default=None)
+    p.add_argument("--shots", type=int, default=20_000)
+    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--delta-beta", type=float, default=0.04)
     p.add_argument("--iterations", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed=0)
 
     return parser
 
 
-#: Each command's option values where neither a flag nor the config file sets them.
-_DEFAULTS = {
-    "prepare-state": {"kind": "named"},
-    "run-protocol": {"unitary": "qft", "shots": 2**13},
-    "calibrate": {"readout_error": 0.0, "shots": 0},
-    "mitigate": {},
-    "estimate": {"beta0": 2.0, "delta_beta": 0.04, "seed": 0},
-    "sweep": {
-        "unitary": "qft", "ensemble": "arbitrary", "shots": [2**13], "states": 20, "runs": 20,
-        "beta0": 2.0, "delta_beta": 0.1, "seed": 0,
-    },
-    "aqft-study": {"shots": 20_000, "runs": 10, "delta_beta": 0.04, "seed": 0},
-}
+#: By option ``type``, the JSON values its flag could give (never a bool), and their name.
+_FLAG_VALUES = {int: (int, "an integer"), float: ((int, float), "a number"), None: (str, "a string")}
+
+
+def _config_defaults(parser: argparse.ArgumentParser, command: str, doc) -> dict:
+    """``doc`` as defaults for ``parser``'s options, each value as its flag would
+    store it. A key that names no option, or a value no flag could give, raises."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(_json_object(doc)) - set(actions))
+    if unknown:
+        raise ValueError(f"{command} has no option {', '.join(map(repr, unknown))}")
+    defaults = {}
+    for key, value in doc.items():
+        action = actions[key]
+        types, what = _FLAG_VALUES[action.type]
+        many = action.nargs == "+"
+        items = value if many else [value]
+        fits = isinstance(items, list) and items and all(
+            isinstance(v, types) and not isinstance(v, bool)
+            and (action.choices is None or v in action.choices)
+            for v in items
+        )
+        try:
+            if fits:
+                items = [float(v) if action.type is float else v for v in items]
+        except OverflowError:  # an int past the float range
+            fits = False
+        if not fits:
+            if action.choices is not None:
+                what = "one of " + ", ".join(map(repr, action.choices))
+            if many:
+                what = f"a non-empty list, each {what}"
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        defaults[key] = items if many else items[0]
+    return defaults
 
 
 def _cmd_prepare_state(opts):
     n = _require(opts.qubits, "--qubits")
     if opts.kind == "named":
         tag = _require(opts.tag, "--tag")
-        state = named_state(tag, n)
-        provenance = {"kind": "named", "tag": tag.lower()}
-    elif opts.kind == "separable":
-        state = random_separable(n, opts.seed)
-        provenance = {"kind": "separable", "seed": opts.seed}
+        state, provenance = named_state(tag, n), {"kind": "named", "tag": tag.lower()}
     else:
-        state = random_arbitrary(n, opts.seed)
-        provenance = {"kind": "arbitrary", "seed": opts.seed}
+        draw = random_separable if opts.kind == "separable" else random_arbitrary
+        state, provenance = draw(n, opts.seed), {"kind": opts.kind, "seed": opts.seed}
     save_state(state, opts.out, provenance=provenance)
 
 
@@ -168,12 +172,10 @@ def _cmd_run_protocol(opts):
 
 
 def _cmd_calibrate(opts):
-    # A config file can hold any JSON value; check it before n + 1 below.
+    # Checked before the n + 1 bits' model is built: n = -1 would fail there, on the model.
     n = _integer(_require(opts.qubits, "--qubits"), "qubit count must be an integer", 1)
     eps = opts.readout_error
-    model = ReadoutNoiseModel.symmetric(n + 1, eps)  # rejects a bool or non-real eps
-    if eps == 0.0:
-        model = ReadoutNoiseModel.identity(n + 1)
+    model = ReadoutNoiseModel.identity(n + 1) if eps == 0.0 else ReadoutNoiseModel.symmetric(n + 1, eps)
     save_calibration(build_calibration(n, model, opts.shots, seed=opts.seed), opts.out)
 
 
@@ -207,11 +209,11 @@ def _cmd_estimate(opts):
 
 def _cmd_sweep(opts):
     sweep_cfg = SweepConfig(
-        n_values=tuple(_require(opts.qubits, "--qubits")),
+        n_values=_require(opts.qubits, "--qubits"),
         ensemble=opts.ensemble,
         states_per_n=opts.states,
         runs_per_state=opts.runs,
-        shots=tuple(opts.shots),
+        shots=opts.shots,
         unitary_family=opts.unitary,
         pie=PieConfig(beta0=opts.beta0, delta_beta=opts.delta_beta, iterations=opts.iterations),
         master_seed=opts.seed,
@@ -232,34 +234,24 @@ def _cmd_aqft_study(opts):
 
 
 _COMMANDS = {
-    "prepare-state": _cmd_prepare_state,
-    "run-protocol": _cmd_run_protocol,
-    "calibrate": _cmd_calibrate,
-    "mitigate": _cmd_mitigate,
-    "estimate": _cmd_estimate,
-    "sweep": _cmd_sweep,
-    "aqft-study": _cmd_aqft_study,
+    "prepare-state": _cmd_prepare_state, "run-protocol": _cmd_run_protocol, "calibrate": _cmd_calibrate,
+    "mitigate": _cmd_mitigate, "estimate": _cmd_estimate, "sweep": _cmd_sweep, "aqft-study": _cmd_aqft_study,
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    opts = parser.parse_args(argv)
     try:
-        # Flags given win over the config file, which wins over the defaults.
-        given = {name: value for name, value in vars(args).items() if value is not None}
-        # A config key that names no option of the command would be ignored: refuse it.
-        options = set(vars(args)) - {"command", "config"}
-
-        def only_options(doc):
-            unknown = sorted(set(_json_object(doc)) - options)
-            if unknown:
-                raise ValueError(f"{args.command} has no option {', '.join(map(repr, unknown))}")
-            return doc
-
-        config = {} if args.config is None else _load(args.config, "config", only_options)
-        opts = argparse.Namespace(**{**vars(args), **_DEFAULTS[args.command], **config, **given})
+        if opts.config is not None:
+            # The file's values become the command's defaults, so flags given still win.
+            subparser = next(a for a in parser._actions if a.dest == "command").choices[opts.command]
+            subparser.set_defaults(**_load(
+                opts.config, "config", lambda doc: _config_defaults(subparser, opts.command, doc)
+            ))
+            opts = parser.parse_args(argv)
         _require(opts.out, "--out")
-        _COMMANDS[args.command](opts)
+        _COMMANDS[opts.command](opts)
         print(f"wrote {opts.out}")
     except Exception as exc:  # deliberate catch-all: one JSON error line, nonzero exit
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)

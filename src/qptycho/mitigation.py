@@ -191,6 +191,7 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
     stores the exact channel columns instead, and without a seed draws no
     entropy and records ``seed = None``.
     """
+    n = _integer(n, "qubit count must be an integer", 1)
     if model.num_bits != n + 1:
         raise ValueError(f"model covers {model.num_bits} bits, expected {n + 1}")
     shots = _integer(shots, "shots must be an integer", 0)

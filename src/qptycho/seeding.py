@@ -1,9 +1,9 @@
 """Deterministic RNG plumbing shared across the package.
 
-Every stochastic operation takes either an integer seed, a
-``SeedSequence``, an existing ``numpy.random.Generator``, or ``None`` (fresh
-OS entropy), and passes it to ``numpy.random.default_rng``, which returns a
-Generator unaltered. Nested experiments derive child seeds from a master
+Draws other than shots take an integer seed, a ``SeedSequence``, a
+``numpy.random.Generator`` or ``None`` (fresh OS entropy) and pass it to
+``numpy.random.default_rng``; shot draws take an integer seed or ``None``
+(:func:`shot_streams`). Nested experiments derive child seeds from a master
 seed plus a structured key, so partial re-runs of a sweep see the same
 streams.
 """
@@ -12,6 +12,8 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+
+from .states import _integer
 
 
 def _key_to_int(part) -> int:
@@ -42,11 +44,14 @@ def derive_seed(*key) -> int:
 def shot_streams(seed, shots: int, count: int) -> tuple[list, int | None]:
     """Child seed sequences for ``count`` shot draws, and the seed a run records.
 
-    An exact (``shots = 0``) unseeded run draws no entropy: no children, and
-    None to record. Otherwise the record is the entropy of
-    ``SeedSequence(seed)`` (``seed`` itself, or fresh OS entropy for None),
-    and children are spawned only when shots are drawn.
+    ``seed`` is None or an integer >= 0, never a bool. An exact (``shots =
+    0``) unseeded run draws no entropy: no children, and None to record.
+    Otherwise the record is the entropy of ``SeedSequence(seed)`` (``seed``
+    itself, or fresh OS entropy for None); children are spawned only when
+    shots are drawn.
     """
+    if seed is not None:
+        seed = _integer(seed, "seed must be None or an integer", 0)
     if shots == 0 and seed is None:
         return [], None
     ss = np.random.SeedSequence(seed)

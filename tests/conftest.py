@@ -2,11 +2,21 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import strategies as st
 
 from qptycho import pie
 from qptycho.protocol import CircuitRecord
 
 ACCEPTANCE_LINES = []
+
+#: Any JSON value. Integers stay small, so that one landing on a qubit count
+#: keeps n <= 3 and nothing the size of 2^n grows large.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["named", "separable", "arbitrary", "ghz", "psi5", "<f8", "zlib", "qft", "AAAA"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
 
 
 def peak_traced_bytes(fn) -> int:

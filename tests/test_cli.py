@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qptycho import load_dataset, load_state, named_state
 from qptycho import cli
 from qptycho.cli import main
 from qptycho.mitigation import load_calibration
+
+from conftest import JSON_VALUES
 
 
 def run_cli(*argv):
@@ -257,7 +263,7 @@ def test_config_iterations_must_be_an_integer(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])["error"]
-    assert error == "ValueError: iterations must be None or an integer >= 1, got '20'"
+    assert error == f"ValueError: config file {config}: iterations must be an integer, got '20'"
     assert not (tmp_path / "e.json").exists()
 
 
@@ -304,17 +310,24 @@ def test_calibrate_rejects_bool_readout_error(tmp_path, capsys):
     config.write_text(json.dumps({"readout_error": False}))
     assert run_cli("calibrate", "-n", "2", "--config", str(config), "--out", str(out)) == 2
     error = json.loads(capsys.readouterr().err.strip())["error"]
-    assert error == "ValueError: flip probability must be in [0, 1], got False"
+    assert error == f"ValueError: config file {config}: readout_error must be a number, got False"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("qubits", ["2", 2.0, True, 0])
-def test_calibrate_rejects_a_non_integer_qubit_count_from_config(tmp_path, capsys, qubits):
+# A value no flag could give names the file and the key; 0 is one that -n can give.
+@pytest.mark.parametrize("qubits, message", [
+    ("2", "config file {config}: qubits must be an integer, got '2'"),
+    (2.0, "config file {config}: qubits must be an integer, got 2.0"),
+    (True, "config file {config}: qubits must be an integer, got True"),
+    (0, "qubit count must be an integer >= 1, got 0"),
+], ids=["2", "2.0", "True", "0"])
+def test_calibrate_rejects_a_non_integer_qubit_count_from_config(tmp_path, capsys, qubits, message):
     config, out = tmp_path / "config.json", tmp_path / "cal.json"
     config.write_text(json.dumps({"qubits": qubits}))
     assert run_cli("calibrate", "--config", str(config), "--out", str(out)) == 2
-    error = json.loads(capsys.readouterr().err.strip())["error"]
-    assert error == f"ValueError: qubit count must be an integer >= 1, got {qubits!r}"
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError: " + message.format(config=config)
     assert not out.exists()
 
 
@@ -323,3 +336,131 @@ def test_calibrate_zero_readout_error_writes_the_identity_model(tmp_path):
     assert run_cli("calibrate", "-n", "2", "--readout-error", "0", "--out", str(out)) == 0
     cal = load_calibration(out)
     assert np.array_equal(cal.register, np.eye(4)) and cal.provenance["model_id"] == "identity"
+
+
+# Each value below is one that no flag of its option could give.
+@pytest.mark.parametrize("argv, config, message", [
+    (("prepare-state", "-n", "2", "--seed", "3"), {"kind": "seperable"},
+     "kind must be one of 'named', 'separable', 'arbitrary', got 'seperable'"),
+    (("prepare-state", "-n", "2"), {"tag": 7}, "tag must be a string, got 7"),
+    (("prepare-state", "-n", "2", "--tag", "ghz"), {"out": 7}, "out must be a string, got 7"),
+    (("sweep", "-n", "2"), {"shots": 8192}, "shots must be a non-empty list, each an integer, got 8192"),
+    (("sweep",), {"qubits": 4}, "qubits must be a non-empty list, each an integer, got 4"),
+    (("aqft-study", "-n", "3"), {"degrees": 2}, "degrees must be a non-empty list, each an integer, got 2"),
+    (("sweep", "-n", "2"), {"shots": []}, "shots must be a non-empty list, each an integer, got []"),
+    (("sweep", "-n", "2"), {"shots": [512, 2.5]},
+     "shots must be a non-empty list, each an integer, got [512, 2.5]"),
+    (("sweep", "-n", "2"), {"beta0": "2"}, "beta0 must be a number, got '2'"),
+    (("sweep", "-n", "2"), {"ensemble": ["table"]},
+     "ensemble must be one of 'separable', 'arbitrary', 'table', got ['table']"),
+    (("estimate", "--data", "d.json"), {"iterations": None}, "iterations must be an integer, got None"),
+    (("calibrate", "-n", "2"), {"readout_error": 10**400}, f"readout_error must be a number, got {10**400}"),
+], ids=["kind", "tag", "out", "sweep-shots", "sweep-qubits", "degrees", "empty-list", "list-entry",
+        "float-string", "choice-list", "null", "past-float-range"])
+def test_config_value_that_no_flag_could_give_is_rejected(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(path), "--out", str(out)) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == f"ValueError: config file {path}: {message}"
+    assert not out.exists()
+
+
+def test_config_values_reach_the_command_as_their_flags_give_them(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "sweep", lambda opts: seen.append(vars(opts)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"qubits": [2, 3], "shots": [0], "beta0": 3, "unitary": "hadamard"}))
+    out = str(tmp_path / "s.csv")
+    assert run_cli("sweep", "--config", str(path), "--out", out) == 0
+    assert run_cli("sweep", "-n", "2", "3", "--shots", "0", "--beta0", "3", "--unitary", "hadamard",
+                   "--out", out) == 0
+    from_config, from_flags = seen
+    assert type(from_config["beta0"]) is float
+    assert {**from_config, "config": None} == from_flags
+
+
+def commands() -> dict:
+    """Each subcommand's parser, by name."""
+    parser = cli.build_parser()
+    (subparsers,) = (action for action in parser._actions if action.dest == "command")
+    return subparsers.choices
+
+
+def declared_defaults(parser) -> dict:
+    """The options of ``parser`` whose declared default is not None."""
+    return {
+        action.dest: action.default for action in parser._actions
+        if action.default is not None and action.dest != "help"
+    }
+
+
+@pytest.mark.parametrize("command", sorted(commands()))
+def test_a_config_that_restates_the_declared_defaults_changes_nothing(tmp_path, monkeypatch, command):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda opts: seen.append(vars(opts)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(declared_defaults(commands()[command])))
+    out = str(tmp_path / "out")
+    assert run_cli(command, "--config", str(path), "--out", out) == 0
+    assert run_cli(command, "--out", out) == 0
+    with_config, without = seen
+    assert {**with_config, "config": None} == without
+    assert commands()[command].format_help().startswith(f"usage: qptycho {command} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("prepare-state", "-n", "2", "--tag", "ghz"),
+    ("calibrate", "-n", "2", "--readout-error", "0.1", "--shots", "64", "--seed", "5"),
+    ("sweep", "-n", "2"),
+], ids=lambda argv: argv[0])
+def test_restated_defaults_write_the_same_file(tmp_path, monkeypatch, argv):
+    # The sweep is stubbed: its CSV then holds the whole config the command built.
+    monkeypatch.setattr(cli, "run_fidelity_sweep", lambda cfg: [(repr(cfg),)])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(declared_defaults(commands()[argv[0]])))
+    with_config, without = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*argv, "--config", str(path), "--out", str(with_config)) == 0
+    assert run_cli(*argv, "--out", str(without)) == 0
+    assert with_config.read_bytes() == without.read_bytes()
+
+
+#: A working config per fuzzed command, at n = 2.
+FUZZ_BASES = {
+    "prepare-state": {"kind": "named", "tag": "ghz", "qubits": 2, "seed": 1},
+    "calibrate": {"qubits": 2, "readout_error": 0.025, "shots": 16, "seed": 1},
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    options = sorted(a.dest for a in commands()[command]._actions if a.dest not in ("help", "config"))
+    changes = draw(st.dictionaries(st.sampled_from(options), JSON_VALUES, max_size=3))
+    return command, {**FUZZ_BASES[command], **changes}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=fuzzed_configs())
+@example(case=("prepare-state", {**FUZZ_BASES["prepare-state"], "tag": 7}))
+@example(case=("prepare-state", {**FUZZ_BASES["prepare-state"], "out": 7}))
+@example(case=("prepare-state", {**FUZZ_BASES["prepare-state"], "kind": "seperable"}))
+@example(case=("calibrate", {**FUZZ_BASES["calibrate"], "readout_error": 10**400}))
+def test_any_config_value_gives_a_file_or_one_error_line(tmp_path_factory, case):
+    command, config = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path, out = tmp / "config.json", tmp / "out.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(command, "--config", str(path), "--out", str(out))
+    if code == 0:
+        assert out.exists()
+        return
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert not json.loads(lines[0])["error"].startswith(("TypeError", "AttributeError"))
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """File formats: float64 array payloads, reader checks, exact round trips,
 files in the older list form, and a pinned end-to-end CLI chain."""
 import base64
+import copy
 import json
 import re
 import zlib
@@ -32,7 +33,7 @@ from qptycho.mitigation import _condition_bound
 from qptycho.protocol import CircuitRecord, dataset_to_dict
 from qptycho.states import _decode_array, _encode_array
 
-from conftest import peak_traced_bytes
+from conftest import JSON_VALUES, peak_traced_bytes
 from oracles import haar_state
 
 #: Values a text format tends to lose: signed zero, subnormals, extremes.
@@ -413,6 +414,73 @@ class TestEveryReaderNamesTheFile:
         assert main(["estimate", "--config", str(config), "--data", str(path), "--out", out]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error.startswith(f"ValueError: config file {config}: ")
+
+
+#: By kind: write a sample file, save a value, load a file.
+FUZZ_FILES = {
+    "state": (
+        lambda path: save_state(StateVector(1, [0.6, 0.8j]), path, provenance={"kind": "named"}),
+        save_state, load_state,
+    ),
+    "dataset": (lambda path: save_dataset(small_dataset(), path), save_dataset, load_dataset),
+    "calibration": (
+        lambda path: save_calibration(
+            build_calibration(1, ReadoutNoiseModel.symmetric(2, 0.1), 16, seed=2), path
+        ),
+        save_calibration, load_calibration,
+    ),
+}
+
+DROP = object()
+
+
+def key_paths(doc, prefix=()) -> list:
+    """The path of every value inside a JSON document, list entries included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    paths = []
+    for key, value in items:
+        paths += [prefix + (key,), *key_paths(value, prefix + (key,))]
+    return paths
+
+
+def mutated(doc, where, value):
+    """A copy of ``doc`` with the value at path ``where`` replaced, or dropped for DROP."""
+    doc = copy.deepcopy(doc)
+    *parents, last = where
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+class TestReaderContract:
+    """A mutated file either loads into a value that saves and reloads byte
+    for byte, or raises a ValueError that names the file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(FUZZ_FILES)), data=st.data())
+    def test_mutated_file_loads_stably_or_names_itself(self, tmp_path_factory, kind, data):
+        write, save, load = FUZZ_FILES[kind]
+        tmp = tmp_path_factory.mktemp("reader")
+        path = tmp / f"{kind}.json"
+        write(path)
+        doc = json.loads(path.read_text())
+        where = data.draw(st.sampled_from(key_paths(doc)), label="where")
+        value = data.draw(st.just(DROP) | JSON_VALUES, label="value")
+        write_json(path, mutated(doc, where, value))
+        try:
+            loaded = load(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{kind} file {path}: ")
+            return
+        first, second = tmp / "first.json", tmp / "second.json"
+        save(loaded, first)
+        save(load(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def assert_datasets_equal(a, b):

@@ -132,6 +132,11 @@ class TestBuildCalibration:
         with pytest.raises(ValueError, match="shots must be an integer >= 0"):
             build_calibration(2, ReadoutNoiseModel.identity(3), shots=shots)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2", 0, -1])
+    def test_qubit_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=rf"^qubit count must be an integer >= 1, got {n!r}$"):
+            build_calibration(n, ReadoutNoiseModel.identity(2), 0)
+
     def test_sampled_matrices_pinned(self):
         # Literals captured before build_calibration formed its exact matrix
         # as a Kronecker product instead of one corrupt_counts call per column.

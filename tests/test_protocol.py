@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -335,3 +336,23 @@ class TestDatasetFiles:
         assert len(lines) == 1 + 6 * 8
         first = lines[1].split(",")
         assert first[0] == "x" and first[1] == "0" and first[2] == "0" and first[3] == "0"
+
+
+# seeding.shot_streams is the one seed rule of both shot-drawing entry points.
+SHOT_DRAWS = {
+    "generate_dataset": lambda shots, seed: generate_dataset(named_state("ghz", 2), QFT, shots, seed=seed),
+    "build_calibration": lambda shots, seed: build_calibration(
+        2, ReadoutNoiseModel.symmetric(3, 0.1), shots, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("shots", [0, 16])
+@pytest.mark.parametrize("seed", [
+    True, 1.5, "3", -1, np.random.default_rng(1), np.random.SeedSequence(1),
+], ids=["True", "1.5", "str", "-1", "Generator", "SeedSequence"])
+@pytest.mark.parametrize("draw", sorted(SHOT_DRAWS))
+def test_shot_seed_must_be_none_or_a_non_negative_integer(draw, seed, shots):
+    message = f"seed must be None or an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SHOT_DRAWS[draw](shots, seed)

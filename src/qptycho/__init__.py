@@ -29,7 +29,6 @@ from .pie import (
 from .protocol import (
     CircuitRecord,
     PtychoDataset,
-    circuit_settings,
     dataset_to_csv,
     generate_dataset,
     load_dataset,
@@ -49,6 +48,7 @@ from .stateprep import (
 from .states import (
     ProjectorId,
     StateVector,
+    circuit_settings,
     load_state,
     projector_ids,
     save_state,

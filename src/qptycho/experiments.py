@@ -26,13 +26,13 @@ MAX_QUBITS = 16
 ENSEMBLES = ("separable", "arbitrary", "table")
 
 
-def _qubit_counts(n_values) -> tuple:
-    """``n_values`` as a non-empty tuple of ints within 1..MAX_QUBITS."""
-    counts = tuple(_integer(n, "n_values must hold integers", 1) for n in n_values)
+def _qubit_counts(n_values, minimum: int = 1) -> tuple:
+    """``n_values`` as a non-empty tuple of ints within minimum..MAX_QUBITS."""
+    counts = tuple(_integer(n, "n_values must hold integers", minimum) for n in n_values)
     if not counts:
         raise ValueError("n_values must be non-empty")
     if max(counts) > MAX_QUBITS:
-        raise ValueError(f"qubit counts must be within 1..{MAX_QUBITS}, got {max(counts)}")
+        raise ValueError(f"qubit counts must be within {minimum}..{MAX_QUBITS}, got {max(counts)}")
     return counts
 
 
@@ -51,7 +51,8 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", _qubit_counts(self.n_values))
+        minimum = 2 if self.ensemble == "table" else 1  # the benchmark table starts at n=2
+        object.__setattr__(self, "n_values", _qubit_counts(self.n_values, minimum))
         shots = tuple(_integer(s, "shots must hold integers", 0) for s in self.shots)
         if not shots:
             raise ValueError("shots must be non-empty")
@@ -144,6 +145,7 @@ def run_aqft_study(
     states of one (n, m) cell share engine passes.
     """
     pie = pie if pie is not None else PieConfig(delta_beta=0.04)
+    n_values = _qubit_counts(n_values, 2)
     m_values = [_integer(m, "m_values must hold integers", 1) for m in m_values]
     if not m_values:
         raise ValueError("m_values must be non-empty")
@@ -151,7 +153,7 @@ def run_aqft_study(
     runs_per_state = _integer(runs_per_state, "runs_per_state must be an integer", 1)
     master_seed = _integer(master_seed, "master_seed must be an integer", 0)
     rows = []
-    for n in _qubit_counts(n_values):
+    for n in n_values:
         states = table_states(n)
         degrees = [m for m in m_values if m <= n]
         cells = {

@@ -9,13 +9,13 @@ significant, matching the calibration tensor order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .mitigation import CalibrationMatrix, ReadoutNoiseModel, corrupt_counts, mitigate
 from .seeding import shot_streams
 from .states import (
-    PAULI_AXES,
     SIGNS,
     StateVector,
     _decode_array,
@@ -26,6 +26,7 @@ from .states import (
     _qubit_count,
     _write_csv,
     _write_json,
+    circuit_settings,
 )
 from .transforms import UnitarySpec
 
@@ -33,40 +34,28 @@ _SUM_ATOL = 1e-9
 _MITIGATED_SUM_RTOL = 1e-6
 
 
-def circuit_settings(n: int):
-    """The 3n (axis, qubit) pairs in canonical order."""
-    return [(axis, q) for axis in PAULI_AXES for q in range(n)]
-
-
-@dataclass(frozen=True)
-class CircuitRecord:
-    """Joint count vector of one circuit: length 2^(n+1), index s*2^n + j."""
+class CircuitRecord(NamedTuple):
+    """One circuit's row of a dataset: length 2^(n+1), index s*2^n + j."""
 
     axis: str
     qubit: int
     counts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index must be an integer", 0))
-        counts = np.array(self.counts, dtype=np.float64)
-        if not np.all(np.isfinite(counts)):
-            raise ValueError(f"record ({self.axis}, {self.qubit}) counts must be finite")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
 class PtychoDataset:
     """Counts from all 3n circuits plus the metadata to re-run them, checked when built.
 
-    ``shots_per_circuit = 0`` is the infinite-shot sentinel: records then
-    hold exact outcome probabilities instead of integer counts.
+    ``counts`` is a read-only ``(3n, 2^(n+1))`` float64 array, copied when
+    built; row c belongs to circuit ``circuit_settings(n)[c]``.
+    ``shots_per_circuit = 0`` is the infinite-shot sentinel: rows then hold
+    exact outcome probabilities instead of integer counts.
     """
 
     n: int
     unitary: UnitarySpec
     shots_per_circuit: int
-    records: tuple
+    counts: np.ndarray
     mitigated: bool = False
     seed: int | None = None
     noise_model_id: str | None = None
@@ -87,39 +76,43 @@ class PtychoDataset:
         if not isinstance(self.unitary, UnitarySpec):
             raise ValueError(f"unitary must be a UnitarySpec, got {type(self.unitary).__name__}")
         self.unitary.validate_for(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "shots_per_circuit", shots)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "records", tuple(self.records))
-        if [(r.axis, r.qubit) for r in self.records] != circuit_settings(n):
-            raise ValueError(f"dataset must hold {3 * n} records in canonical (axis, qubit) order")
-        for rec in self.records:
-            if rec.counts.shape != (2 << n,):
-                raise ValueError(
-                    f"record ({rec.axis}, {rec.qubit}) has length {rec.counts.size}, "
-                    f"expected {2 << n}"
-                )
+        counts = np.array(self.counts, dtype=np.float64)
+        if counts.shape != (3 * n, 2 << n):
+            raise ValueError(
+                f"dataset must hold {3 * n} records in canonical (axis, qubit) order: "
+                f"counts has shape {counts.shape}, expected {(3 * n, 2 << n)}"
+            )
+        for (axis, q), row in zip(circuit_settings(n), counts):
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"record ({axis}, {q}) counts must be finite")
             # Only mitigation may leave negative entries (normalize_dataset clips them).
-            if not self.mitigated and np.any(rec.counts < 0):
-                raise ValueError(f"record ({rec.axis}, {rec.qubit}) holds negative counts")
-            total = rec.counts.sum()
+            if not self.mitigated and np.any(row < 0):
+                raise ValueError(f"record ({axis}, {q}) holds negative counts")
+            total = row.sum()
             if shots == 0:
                 if abs(total - 1.0) > _SUM_ATOL:
-                    raise ValueError(
-                        f"exact record ({rec.axis}, {rec.qubit}) sums to {total}, expected 1"
-                    )
+                    raise ValueError(f"exact record ({axis}, {q}) sums to {total}, expected 1")
             elif self.mitigated:
                 if abs(total - shots) > _MITIGATED_SUM_RTOL * shots:
                     raise ValueError(
-                        f"mitigated record ({rec.axis}, {rec.qubit}) sums to {total}, "
+                        f"mitigated record ({axis}, {q}) sums to {total}, "
                         f"expected {shots} within rel. 1e-6"
                     )
-            else:
-                if total != shots or np.any(rec.counts != np.round(rec.counts)):
-                    raise ValueError(
-                        f"count record ({rec.axis}, {rec.qubit}) must hold integers "
-                        f"summing to exactly {shots}"
-                    )
+            elif total != shots or np.any(row != np.round(row)):
+                raise ValueError(
+                    f"count record ({axis}, {q}) must hold integers summing to exactly {shots}"
+                )
+        counts.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shots_per_circuit", shots)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def records(self) -> tuple:
+        """The rows of ``counts`` in circuit order, each a read-only view."""
+        settings = circuit_settings(self.n)
+        return tuple(CircuitRecord(axis, q, row) for (axis, q), row in zip(settings, self.counts))
 
 
 def sample_shots(p: np.ndarray, shots: int, rng=None) -> np.ndarray:
@@ -162,11 +155,11 @@ def generate_dataset(
     if not state.is_normalized:
         raise ValueError("exact distributions require a normalized input state")
     children, entropy = shot_streams(seed, shots, 3 * n)
-    records = []
+    counts = np.empty((3 * n, 2 << n))
     for c, (axis, q) in enumerate(circuit_settings(n)):
         # Both sign branches go through one call, rows + then -, so the
         # flattened law is indexed s * 2^n + j. No name holds the branches or
-        # the amplitudes: alive while the record is allocated, they left a
+        # the amplitudes: alive while the samples are allocated, they left a
         # heap hole per circuit, +0.3 MB of peak RSS at n=10.
         p = unitary.apply_amps(
             np.stack([_project_amps(state.amps, axis, q, sign) for sign in SIGNS]), n
@@ -174,13 +167,12 @@ def generate_dataset(
         p = (p.real**2 + p.imag**2).reshape(-1)
         if noise is not None:
             p = corrupt_counts(p, noise)
-        counts = sample_shots(p, shots, children[c]) if shots else p
-        records.append(CircuitRecord(axis, q, counts))
+        counts[c] = sample_shots(p, shots, children[c]) if shots else p
     return PtychoDataset(
         n=n,
         unitary=unitary,
         shots_per_circuit=shots,
-        records=records,
+        counts=counts,
         mitigated=False,
         seed=entropy,
         noise_model_id=noise.label if noise is not None else None,
@@ -188,28 +180,26 @@ def generate_dataset(
 
 
 def mitigate_dataset(dataset: PtychoDataset, cal: CalibrationMatrix) -> PtychoDataset:
-    """Apply calibration-matrix mitigation to all records of a dataset in one call."""
+    """Apply calibration-matrix mitigation to all rows of a dataset in one call."""
     if cal.n != dataset.n:
         raise ValueError(f"calibration is for n={cal.n}, dataset has n={dataset.n}")
     if dataset.mitigated:
         raise ValueError("dataset is already mitigated")
-    counts = mitigate(np.stack([rec.counts for rec in dataset.records]), cal)
-    records = [CircuitRecord(rec.axis, rec.qubit, row) for rec, row in zip(dataset.records, counts)]
-    return replace(dataset, records=records, mitigated=True)
+    return replace(dataset, counts=mitigate(dataset.counts, cal), mitigated=True)
 
 
 def normalize_dataset(dataset: PtychoDataset) -> np.ndarray:
     """Amplitude targets: sqrt of the jointly normalized counts, as a
     ``(6n, 2^n)`` array whose rows follow ``projector_ids(n)``.
 
-    Record i in canonical order holds the + block then the - block, so row
-    2i + s is its sign-s block. Both sign blocks of a circuit share one
-    normalization (the projected states are sub-normalized, so targets must
-    be joint probabilities). Negative mitigated entries are clipped to zero
-    before the square root.
+    Row i of ``dataset.counts`` holds the + block then the - block, so
+    target row 2i + s is its sign-s block. Both sign blocks of a circuit
+    share one normalization (the projected states are sub-normalized, so
+    targets must be joint probabilities). Negative mitigated entries are
+    clipped to zero before the square root.
     """
     denom = dataset.shots_per_circuit if dataset.shots_per_circuit >= 1 else 1.0
-    omega = np.stack([rec.counts for rec in dataset.records]) / denom
+    omega = dataset.counts / denom
     return np.sqrt(np.clip(omega, 0.0, None)).reshape(6 * dataset.n, 1 << dataset.n)
 
 
@@ -238,17 +228,25 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
     n, entries = _qubit_count(doc), doc.get("records")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("records must be a list of objects")
-    records = []
     for i, entry in enumerate(entries):
-        if type(entry.get("q")) is not int:
+        if type(entry.get("q")) is not int:  # True == 1 would pass the order check
             raise ValueError(f"records[{i}].q must be an integer")
-        counts = _decode_array(entry.get("counts"), f"records[{i}].counts", 2 << n)
-        records.append(CircuitRecord(entry.get("xi"), entry["q"], counts))
+    settings, size = circuit_settings(n), 2 << n
+    if [(entry.get("xi"), entry["q"]) for entry in entries] != settings:
+        raise ValueError(f"dataset must hold {3 * n} records in canonical (axis, qubit) order")
+    counts = np.empty((3 * n, size))
+    for c, ((axis, q), entry) in enumerate(zip(settings, entries)):
+        row = _decode_array(entry.get("counts"), f"records[{c}].counts", size)
+        if row.ndim != 1:
+            raise ValueError(f"record ({axis}, {q}) has shape {row.shape}, expected {(size,)}")
+        if row.size != size:
+            raise ValueError(f"record ({axis}, {q}) has length {row.size}, expected {size}")
+        counts[c] = row
     return PtychoDataset(
         n=n,
         unitary=UnitarySpec.from_dict(doc.get("unitary")),
         shots_per_circuit=doc.get("shots"),
-        records=records,
+        counts=counts,
         mitigated=doc.get("mitigated", False),
         seed=doc.get("seed"),
         noise_model_id=doc.get("noise_model_id"),

@@ -21,6 +21,7 @@ PSI3N_SEED = 3
 
 TWO_QUBIT_TAGS = tuple(f"psi{i}" for i in range(1, 11))
 NQUBIT_TAGS = tuple(f"psi{i}_n" for i in range(1, 6))
+STATE_TAGS = TWO_QUBIT_TAGS + NQUBIT_TAGS + ("ghz", "w")
 
 
 def _product_state(n: int, factor: np.ndarray) -> StateVector:
@@ -93,9 +94,7 @@ def _two_qubit_state(tag: str) -> StateVector:
         return StateVector(2, np.array([0, 1, -1, 0]) / sqrt2)
     if tag == "psi9":
         return random_arbitrary(2, PSI9_SEED)
-    if tag == "psi10":
-        return random_arbitrary(2, PSI10_SEED)
-    raise KeyError(tag)
+    return random_arbitrary(2, PSI10_SEED)  # psi10
 
 
 def _nqubit_state(tag: str, n: int) -> StateVector:
@@ -107,9 +106,7 @@ def _nqubit_state(tag: str, n: int) -> StateVector:
         return random_separable(n, PSI3N_SEED)
     if tag in ("psi4_n", "ghz"):
         return ghz_state(n)
-    if tag in ("psi5_n", "w"):
-        return w_state(n)
-    raise KeyError(tag)
+    return w_state(n)  # psi5_n, w
 
 
 def named_state(tag: str, n: int) -> StateVector:
@@ -117,16 +114,17 @@ def named_state(tag: str, n: int) -> StateVector:
 
     Tags ``psi1`` .. ``psi10`` are the fixed two-qubit set and require n = 2;
     tags ``psi1_n`` .. ``psi5_n`` (aliases ``ghz``, ``w``) work for any n >= 2.
+    Tags are case-insensitive; any other tag raises ``ValueError``.
     """
+    if not isinstance(tag, str) or tag.lower() not in STATE_TAGS:
+        raise ValueError(f"unknown state tag {tag!r}, expected one of {', '.join(STATE_TAGS)}")
     tag = tag.lower()
     n = _integer(n, "named states need an integer n", 2)
     if tag in TWO_QUBIT_TAGS:
         if n != 2:
             raise ValueError(f"state {tag!r} is a two-qubit state, got n={n}")
         return _two_qubit_state(tag)
-    if tag in NQUBIT_TAGS or tag in ("ghz", "w"):
-        return _nqubit_state(tag, n)
-    raise KeyError(f"unknown state tag {tag!r}")
+    return _nqubit_state(tag, n)
 
 
 def table_states(n: int):

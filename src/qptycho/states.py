@@ -93,15 +93,15 @@ class ProjectorId:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
+def circuit_settings(n: int):
+    """The 3n (axis, qubit) circuits in canonical order: axis x,y,z outer, qubit ascending."""
+    return [(axis, q) for axis in PAULI_AXES for q in range(n)]
+
+
 def projector_ids(n: int):
-    """The 6n projector labels in canonical order: axis x,y,z outer,
-    qubit ascending, sign + before -."""
-    return [
-        ProjectorId(axis, q, sign)
-        for axis in PAULI_AXES
-        for q in range(n)
-        for sign in SIGNS
-    ]
+    """The 6n projector labels in canonical order: the circuits of
+    :func:`circuit_settings`, sign + before - within each."""
+    return [ProjectorId(axis, q, sign) for axis, q in circuit_settings(n) for sign in SIGNS]
 
 
 def _project_amps(amps: np.ndarray, axis: str, q: int, sign: int) -> np.ndarray:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import strategies as st
 
 from qptycho import pie
-from qptycho.protocol import CircuitRecord
 
 ACCEPTANCE_LINES = []
 
@@ -31,10 +30,10 @@ def peak_traced_bytes(fn) -> int:
 
 def with_counts(dataset, index, counts):
     """A new dataset, built and checked like any other, that is ``dataset``
-    with record ``index`` holding ``counts``."""
-    records = list(dataset.records)
-    records[index] = CircuitRecord(records[index].axis, records[index].qubit, counts)
-    return replace(dataset, records=records)
+    with row ``index`` holding ``counts``."""
+    table = dataset.counts.copy()
+    table[index] = counts
+    return replace(dataset, counts=table)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -165,6 +165,29 @@ def test_bad_unitary_rejected(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err.strip())
 
 
+def test_unknown_state_tag_is_one_value_error_line(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run_cli("prepare-state", "-n", "2", "--tag", "foo", "--out", str(out)) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        "ValueError: unknown state tag 'foo', expected one of psi1, psi2, psi3, psi4, psi5, psi6, "
+        "psi7, psi8, psi9, psi10, psi1_n, psi2_n, psi3_n, psi4_n, psi5_n, ghz, w"
+    )
+    assert not out.exists()
+
+
+def test_table_sweep_rejects_n_1_before_any_cell(tmp_path, capsys, engine_passes):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ensemble": "table"}))
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "-n", "3", "1", "--config", str(config), "--out", str(out)) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError: n_values must hold integers >= 2, got 1"
+    assert engine_passes == [] and not out.exists()
+
+
 def test_missing_required_option(tmp_path, capsys):
     code = run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2")
     assert code == 2

@@ -195,6 +195,15 @@ class TestHarnessArguments:
         with pytest.raises(ValueError, match=f"^{field} must be non-empty$"):
             run()
 
+    @pytest.mark.parametrize("run", [
+        lambda: small_sweep(n_values=(3, 1), ensemble="table"),
+        lambda: run_aqft_study((3, 1), (1,), shots=64, runs_per_state=2),
+    ], ids=["sweep", "aqft-study"])
+    def test_benchmark_table_needs_two_qubits_before_any_cell_runs(self, run, engine_passes):
+        with pytest.raises(ValueError, match=r"^n_values must hold integers >= 2, got 1$"):
+            run()
+        assert engine_passes == []
+
     @pytest.mark.parametrize("kwargs, field", [
         (dict(runs_per_state=0), "runs_per_state"),
         (dict(runs_per_state=2.5), "runs_per_state"),

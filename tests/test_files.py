@@ -30,7 +30,7 @@ from qptycho import (
 )
 from qptycho.cli import main
 from qptycho.mitigation import _condition_bound
-from qptycho.protocol import CircuitRecord, dataset_to_dict
+from qptycho.protocol import dataset_to_dict
 from qptycho.states import _decode_array, _encode_array
 
 from conftest import JSON_VALUES, peak_traced_bytes
@@ -274,6 +274,11 @@ class TestReaderChecks:
         write_json(path, doc)
         with pytest.raises(ValueError, match="has length 2, expected 4"):
             load_dataset(path)
+        # The right number of entries in the wrong shape is no record either.
+        doc["records"][0]["counts"] = payload([[0, 10.0], [0, 0]])
+        write_json(path, doc)
+        with pytest.raises(ValueError, match=r"d\.json: record \(x, 0\) has shape \(2, 2\), expected \(4,\)$"):
+            load_dataset(path)
         cal_path = tmp_path / "c.json"
         save_calibration(CalibrationMatrix(np.eye(2), np.eye(4)), cal_path)
         doc = json.loads(cal_path.read_text())
@@ -344,20 +349,10 @@ class TestDatasetOwnsItsChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(small_dataset(), **{field: value})
 
-    def test_record_rejects_a_bool_qubit(self):
-        # True == 1 would pass the canonical-order check and save a file that
-        # no reader loads.
-        with pytest.raises(ValueError, match="qubit index must be an integer >= 0, got True"):
-            CircuitRecord("x", True, [10.0, 0.0])
-
-    @pytest.mark.parametrize("field", ["n", "shots_per_circuit", "seed", "qubit"])
+    @pytest.mark.parametrize("field", ["n", "shots_per_circuit", "seed"])
     def test_numpy_integers_round_trip(self, tmp_path, field):
         data = generate_dataset(StateVector(2, [1, 0, 0, 0]), UnitarySpec.qft(), 10, seed=1)
-        if field == "qubit":
-            records = [CircuitRecord(r.axis, np.int64(r.qubit), r.counts) for r in data.records]
-            built = replace(data, records=records)
-        else:
-            built = replace(data, **{field: np.int64(getattr(data, field))})
+        built = replace(data, **{field: np.int64(getattr(data, field))})
         assert all(type(v) is int for v in (built.n, built.shots_per_circuit, built.seed))
         assert all(type(r.qubit) is int for r in built.records)
         path = tmp_path / "d.json"
@@ -504,16 +499,14 @@ def assert_round_trips(save, load, obj, path):
 
 def with_specials(dataset):
     """A copy of a mitigated dataset with a negative entry, -0.0 and
-    subnormals planted in each record, what they replace moved onto the
-    record's last entry so that its sum holds."""
-    records = []
-    for rec in dataset.records:
-        counts = rec.counts.copy()
-        for k, value in enumerate((-2.5, -0.0, 5e-324, -5e-324)[: counts.size - 1]):
-            counts[-1] += counts[k] - value
-            counts[k] = value
-        records.append(CircuitRecord(rec.axis, rec.qubit, counts))
-    return replace(dataset, records=records)
+    subnormals planted in each row, what they replace moved onto the
+    row's last entry so that its sum holds."""
+    counts = dataset.counts.copy()
+    for row in counts:
+        for k, value in enumerate((-2.5, -0.0, 5e-324, -5e-324)[: row.size - 1]):
+            row[-1] += row[k] - value
+            row[k] = value
+    return replace(dataset, counts=counts)
 
 
 def with_planted(cal, values):

@@ -106,9 +106,13 @@ def _arrays(value):
 @pytest.mark.parametrize("name", PIPELINE_VALUES)
 def test_pipeline_values_are_immutable(name):
     value = PIPELINE_VALUES[name]()
-    for field in dataclasses.fields(value):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, field.name, getattr(value, field.name))
+    if isinstance(value, tuple):  # a CircuitRecord, a named tuple
+        fields, frozen = value._fields, AttributeError
+    else:
+        fields, frozen = [f.name for f in dataclasses.fields(value)], dataclasses.FrozenInstanceError
+    for field in fields:
+        with pytest.raises(frozen):
+            setattr(value, field, getattr(value, field))
     for arr in _arrays(value):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]

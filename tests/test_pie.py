@@ -24,6 +24,7 @@ from qptycho import (
 )
 from qptycho import pie
 from qptycho.pie import _correction_amps, _normalized_rows
+from qptycho.protocol import dataset_from_dict, dataset_to_dict
 from qptycho.states import _project_amps
 
 from conftest import with_counts
@@ -216,12 +217,15 @@ class TestCorrectionStep:
 
     def test_input_validation(self):
         # Targets reach the step only from a dataset, which is checked when
-        # built: a record of the wrong length, or negative counts that would
-        # give negative targets, never reaches the engine.
+        # built: a record of the wrong length (refused by the reader; a
+        # built dataset takes only a whole counts array), or negative counts
+        # that would give negative targets, never reaches the engine.
         dataset = generate_dataset(named_state("psi5", 2), QFT, 64, seed=1)
         counts = dataset.records[0].counts
+        doc = dataset_to_dict(dataset)
+        doc["records"][0]["counts"] = counts[:6].tolist()
         with pytest.raises(ValueError, match=r"record \(x, 0\) has length 6"):
-            pie_run(with_counts(dataset, 0, counts[:6]))
+            pie_run(dataset_from_dict(doc))
         with pytest.raises(ValueError, match=r"record \(x, 0\) holds negative counts"):
             pie_run(with_counts(dataset, 0, np.r_[-1.0, counts[1:]]))
 
@@ -307,7 +311,7 @@ class TestPieRun:
         from qptycho.protocol import PtychoDataset
 
         with pytest.raises(ValueError):
-            pie_run(PtychoDataset(n=2, unitary=QFT, shots_per_circuit=0, records=[]))
+            pie_run(PtychoDataset(n=2, unitary=QFT, shots_per_circuit=0, counts=[]))
 
     def test_reference_dimension_checked(self):
         dataset = generate_dataset(named_state("psi5", 2), QFT, 0)

@@ -214,7 +214,7 @@ class TestNormalizeDataset:
             n=1,
             unitary=QFT,
             shots_per_circuit=100_000,
-            records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
+            counts=np.tile(counts, (3, 1)),
         )
         targets = normalize_dataset(dataset)
         assert targets.shape == (6, 2)
@@ -245,7 +245,7 @@ class TestNormalizeDataset:
             n=1,
             unitary=QFT,
             shots_per_circuit=1000,
-            records=[CircuitRecord(axis, 0, counts.copy()) for axis in "xyz"],
+            counts=np.tile(counts, (3, 1)),
             mitigated=True,
         )
         targets = normalize_dataset(dataset)
@@ -253,14 +253,17 @@ class TestNormalizeDataset:
 
     def test_missing_records_rejected(self):
         with pytest.raises(ValueError, match="must hold 6 records in canonical"):
-            normalize_dataset(PtychoDataset(n=2, unitary=QFT, shots_per_circuit=10, records=[]))
+            normalize_dataset(PtychoDataset(n=2, unitary=QFT, shots_per_circuit=10, counts=[]))
 
 
 class TestDatasetValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_record_rejects_non_finite_counts(self, bad):
+        counts = np.zeros((6, 8))
+        counts[:, 0] = 10.0
+        counts[3, 1] = bad  # row 3 is circuit (y, 1) at n=2
         with pytest.raises(ValueError, match=r"record \(y, 1\) counts must be finite"):
-            CircuitRecord("y", 1, [10.0, bad, 0.0, 0.0])
+            PtychoDataset(n=2, unitary=QFT, shots_per_circuit=10, counts=counts)
 
     def test_noninteger_unmitigated_counts_rejected(self):
         counts = np.full(4, 2.5)
@@ -269,7 +272,7 @@ class TestDatasetValidation:
                 n=1,
                 unitary=QFT,
                 shots_per_circuit=10,
-                records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
+                counts=np.tile(counts, (3, 1)),
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -292,7 +295,7 @@ class TestDatasetValidation:
                     n=1,
                     unitary=QFT,
                     shots_per_circuit=shots,
-                    records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
+                    counts=np.tile(counts, (3, 1)),
                 )
 
     def test_mitigated_sum_tolerance(self):
@@ -302,9 +305,42 @@ class TestDatasetValidation:
                 n=1,
                 unitary=QFT,
                 shots_per_circuit=1000,
-                records=[CircuitRecord(axis, 0, counts) for axis in "xyz"],
+                counts=np.tile(counts, (3, 1)),
                 mitigated=True,
             )
+
+
+class TestDatasetCounts:
+    """A dataset holds one (3n, 2^(n+1)) array; its records are views of its rows."""
+
+    def test_counts_are_read_only_and_owned(self):
+        counts = generate_dataset(named_state("ghz", 2), QFT, 64, seed=4).counts.copy()
+        dataset = PtychoDataset(n=2, unitary=QFT, shots_per_circuit=64, counts=counts)
+        assert dataset.counts.shape == (6, 8) and dataset.counts.dtype == np.float64
+        assert not dataset.counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.counts[0, 0] = 1.0
+        assert not np.shares_memory(dataset.counts, counts)
+        counts[0] = 0.0  # the caller's later write does not reach the dataset
+        assert dataset.counts[0].sum() == 64
+
+    def test_records_are_labelled_views_of_the_rows(self):
+        dataset = generate_dataset(named_state("w", 3), QFT, 0)
+        assert len(dataset.records) == 9
+        for c, (rec, setting) in enumerate(zip(dataset.records, circuit_settings(3), strict=True)):
+            assert isinstance(rec, CircuitRecord)
+            assert (rec.axis, rec.qubit) == setting
+            assert rec.counts.base is dataset.counts
+            assert np.shares_memory(rec.counts, dataset.counts[c])
+            assert np.array_equal(rec.counts, dataset.counts[c])
+            assert not rec.counts.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(6,), (5, 8), (6, 4), (6, 2, 4), (0,)])
+    def test_wrong_shape_names_the_expected_shape(self, shape):
+        message = rf"must hold 6 records in canonical \(axis, qubit\) order: counts has shape " \
+                  rf"{re.escape(str(shape))}, expected \(6, 8\)"
+        with pytest.raises(ValueError, match=message):
+            PtychoDataset(n=2, unitary=QFT, shots_per_circuit=0, counts=np.zeros(shape))
 
 
 class TestDatasetFiles:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,12 +67,19 @@ class TestNamedStates:
         )
 
     def test_unknown_tag_and_mismatched_n(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             named_state("psi11", 2)
         with pytest.raises(ValueError):
             named_state("psi3", 3)
         with pytest.raises(ValueError):
             named_state("ghz", 1)
+
+    @pytest.mark.parametrize("tag", ["psi11", "foo", "", 5, None, b"ghz"])
+    def test_unknown_tag_lists_the_valid_tags(self, tag):
+        message = (f"unknown state tag {tag!r}, expected one of psi1, psi2, psi3, psi4, psi5, "
+                   "psi6, psi7, psi8, psi9, psi10, psi1_n, psi2_n, psi3_n, psi4_n, psi5_n, ghz, w")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            named_state(tag, 2)
 
     @pytest.mark.parametrize("n", [2.0, 2.5, True, "3", 1])
     def test_qubit_count_must_be_an_integer(self, n):

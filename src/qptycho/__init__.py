@@ -55,7 +55,6 @@ from .states import (
 )
 from .transforms import (
     UnitarySpec,
-    aqft_matrix,
     u3_matrix,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "StateVector",
     "SweepConfig",
     "UnitarySpec",
-    "aqft_matrix",
     "beta_schedule",
     "build_calibration",
     "circuit_settings",

@@ -42,6 +42,12 @@ class CircuitRecord(NamedTuple):
     counts: np.ndarray
 
 
+class _Owned(NamedTuple):
+    """Counts that a builder here has just filled: kept, not copied."""
+
+    array: np.ndarray
+
+
 @dataclass(frozen=True)
 class PtychoDataset:
     """Counts from all 3n circuits plus the metadata to re-run them, checked when built.
@@ -76,7 +82,8 @@ class PtychoDataset:
         if not isinstance(self.unitary, UnitarySpec):
             raise ValueError(f"unitary must be a UnitarySpec, got {type(self.unitary).__name__}")
         self.unitary.validate_for(n)
-        counts = np.array(self.counts, dtype=np.float64)
+        owned = isinstance(self.counts, _Owned)
+        counts = self.counts.array if owned else np.array(self.counts, dtype=np.float64)
         if counts.shape != (3 * n, 2 << n):
             raise ValueError(
                 f"dataset must hold {3 * n} records in canonical (axis, qubit) order: "
@@ -172,7 +179,7 @@ def generate_dataset(
         n=n,
         unitary=unitary,
         shots_per_circuit=shots,
-        counts=counts,
+        counts=_Owned(counts),
         mitigated=False,
         seed=entropy,
         noise_model_id=noise.label if noise is not None else None,
@@ -185,7 +192,7 @@ def mitigate_dataset(dataset: PtychoDataset, cal: CalibrationMatrix) -> PtychoDa
         raise ValueError(f"calibration is for n={cal.n}, dataset has n={dataset.n}")
     if dataset.mitigated:
         raise ValueError("dataset is already mitigated")
-    return replace(dataset, counts=mitigate(dataset.counts, cal), mitigated=True)
+    return replace(dataset, counts=_Owned(mitigate(dataset.counts, cal)), mitigated=True)
 
 
 def normalize_dataset(dataset: PtychoDataset) -> np.ndarray:
@@ -246,7 +253,7 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
         n=n,
         unitary=UnitarySpec.from_dict(doc.get("unitary")),
         shots_per_circuit=doc.get("shots"),
-        counts=counts,
+        counts=_Owned(counts),
         mitigated=doc.get("mitigated", False),
         seed=doc.get("seed"),
         noise_model_id=doc.get("noise_model_id"),

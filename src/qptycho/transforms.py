@@ -3,8 +3,8 @@
 Four families are supported: the full Fourier transform on basis indices,
 its degree-m approximation, the Hadamard transform, and per-qubit random
 unitaries. All are defined as index-space sums, so there is no swap or
-bit-reversal ambiguity; fast realizations (FFT, per-qubit kernels) are used
-where they agree with the dense definition.
+bit-reversal ambiguity; each is realized matrix-free in O(n 2^n) (FFT, staged
+butterflies, per-qubit kernels) and agrees with the dense definition.
 """
 from __future__ import annotations
 
@@ -52,60 +52,57 @@ def _qft_amps(amps: np.ndarray, adjoint: bool) -> np.ndarray:
     return np.fft.ifft(amps, axis=-1, norm="ortho")
 
 
-# Entries per row block of the AQFT build. One int64 index block of this size
-# is the only temporary of the build besides the small tables.
-_AQFT_BLOCK = 1 << 16
-
-
-@lru_cache(maxsize=2, typed=True)
-def aqft_matrix(n: int, m: int) -> np.ndarray:
-    """Dense degree-m approximate transform.
-
-    Entry (j, k) is 2^{-n/2} e^{2 pi i Y_jk / 2^n} with
-    Y_jk = sum over bit pairs (a, b), n-m <= a+b <= n-1, of j_a k_b 2^{a+b}.
-    Exponents are reduced mod 2^n before exponentiation so that m = n is
-    bit-for-bit the plain Fourier matrix. Each entry is copied from a table
-    of the 2^n distinct phases, a block of rows at a time, so the build
-    peaks at the 16 * 4^n-byte result plus one 2^16-entry block. Cached for
-    the last two (n, m), frozen.
-    """
-    n = _integer(n, "aqft qubit count must be an integer", 1)
-    m = _integer(m, "aqft degree must be an integer", 1)
-    if not m <= n:
-        raise ValueError(f"approximation degree must satisfy 1 <= m <= n, got m={m}, n={n}")
-    dim = 1 << n
-    # Every entry is one of these dim phases. Keep this operation order:
-    # another, such as 2j * pi * y / dim, rounds differently, and the engine
-    # amplifies that into its rounding-pinned results.
-    table = np.exp((2j * np.pi / dim) * np.arange(dim)) / math.sqrt(dim)
-    # Y_jk = sum_a j_a ((k & mask_a) << a), mask_a keeping bits n-m-a..n-1-a.
-    k = np.arange(dim)
-    terms = np.stack([(k & ((1 << (n - a)) - (1 << max(0, n - m - a)))) << a
-                      for a in range(n)])  # [n, dim]
-    bits = (k[:, None] >> np.arange(n)[None, :]) & 1  # [dim, n]
-    mat = np.empty((dim, dim), dtype=np.complex128)
-    step = max(1, _AQFT_BLOCK >> n)
-    for lo in range(0, dim, step):
-        rows = slice(lo, lo + step)
-        # mode="wrap" takes the exact int64 sum mod dim and needs no buffer.
-        np.take(table, bits[rows] @ terms, out=mat[rows], mode="wrap")
-    mat.flags.writeable = False
-    return mat
+@lru_cache(maxsize=8)
+def _aqft_stages(n: int, m: int, adjoint: bool) -> tuple:
+    """The staged degree-m transform's tables: per output bit a, the input
+    bit n-1-a that its butterfly reads, the lowest input bit of its phase and
+    its phase vector (None when no term is left; conjugated for the
+    adjoint), then the bit reversal."""
+    stages = []
+    for a in range(n):
+        bit, lowest = n - 1 - a, max(0, n - m - a)
+        phase = None
+        if lowest < bit:
+            # Term (a, b) adds k_b 2^(a+b-n) turns. Summed over the kept
+            # b = lowest..bit-1 that is t / 2^bit half-turns, where t is k
+            # with every bit outside lowest..bit-1 cleared.
+            half_turns = (np.arange(1 << (bit - lowest)) << lowest) / (1 << bit)
+            phase = np.exp(1j * np.pi * half_turns)[:, None]
+            if adjoint:
+                phase = phase.conj()
+            phase.flags.writeable = False
+        stages.append((bit, lowest, phase))
+    j = np.arange(1 << n)
+    reverse = sum(((j >> b) & 1) << (n - 1 - b) for b in range(n))
+    reverse.flags.writeable = False
+    return tuple(stages), reverse
 
 
 def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
-    # Each state is a (1, 2^n) row times the matrix: numpy then runs one
-    # matrix-vector product per state, so a batched state rounds exactly as a
-    # lone one (a matrix-matrix product would round differently, and the
-    # engine amplifies that). The adjoint conj(mat).T @ x is taken as
-    # conj(conj(x) @ mat), which copies no matrix. mat equals its transpose
-    # exactly, as its phase is symmetric in (j, k), yet x @ mat.T and x @ mat
-    # round differently, so the transpose stays to keep the forward's rounding.
-    mat = aqft_matrix(n, m)
-    rows = amps[..., None, :]
-    if adjoint:
-        return np.conj(np.conj(rows) @ mat)[..., 0, :]
-    return (rows @ mat.T)[..., 0, :]
+    # Staged form (Coppersmith, IBM RC19642; arXiv:quant-ph/0201067) of
+    # entry (j, k) = 2^{-n/2} e^{2 pi i Y_jk / 2^n}, with Y_jk the sum over
+    # bit pairs n-m <= a+b <= n-1 of j_a k_b 2^{a+b}. Stage a turns input bit
+    # n-1-a into output bit j_a with one butterfly, then phases the j_a = 1
+    # half by its terms with the lower input bits; a bit reversal ends it.
+    # O(n 2^n) and no matrix. The matrix is symmetric, so the adjoint is
+    # conj(forward(conj(x))): the same stages with conjugated phases, which
+    # round to exactly those bits. Rows never mix, and they run innermost
+    # (index-major layout), so a batch's loops stay long even at small n.
+    stages, reverse = _aqft_stages(n, m, adjoint)
+    x = amps.reshape(-1, 1 << n).T
+    rows = x.shape[1]
+    for bit, lowest, phase in stages:
+        v = x.reshape(-1, 2, rows << bit)
+        x = np.empty(v.shape, dtype=np.complex128)
+        np.add(v[:, 0], v[:, 1], out=x[:, 0])
+        np.subtract(v[:, 0], v[:, 1], out=x[:, 1])
+        if phase is not None:
+            half = x[:, 1].reshape(-1, len(phase), rows << lowest)  # a view
+            half *= phase
+    x = np.take(x.reshape(1 << n, rows), reverse, axis=0)
+    out = np.empty((rows, 1 << n), dtype=np.complex128)
+    np.multiply(x.T, 2.0 ** (-n / 2), out=out)
+    return out.reshape(amps.shape)
 
 
 def _apply_gates_amps(amps: np.ndarray, gates) -> np.ndarray:
@@ -212,6 +209,7 @@ class UnitarySpec:
         return cls.separable(_haar_u3_angles(n, rng))
 
     def validate_for(self, n: int):
+        n = _integer(n, "qubit count must be an integer", 1)
         if self.kind == "aqft" and not self.m <= n:
             raise ValueError(f"aqft degree m={self.m} exceeds qubit count n={n}")
         if self.kind == "separable" and len(self.angles) != n:

@@ -3,15 +3,18 @@
 Everything here is built from explicit 2^n x 2^n matrices and plain tensor
 products, deliberately sharing no code path with the package's matrix-free
 kernels. The exceptions are ``gates_in_place``, ``looped_aqft``,
-``looped_joint_laws`` and ``full_size_neumann_bound``, the per-qubit loop,
-the AQFT build, the per-circuit outcome laws and the mitigation guard's bound
-that the package replaced, kept as their bit-exact references, and
-``basis_state``, which wraps a one-hot vector in the package's StateVector.
+``aqft_matrix``, ``looped_joint_laws`` and ``full_size_neumann_bound``, the
+per-qubit loop, the two dense AQFT builds, the per-circuit outcome laws and
+the mitigation guard's bound that the package replaced, kept as their
+references, and ``basis_state``, which wraps a one-hot vector in the
+package's StateVector. ``extended_aqft`` rounds each entry of the AQFT
+once, from 40-digit ``mpmath`` values.
 Qubit k owns bit weight 2**k throughout.
 """
 import math
 from functools import reduce
 
+import mpmath
 import numpy as np
 
 from qptycho import StateVector, circuit_settings
@@ -75,8 +78,8 @@ def dense_qft(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(j, j) % dim) / dim) / np.sqrt(dim)
 
 
-def dense_aqft(n: int, m: int) -> np.ndarray:
-    """Degree-m approximate transform from the bitwise phase sum."""
+def _aqft_exponents(n: int, m: int) -> np.ndarray:
+    """Y_jk = sum over bit pairs n-m <= a+b <= n-1 of j_a k_b 2^(a+b), exact int64."""
     dim = 1 << n
     bits = (np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1
     weights = np.zeros((n, n), dtype=np.int64)
@@ -84,8 +87,25 @@ def dense_aqft(n: int, m: int) -> np.ndarray:
         for b in range(n):
             if n - m <= a + b <= n - 1:
                 weights[a, b] = 1 << (a + b)
-    exponents = bits @ weights @ bits.T
-    return np.exp(2j * np.pi * (exponents % dim) / dim) / np.sqrt(dim)
+    return bits @ weights @ bits.T
+
+
+def dense_aqft(n: int, m: int) -> np.ndarray:
+    """Degree-m approximate transform from the bitwise phase sum."""
+    dim = 1 << n
+    return np.exp(2j * np.pi * (_aqft_exponents(n, m) % dim) / dim) / np.sqrt(dim)
+
+
+def extended_aqft(n: int, m: int) -> np.ndarray:
+    """Degree-m approximate transform with every entry correctly rounded:
+    its 2^n distinct values 2^{-n/2} e^{2 pi i y / 2^n} are computed to 40
+    digits with ``mpmath`` and rounded once to complex128."""
+    dim = 1 << n
+    with mpmath.workdps(40):
+        scale = 1 / mpmath.sqrt(dim)
+        table = np.array([complex(scale * mpmath.expjpi(mpmath.mpf(2 * y) / dim))
+                          for y in range(dim)])
+    return table[_aqft_exponents(n, m) % dim]
 
 
 def looped_aqft(n: int, m: int) -> np.ndarray:
@@ -100,6 +120,21 @@ def looped_aqft(n: int, m: int) -> np.ndarray:
         for b in range(max(0, n - m - a), n - a):
             y += np.outer(bits[:, a], bits[:, b]) << (a + b)
     return np.exp((2j * np.pi / dim) * (y % dim)) / math.sqrt(dim)
+
+
+def aqft_matrix(n: int, m: int) -> np.ndarray:
+    """The degree-m transform as the package built it before its staged
+    kernel: one table of the 2^n distinct phases, in ``looped_aqft``'s
+    operation order, indexed by the exact int64 exponent (``mode="wrap"``
+    takes it mod 2^n). Bit for bit ``looped_aqft``."""
+    dim = 1 << n
+    table = np.exp((2j * np.pi / dim) * np.arange(dim)) / math.sqrt(dim)
+    # Y_jk = sum_a j_a ((k & mask_a) << a), mask_a keeping bits n-m-a..n-1-a.
+    k = np.arange(dim)
+    terms = np.stack([(k & ((1 << (n - a)) - (1 << max(0, n - m - a)))) << a
+                      for a in range(n)])  # [n, dim]
+    bits = (k[:, None] >> np.arange(n)[None, :]) & 1  # [dim, n]
+    return np.take(table, bits @ terms, mode="wrap")
 
 
 def looped_joint_laws(state: StateVector, unitary) -> list:

@@ -25,7 +25,6 @@ from qptycho import (
     ReadoutNoiseModel,
     SweepConfig,
     UnitarySpec,
-    aqft_matrix,
     build_calibration,
     generate_dataset,
     mitigate_dataset,
@@ -38,7 +37,7 @@ from qptycho import (
 )
 from qptycho.states import StateVector
 
-from oracles import dense_joint_distribution, dense_qft, haar_state
+from oracles import aqft_matrix, dense_joint_distribution, dense_qft, haar_state
 
 QFT = UnitarySpec.qft()
 FULL_SCALE = os.environ.get("QPTYCHO_FULL_SCALE") == "1"
@@ -151,19 +150,25 @@ def test_03_shot_scaling_monotonicity():
 def test_04_aqft_exactness_and_unitarity():
     max_dev = 0.0
     max_unit = 0.0
+    max_oracle = 0.0
     for n in range(1, 6):
         max_dev = max(max_dev, np.abs(aqft_matrix(n, n) - dense_qft(n)).max())
         for m in range(1, n + 1):
-            mat = aqft_matrix(n, m)
+            # Row k of the kernel's result is its transform of e_k.
+            mat = UnitarySpec.aqft(m).apply_amps(np.eye(1 << n, dtype=complex), n).T
+            max_oracle = max(max_oracle, np.abs(mat - aqft_matrix(n, m)).max())
+            if m == n:
+                max_dev = max(max_dev, np.abs(mat - dense_qft(n)).max())
             max_unit = max(
                 max_unit, np.abs(mat.conj().T @ mat - np.eye(1 << n)).max()
             )
-    passed = max_dev < 1e-12 and max_unit < 1e-12
+    passed = max_dev < 1e-12 and max_unit < 1e-12 and max_oracle < 1e-12
     report(
         4,
         "approximate-transform exactness and unitarity",
         passed,
-        f"max |AQFT(n)-QFT| = {max_dev:.2e}, max |U^dag U - I| = {max_unit:.2e}",
+        f"max |AQFT(n)-QFT| = {max_dev:.2e}, max |U^dag U - I| = {max_unit:.2e}, "
+        f"max |kernel - dense| = {max_oracle:.2e}",
     )
     assert passed
 

@@ -16,6 +16,7 @@ from qptycho import (
     named_state,
     normalize_dataset,
     projector_ids,
+    random_arbitrary,
     sample_shots,
     save_dataset,
 )
@@ -23,7 +24,7 @@ from qptycho.mitigation import build_calibration, corrupt_counts, mitigate
 from qptycho.protocol import CircuitRecord, PtychoDataset
 from qptycho.states import _project_amps
 
-from conftest import with_counts
+from conftest import peak_traced_bytes, with_counts
 from oracles import basis_state, dense_joint_distribution, dense_qft, haar_state, looped_joint_laws
 
 QFT = UnitarySpec.qft()
@@ -323,6 +324,16 @@ class TestDatasetCounts:
         assert not np.shares_memory(dataset.counts, counts)
         counts[0] = 0.0  # the caller's later write does not reach the dataset
         assert dataset.counts[0].sum() == 64
+
+    @pytest.mark.parametrize("shots", [0, 8192])
+    def test_generation_holds_the_counts_once(self, shots):
+        # generate_dataset hands the array it fills to the dataset, so its
+        # tracemalloc peak is one counts array plus per-circuit temporaries
+        # (2.07-2.09 counts arrays when the dataset copied it).
+        state = random_arbitrary(12, 3)
+        counts_bytes = 3 * 12 * (2 << 12) * 8
+        peak = peak_traced_bytes(lambda: generate_dataset(state, QFT, shots, seed=1))
+        assert peak < 1.5 * counts_bytes
 
     def test_records_are_labelled_views_of_the_rows(self):
         dataset = generate_dataset(named_state("w", 3), QFT, 0)

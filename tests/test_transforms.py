@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 
 from qptycho import (
-    PieConfig,
     StateVector,
     UnitarySpec,
-    aqft_matrix,
     random_arbitrary,
-    run_aqft_study,
     u3_matrix,
 )
 
-from conftest import peak_traced_bytes
 from oracles import (
+    aqft_matrix,
     basis_state,
     bit_reversal_permutation,
     dense_aqft,
     dense_hadamard,
     dense_qft,
+    extended_aqft,
     haar_state,
     looped_aqft,
     rotation_y,
@@ -106,6 +104,7 @@ class TestAqft:
         for n in (2, 3, 4):
             expected = dense_hadamard(n) @ bit_reversal_permutation(n)
             np.testing.assert_allclose(aqft_matrix(n, 1), expected, atol=1e-12)
+            np.testing.assert_allclose(dense_unitary(UnitarySpec.aqft(1), n), expected, atol=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(43)
@@ -119,10 +118,10 @@ class TestAqft:
     def test_unitarity_all_degrees(self):
         for n in range(1, 6):
             for m in range(1, n + 1):
-                mat = aqft_matrix(n, m)
-                np.testing.assert_allclose(
-                    mat.conj().T @ mat, np.eye(1 << n), atol=1e-12
-                )
+                for mat in (aqft_matrix(n, m), dense_unitary(UnitarySpec.aqft(m), n)):
+                    np.testing.assert_allclose(
+                        mat.conj().T @ mat, np.eye(1 << n), atol=1e-12
+                    )
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
@@ -132,13 +131,63 @@ class TestAqft:
 
 
 EXACT_AQFT_CASES = [(n, m) for n in range(1, 9) for m in range(1, n + 1)] + [(10, 2), (10, 10)]
+EXTENDED_AQFT_CASES = [(n, m) for n in range(1, 7) for m in range(1, n + 1)] + [(10, 2), (10, 10)]
+BITWISE_AQFT_CASES = [(1, 1), (3, 2), (4, 4), (6, 2), (6, 5), (10, 2)]
+
+
+class TestAqftKernel:
+    @pytest.mark.parametrize("n, m", EXTENDED_AQFT_CASES)
+    def test_within_1e_15_of_the_extended_precision_oracle(self, n, m):
+        # Row k of each result is the transform of the unit vector e_k.
+        exact = extended_aqft(n, m)
+        units = np.eye(1 << n, dtype=np.complex128)
+        spec = UnitarySpec.aqft(m)
+        assert np.abs(spec.apply_amps(units, n) - exact.T).max() <= 1e-15
+        assert np.abs(spec.apply_amps(units, n, adjoint=True) - exact.conj()).max() <= 1e-15
+
+    @pytest.mark.parametrize("n, m", BITWISE_AQFT_CASES)
+    def test_adjoint_is_conj_forward_conj_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(n * 16 + m)
+        amps = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+        spec = UnitarySpec.aqft(m)
+        expected = np.conj(spec.apply_amps(np.conj(amps), n))
+        assert np.array_equal(spec.apply_amps(amps, n, adjoint=True).view(np.float64),
+                              expected.view(np.float64))
+
+    @pytest.mark.parametrize("n, m", BITWISE_AQFT_CASES)
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_batched_call_equals_its_lone_rows_bit_for_bit(self, n, m, adjoint):
+        rng = np.random.default_rng(n * 16 + m)
+        amps = rng.normal(size=(3, 4, 1 << n)) + 1j * rng.normal(size=(3, 4, 1 << n))
+        spec = UnitarySpec.aqft(m)
+        batched = spec.apply_amps(amps, n, adjoint)
+        assert batched.shape == amps.shape
+        for s in range(3):
+            for k in range(4):
+                lone = spec.apply_amps(amps[s, k], n, adjoint)
+                assert np.array_equal(batched[s, k].view(np.float64), lone.view(np.float64))
+
+    @pytest.mark.parametrize("n, m, message", [
+        (10.0, 2, "qubit count must be an integer >= 1, got 10.0"),
+        (True, 1, "qubit count must be an integer >= 1, got True"),
+        (3, True, "aqft requires an integer degree m >= 1, got True"),
+        (3, 2.0, "aqft requires an integer degree m >= 1, got 2.0"),
+        (2, 0, "aqft requires an integer degree m >= 1, got 0"),
+        (2, 3, "aqft degree m=3 exceeds qubit count n=2"),
+    ])
+    def test_spec_rejects_bad_arguments(self, n, m, message):
+        with pytest.raises(ValueError) as exc:
+            UnitarySpec.aqft(m).validate_for(n)
+        assert str(exc.value) == message
 
 
 class TestAqftMatrix:
+    """The dense build the staged kernel replaced, kept as an oracle."""
+
     @pytest.mark.parametrize("n, m", EXACT_AQFT_CASES)
     def test_bit_identical_to_the_looped_build(self, n, m):
         mat = aqft_matrix(n, m)
-        assert mat.dtype == np.complex128 and not mat.flags.writeable
+        assert mat.dtype == np.complex128
         assert np.array_equal(mat.view(np.float64), looped_aqft(n, m).view(np.float64))
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -147,36 +196,6 @@ class TestAqftMatrix:
         for m in range(1, n + 1):
             mat = aqft_matrix(n, m)
             assert np.array_equal(mat, mat.T), (n, m)
-
-    def test_build_peak_is_the_result_plus_one_block(self):
-        aqft_matrix.cache_clear()
-        peak = peak_traced_bytes(lambda: aqft_matrix(10, 2))
-        mat = aqft_matrix(10, 2)  # the cached result of the traced call
-        assert mat.nbytes == 16 << 20
-        assert peak <= 20 << 20  # the looped build peaks at 40 MB
-
-    def test_study_builds_each_cell_once(self):
-        aqft_matrix.cache_clear()
-        run_aqft_study(n_values=(3, 4), m_values=(1, 2, 3), shots=256, runs_per_state=1,
-                       pie=PieConfig(iterations=2))
-        info = aqft_matrix.cache_info()
-        assert info.misses == 6 and info.hits > 0
-        assert info.maxsize == 2 and info.currsize == 2
-
-    @pytest.mark.parametrize("n, m, message", [
-        (10.0, 2, "aqft qubit count must be an integer >= 1, got 10.0"),
-        (True, 1, "aqft qubit count must be an integer >= 1, got True"),
-        (3, True, "aqft degree must be an integer >= 1, got True"),
-        (3, 2.0, "aqft degree must be an integer >= 1, got 2.0"),
-        (2, 0, "aqft degree must be an integer >= 1, got 0"),
-        (2, 3, "approximation degree must satisfy 1 <= m <= n, got m=3, n=2"),
-    ])
-    def test_rejects_bad_arguments(self, n, m, message):
-        aqft_matrix(1, 1)  # cached (1, 1) must not answer (True, 1)
-        aqft_matrix(3, 1)
-        with pytest.raises(ValueError) as exc:
-            aqft_matrix(n, m)
-        assert str(exc.value) == message
 
 
 class TestU3:

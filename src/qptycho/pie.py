@@ -15,6 +15,21 @@ linearly from 2.0 by delta_beta per iteration, which empirically converges
 much better than any constant beta. The working estimate is intentionally
 left unnormalized inside the loop; metrics and the returned estimate use
 normalized copies.
+
+When U is a product of one-qubit gates u_q (the hadamard and separable
+kinds), the engine runs the same algorithm on psi = U phi, the measurement
+frame. There the projector P = |e><e| on qubit q becomes
+Q = U P U^dagger = |f><f| on qubit q, with f = u_q e, and a correction is
+
+    c         = <f| psi                     (on qubit q)
+    psi_tilde = f (x) c                     (= U phi_p)
+    corrected = t * phase(psi_tilde)
+    psi      <- psi + beta * f (x) (<f| corrected - c)
+
+so no transform runs inside the loop: the starts and the reference are
+rotated into the frame once, distances and fidelities are taken there (they
+do not depend on the frame), and the final estimate is rotated back by
+U^dagger and renormalized.
 """
 from __future__ import annotations
 
@@ -28,7 +43,8 @@ import numpy as np
 from .protocol import PtychoDataset, normalize_dataset
 from .stateprep import random_arbitrary
 from .states import (
-    ProjectorId, StateVector, _integer, _project_amps, _real, _write_csv, projector_ids,
+    _PAULI_EIGENVECTORS, ProjectorId, StateVector, _integer, _project_amps, _real, _write_csv,
+    projector_ids,
 )
 from .transforms import UnitarySpec
 
@@ -179,6 +195,23 @@ def _correction_amps(
     return amps + beta * (back_projected - projected)
 
 
+def _frame_correction_amps(
+    amps: np.ndarray, q: int, f: np.ndarray, target: np.ndarray, beta: float
+) -> np.ndarray:
+    """:func:`_correction_amps` in the measurement frame of a product
+    unitary: ``amps`` holds psi = U phi and the projector is |f><f| on
+    qubit q, so c = <f|psi on qubit q and psi_tilde = f (x) c."""
+    v = amps.reshape(-1, 2, 1 << q)
+    fc = f.conj()
+    c = fc[0] * v[:, 0] + fc[1] * v[:, 1]
+    tilde = (f[:, None] * c[:, None]).reshape(amps.shape)
+    mag = np.abs(tilde)
+    phase = np.divide(tilde, mag, out=np.ones_like(tilde), where=mag >= _TINY)
+    corrected = (target * phase).reshape(v.shape)
+    step = beta * (fc[0] * corrected[:, 0] + fc[1] * corrected[:, 1] - c)
+    return amps + (f[:, None] * step[:, None]).reshape(amps.shape)
+
+
 def pie_run(
     dataset: PtychoDataset,
     config: PieConfig = PieConfig(),
@@ -289,8 +322,24 @@ def _run_rows(n, unitary, ids, targets, config, seeds, refs):
     starts and ``refs`` the S unit references (or None). Every row runs the
     whole schedule. Returns S lists of K ``(estimate, trace)``, each trace
     with the pass's wall time.
+
+    A product unitary (hadamard, separable) runs in the measurement frame of
+    the module docstring, with f = u_q e precomputed per projector; the
+    Fourier kinds run :func:`_correction_amps`.
     """
     amps = np.stack([[random_arbitrary(n, seed).amps for seed in starts] for starts in seeds])
+    gates = unitary.qubit_gates(n)
+    if gates is None:
+        def correct(amps, idx, beta):
+            return _correction_amps(amps, n, ids[idx], targets[idx], unitary, beta)
+    else:
+        frame = [gates[p.qubit] @ _PAULI_EIGENVECTORS[p.axis, p.sign] for p in ids]
+        amps = unitary.apply_amps(amps, n)
+        if refs is not None:
+            refs = unitary.apply_amps(refs, n)
+
+        def correct(amps, idx, beta):
+            return _frame_correction_amps(amps, ids[idx].qubit, frame[idx], targets[idx], beta)
     current = _normalized_rows(amps, 0)
     ref_conj = None if refs is None else refs.conj()
     order_rng = (
@@ -308,7 +357,7 @@ def _run_rows(n, unitary, ids, targets, config, seeds, refs):
             else order_rng.permutation(len(ids))
         )
         for idx in order:
-            amps = _correction_amps(amps, n, ids[idx], targets[idx], unitary, beta)
+            amps = correct(amps, idx, beta)
         previous, current = current, _normalized_rows(amps, iteration)
         distance = _distance(current, previous)
         for s, dataset_rows in enumerate(rows):
@@ -318,6 +367,8 @@ def _run_rows(n, unitary, ids, targets, config, seeds, refs):
                 fids = np.minimum(1.0, np.abs(current[s] @ ref_conj[s]) ** 2).tolist()
             for trace_rows, dist, fid in zip(dataset_rows, distance[s].tolist(), fids):
                 trace_rows.append(TraceRow(iteration, beta, dist, fid))
+    if gates is not None:
+        current = _normalized_rows(unitary.apply_amps(current, n, adjoint=True), iteration)
     elapsed = time.perf_counter() - started
     return [
         [(StateVector(n, current[s, k]), PieTrace(trace_rows, elapsed))

@@ -104,6 +104,17 @@ def projector_ids(n: int):
     return [ProjectorId(axis, q, sign) for axis, q in circuit_settings(n) for sign in SIGNS]
 
 
+#: The unit eigenvector e of each (axis, sign) Pauli projector |e><e|.
+_PAULI_EIGENVECTORS = {
+    ("z", 1): np.array([1, 0], dtype=np.complex128),
+    ("z", -1): np.array([0, 1], dtype=np.complex128),
+    ("x", 1): np.array([1, 1], dtype=np.complex128) / math.sqrt(2),
+    ("x", -1): np.array([1, -1], dtype=np.complex128) / math.sqrt(2),
+    ("y", 1): np.array([1, 1j], dtype=np.complex128) / math.sqrt(2),
+    ("y", -1): np.array([1, -1j], dtype=np.complex128) / math.sqrt(2),
+}
+
+
 def _project_amps(amps: np.ndarray, axis: str, q: int, sign: int) -> np.ndarray:
     """Matrix-free application of the rank-1 Pauli eigenprojector on bit q,
     tensored with identity elsewhere. O(2**n), returns a new array."""

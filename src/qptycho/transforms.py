@@ -19,6 +19,7 @@ from .states import _integer
 KINDS = ("qft", "aqft", "hadamard", "separable")
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+_H.flags.writeable = False  # shared between calls
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -217,14 +218,22 @@ class UnitarySpec:
                 f"separable spec has {len(self.angles)} angle triples but n={n}"
             )
 
+    def qubit_gates(self, n: int, adjoint: bool = False):
+        """The 2x2 gate of each qubit, qubit 0 first, when this unitary is a
+        product of them (hadamard, separable), or their adjoints; None for
+        the Fourier kinds. The matrices are shared and read-only."""
+        if self.kind == "hadamard":
+            return (_H,) * n  # self-adjoint
+        if self.kind == "separable":
+            return _separable_gates(self.angles, adjoint)
+        return None
+
     def apply_amps(self, amps: np.ndarray, n: int, adjoint: bool = False) -> np.ndarray:
         if self.kind == "qft":
             return _qft_amps(amps, adjoint)
         if self.kind == "aqft":
             return _aqft_amps(amps, n, self.m, adjoint)
-        if self.kind == "hadamard":
-            return _apply_gates_amps(amps, (_H,) * n)  # self-adjoint
-        return _apply_gates_amps(amps, _separable_gates(self.angles, adjoint))
+        return _apply_gates_amps(amps, self.qubit_gates(n, adjoint))
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind}

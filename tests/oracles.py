@@ -8,7 +8,9 @@ per-qubit loop, the two dense AQFT builds, the per-circuit outcome laws and
 the mitigation guard's bound that the package replaced, kept as their
 references, and ``basis_state``, which wraps a one-hot vector in the
 package's StateVector. ``extended_aqft`` rounds each entry of the AQFT
-once, from 40-digit ``mpmath`` values.
+once, from 40-digit ``mpmath`` values. ``dense_correction`` is the engine's
+computational-frame correction, the reference for the measurement frame
+that the hadamard and separable kinds run in.
 Qubit k owns bit weight 2**k throughout.
 """
 import math
@@ -159,6 +161,40 @@ def dense_hadamard(n: int) -> np.ndarray:
     for _ in range(n):
         out = np.kron(out, h)
     return out
+
+
+def dense_u3(theta: float, phi: float, lam: float) -> np.ndarray:
+    """e^{i(phi+lam)/2} Rz(phi) Ry(theta) Rz(lam), the package's u3 convention."""
+    return np.exp(0.5j * (phi + lam)) * rotation_z(phi) @ rotation_y(theta) @ rotation_z(lam)
+
+
+def dense_qubit_gates(spec, n: int) -> list:
+    """The 2x2 gate of each qubit of a hadamard or separable spec, qubit 0 first."""
+    if spec.kind == "hadamard":
+        return [dense_hadamard(1)] * n
+    return [dense_u3(*triple) for triple in spec.angles]
+
+
+def dense_product_unitary(spec, n: int) -> np.ndarray:
+    """u_{n-1} (x) ... (x) u_0 of a hadamard or separable spec."""
+    return reduce(np.kron, reversed(dense_qubit_gates(spec, n)))
+
+
+def frame_vector(spec, n: int, axis: str, sign: int, q: int) -> np.ndarray:
+    """f = u_q e: U |e><e|_q U^dagger = |f><f|_q for a product unitary U."""
+    return dense_qubit_gates(spec, n)[q] @ _EIGENVECTORS[(axis, sign)]
+
+
+def dense_correction(amps, projector, unitary_matrix, target, beta) -> np.ndarray:
+    """One engine correction in the computational frame, from explicit
+    matrices: phi + beta P (U^dagger (t * phase(U P phi)) - P phi), with
+    phase 1 where U P phi is exactly zero."""
+    projected = projector @ amps
+    tilde = unitary_matrix @ projected
+    mag = np.abs(tilde)
+    phase = np.where(mag > 0, tilde / np.where(mag > 0, mag, 1.0), 1.0)
+    back = unitary_matrix.conj().T @ (target * phase)
+    return amps + beta * (projector @ back - projected)
 
 
 def bit_reversal_permutation(n: int) -> np.ndarray:

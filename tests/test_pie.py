@@ -23,12 +23,15 @@ from qptycho import (
     trace_distance,
 )
 from qptycho import pie
-from qptycho.pie import _correction_amps, _normalized_rows
+from qptycho.pie import _correction_amps, _frame_correction_amps, _normalized_rows
 from qptycho.protocol import dataset_from_dict, dataset_to_dict
 from qptycho.states import _project_amps
 
 from conftest import with_counts
-from oracles import basis_state, haar_state
+from oracles import (
+    basis_state, dense_correction, dense_pauli_projector, dense_product_unitary, frame_vector,
+    haar_state,
+)
 
 QFT = UnitarySpec.qft()
 
@@ -583,3 +586,98 @@ class TestGroupedPasses:
         # runs before the next job is drawn.
         assert drawn_at_pass == [2, 4, 5]
         assert engine_passes == [(3, 2, 3), (3, 2, 3), (3, 1, 3)]
+
+
+PRODUCT_KINDS = ("hadamard", "separable")
+
+
+def dense_run(dataset, config, seed, reference):
+    """The engine in the computational frame, from explicit matrices: the
+    normalized estimate and its (distance, fidelity) per iteration."""
+    n = dataset.n
+    unitary = dense_product_unitary(dataset.unitary, n)
+    projectors = [dense_pauli_projector(p.axis, p.sign, p.qubit, n) for p in projector_ids(n)]
+    amps = random_arbitrary(n, seed).amps
+    current, rows = StateVector(n, amps), []
+    for iteration in range(1, config.resolved_iterations() + 1):
+        beta = beta_schedule(iteration, config)
+        for projector, target in zip(projectors, normalize_dataset(dataset)):
+            amps = dense_correction(amps, projector, unitary, target, beta)
+        previous, current = current, StateVector(n, amps / np.linalg.norm(amps))
+        rows.append((trace_distance(current, previous), fidelity(current, reference)))
+    return current.amps, rows
+
+
+class TestMeasurementFrame:
+    """The product kinds run the engine on psi = U phi, where a correction
+    needs no transform; it must be the computational-frame correction
+    rotated by U."""
+
+    @pytest.mark.parametrize("shots", [0, 4096])
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    def test_one_correction_is_the_rotated_dense_correction(self, kind, n, shots):
+        spec = spec_for(kind, n, seed=300 + n)
+        rng = np.random.default_rng(310 + n)
+        state = StateVector(n, haar_state(n, rng))
+        targets = normalize_dataset(generate_dataset(state, spec, shots, seed=320 + n))
+        unitary = dense_product_unitary(spec, n)
+        phi = haar_state(n, rng)
+        psi = unitary @ phi
+        for pid, target in zip(projector_ids(n), targets):
+            f = frame_vector(spec, n, pid.axis, pid.sign, pid.qubit)
+            projector = dense_pauli_projector(pid.axis, pid.sign, pid.qubit, n)
+            frame = _frame_correction_amps(psi, pid.qubit, f, target, 1.7)
+            expected = unitary @ dense_correction(phi, projector, unitary, target, 1.7)
+            np.testing.assert_allclose(frame, expected, rtol=0, atol=1e-12, err_msg=str(pid))
+
+    @pytest.mark.parametrize("shots", [0, 4096])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    def test_whole_run_matches_the_dense_engine(self, kind, n, shots):
+        # Two iterations only: the engine amplifies rounding, so longer runs
+        # of two correct implementations drift apart by more than 1e-12.
+        spec = spec_for(kind, n, seed=330 + n)
+        state = StateVector(n, haar_state(n, np.random.default_rng(340 + n)))
+        dataset = generate_dataset(state, spec, shots, seed=350 + n)
+        config = PieConfig(iterations=2, init_seed=7)
+        estimate, trace = pie_run(dataset, config, reference=state)
+        amps, rows = dense_run(dataset, config, 7, state)
+        np.testing.assert_allclose(estimate.amps, amps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            [(row.distance, row.fidelity) for row in trace.rows], rows, rtol=0, atol=1e-12
+        )
+
+    def test_subnormal_magnitudes_get_phase_one(self):
+        # The frame step keeps the computational step's _TINY rule; with
+        # f = |0> it is the same step as the identity-unitary case above.
+        amps = np.full(8, 0.5, dtype=complex)
+        amps[:4] = [1e-310, 1e-310 + 1e-310j, 3e-320j, 0.0]
+        target = np.full(8, 0.25)
+        out = _frame_correction_amps(amps, 2, np.array([1, 0], dtype=complex), target, 1.5)
+        expected = amps.copy()
+        expected[:4] += 1.5 * (target[:4] - amps[:4])
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("reference", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_product_kinds_run_no_transform_in_the_loop(self, kind, reference, monkeypatch):
+        n = 3
+        state = StateVector(n, haar_state(n, np.random.default_rng(360)))
+        dataset = generate_dataset(state, spec_for(kind, n), 512, seed=361)
+        calls, apply_amps = [], UnitarySpec.apply_amps
+
+        def counting(spec, amps, n, adjoint=False):
+            calls.append(adjoint)
+            return apply_amps(spec, amps, n, adjoint)
+
+        monkeypatch.setattr(UnitarySpec, "apply_amps", counting)
+        for iterations in (2, 10):
+            calls.clear()
+            config = PieConfig(iterations=iterations, delta_beta=0.1)
+            pie_run_batch(dataset, config, [0, 1, 2], reference=state if reference else None)
+            if kind in PRODUCT_KINDS:
+                # Start rows, then the reference, then the final rotation back.
+                assert calls == [False] * (1 + reference) + [True]
+            else:
+                assert calls == [False, True] * (6 * n * iterations)

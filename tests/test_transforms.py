@@ -1,5 +1,6 @@
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     bit_reversal_permutation,
     dense_aqft,
     dense_hadamard,
+    dense_product_unitary,
     dense_qft,
     extended_aqft,
     haar_state,
@@ -257,6 +259,22 @@ class TestSeparable:
         # X-like triple (theta=pi) on qubit 1 only: |00> -> index 2 up to phase
         out = apply(UnitarySpec.separable([(0, 0, 0), (math.pi, 0, 0)]), basis_state(2, 0))
         assert abs(out[2]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [UnitarySpec.hadamard(), UnitarySpec.random_separable(3, 48)])
+    def test_qubit_gates_are_the_kronecker_factors(self, spec):
+        for adjoint in (False, True):
+            gates = spec.qubit_gates(3, adjoint)
+            expected = dense_product_unitary(spec, 3)
+            if adjoint:
+                expected = expected.conj().T
+            np.testing.assert_allclose(
+                reduce(np.kron, reversed(gates)), expected, rtol=0, atol=1e-12
+            )
+            assert not any(g.flags.writeable for g in gates)
+
+    def test_fourier_kinds_have_no_qubit_gates(self):
+        assert UnitarySpec.qft().qubit_gates(3) is None
+        assert UnitarySpec.aqft(2).qubit_gates(3) is None
 
 
 class TestUnitarySpec:

@@ -1,14 +1,15 @@
 """Iterative phase-retrieval engine that reconstructs a state from count data.
 
-One engine iteration sweeps all 6n projectors. For each projector P with
-amplitude targets t (square roots of the jointly normalized counts) and the
-final unitary U, the estimate phi is corrected as
+One engine iteration sweeps all 6n projectors. Each is a rank-1 Pauli
+projector P = |k><b| on one qubit q, with amplitude targets t (square roots
+of the jointly normalized counts); U is the final unitary. The estimate phi
+is corrected by one rank-1 step, the ePIE update with a rank-1 probe
+(Maiden & Rodenburg, Ultramicroscopy 109, 1256 (2009)):
 
-    phi_p     = P phi
-    phi_tilde = U phi_p
-    corrected = t * phase(phi_tilde)        (phase 0 where phi_tilde is 0)
-    phi_back  = U^dagger corrected
-    phi      <- phi + beta * P (phi_back - phi_p)
+    c         = <b| phi                     (on qubit q)
+    phi_tilde = U (k (x) c)                 (= U P phi)
+    corrected = t * phase(phi_tilde)        (phase 1 where phi_tilde is 0)
+    phi      <- phi + beta * k (x) (<b| U^dagger corrected - c)
 
 The feedback parameter beta acts as a learning rate and by default shrinks
 linearly from 2.0 by delta_beta per iteration, which empirically converges
@@ -16,20 +17,15 @@ much better than any constant beta. The working estimate is intentionally
 left unnormalized inside the loop; metrics and the returned estimate use
 normalized copies.
 
-When U is a product of one-qubit gates u_q (the hadamard and separable
-kinds), the engine runs the same algorithm on psi = U phi, the measurement
-frame. There the projector P = |e><e| on qubit q becomes
-Q = U P U^dagger = |f><f| on qubit q, with f = u_q e, and a correction is
-
-    c         = <f| psi                     (on qubit q)
-    psi_tilde = f (x) c                     (= U phi_p)
-    corrected = t * phase(psi_tilde)
-    psi      <- psi + beta * f (x) (<f| corrected - c)
-
-so no transform runs inside the loop: the starts and the reference are
-rotated into the frame once, distances and fidelities are taken there (they
-do not depend on the frame), and the final estimate is rotated back by
-U^dagger and renormalized.
+The Fourier kinds take k = e and b = e^dagger / <e|e> for the eigenvector e
+of ``states._PAULI_EIGENVECTORS``, which is unnormalized so that both round
+exactly. The product kinds (hadamard, separable), whose U is one gate u_q
+per qubit, run the same step on psi = U phi, the measurement frame. There P
+becomes U P U^dagger = |f><f| on qubit q with f = u_q e / ||e||, so the step
+takes k = f, b = f^dagger and no U, and no transform runs inside the loop:
+the starts and the reference are rotated into the frame once, distances and
+fidelities are taken there (they do not depend on the frame), and the final
+estimate is rotated back by U^dagger and renormalized.
 """
 from __future__ import annotations
 
@@ -43,8 +39,8 @@ import numpy as np
 from .protocol import PtychoDataset, normalize_dataset
 from .stateprep import random_arbitrary
 from .states import (
-    _PAULI_EIGENVECTORS, ProjectorId, StateVector, _integer, _project_amps, _real, _write_csv,
-    projector_ids,
+    _PAULI_EIGENVECTORS, StateVector, _bra_on_qubit, _integer, _ket_on_qubit, _pauli_bra_ket,
+    _real, _write_csv, projector_ids,
 )
 from .transforms import UnitarySpec
 
@@ -178,38 +174,19 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return min(1.0, overlap * overlap)
 
 
-def _correction_amps(
-    amps: np.ndarray,
-    n: int,
-    proj: ProjectorId,
-    target: np.ndarray,
-    unitary: UnitarySpec,
-    beta: float,
-) -> np.ndarray:
-    projected = _project_amps(amps, proj.axis, proj.qubit, proj.sign)
-    tilde = unitary.apply_amps(projected, n)
+def _correction_amps(amps, n, q, bra, ket, target, beta, unitary=None):
+    """One engine correction by the rank-1 projector |ket><bra| on qubit q,
+    the module docstring's step; ``unitary`` None stands for the identity."""
+    c = _bra_on_qubit(amps, q, bra)
+    tilde = _ket_on_qubit(ket, c, amps.shape)
+    if unitary is not None:
+        tilde = unitary.apply_amps(tilde, n)
     mag = np.abs(tilde)
     phase = np.divide(tilde, mag, out=np.ones_like(tilde), where=mag >= _TINY)
-    back = unitary.apply_amps(target * phase, n, adjoint=True)
-    back_projected = _project_amps(back, proj.axis, proj.qubit, proj.sign)
-    return amps + beta * (back_projected - projected)
-
-
-def _frame_correction_amps(
-    amps: np.ndarray, q: int, f: np.ndarray, target: np.ndarray, beta: float
-) -> np.ndarray:
-    """:func:`_correction_amps` in the measurement frame of a product
-    unitary: ``amps`` holds psi = U phi and the projector is |f><f| on
-    qubit q, so c = <f|psi on qubit q and psi_tilde = f (x) c."""
-    v = amps.reshape(-1, 2, 1 << q)
-    fc = f.conj()
-    c = fc[0] * v[:, 0] + fc[1] * v[:, 1]
-    tilde = (f[:, None] * c[:, None]).reshape(amps.shape)
-    mag = np.abs(tilde)
-    phase = np.divide(tilde, mag, out=np.ones_like(tilde), where=mag >= _TINY)
-    corrected = (target * phase).reshape(v.shape)
-    step = beta * (fc[0] * corrected[:, 0] + fc[1] * corrected[:, 1] - c)
-    return amps + (f[:, None] * step[:, None]).reshape(amps.shape)
+    corrected = target * phase
+    if unitary is not None:
+        corrected = unitary.apply_amps(corrected, n, adjoint=True)
+    return amps + _ket_on_qubit(ket, beta * (_bra_on_qubit(corrected, q, bra) - c), amps.shape)
 
 
 def pie_run(
@@ -324,22 +301,18 @@ def _run_rows(n, unitary, ids, targets, config, seeds, refs):
     with the pass's wall time.
 
     A product unitary (hadamard, separable) runs in the measurement frame of
-    the module docstring, with f = u_q e precomputed per projector; the
-    Fourier kinds run :func:`_correction_amps`.
+    the module docstring: each projector's step is |f><f| with no unitary.
     """
     amps = np.stack([[random_arbitrary(n, seed).amps for seed in starts] for starts in seeds])
     gates = unitary.qubit_gates(n)
     if gates is None:
-        def correct(amps, idx, beta):
-            return _correction_amps(amps, n, ids[idx], targets[idx], unitary, beta)
+        steps = [(*_pauli_bra_ket(p.axis, p.sign), unitary) for p in ids]
     else:
-        frame = [gates[p.qubit] @ _PAULI_EIGENVECTORS[p.axis, p.sign] for p in ids]
+        kets = [gates[p.qubit] @ _normalized(_PAULI_EIGENVECTORS[p.axis, p.sign]) for p in ids]
+        steps = [(f.conj(), f, None) for f in kets]
         amps = unitary.apply_amps(amps, n)
         if refs is not None:
             refs = unitary.apply_amps(refs, n)
-
-        def correct(amps, idx, beta):
-            return _frame_correction_amps(amps, ids[idx].qubit, frame[idx], targets[idx], beta)
     current = _normalized_rows(amps, 0)
     ref_conj = None if refs is None else refs.conj()
     order_rng = (
@@ -357,7 +330,10 @@ def _run_rows(n, unitary, ids, targets, config, seeds, refs):
             else order_rng.permutation(len(ids))
         )
         for idx in order:
-            amps = correct(amps, idx, beta)
+            bra, ket, step_unitary = steps[idx]
+            amps = _correction_amps(
+                amps, n, ids[idx].qubit, bra, ket, targets[idx], beta, step_unitary
+            )
         previous, current = current, _normalized_rows(amps, iteration)
         distance = _distance(current, previous)
         for s, dataset_rows in enumerate(rows):

@@ -238,11 +238,12 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
     for i, entry in enumerate(entries):
         if type(entry.get("q")) is not int:  # True == 1 would pass the order check
             raise ValueError(f"records[{i}].q must be an integer")
-    settings, size = circuit_settings(n), 2 << n
-    if [(entry.get("xi"), entry["q"]) for entry in entries] != settings:
+    order = [(entry.get("xi"), entry["q"]) for entry in entries]
+    if len(order) != 3 * n or order != circuit_settings(n):
         raise ValueError(f"dataset must hold {3 * n} records in canonical (axis, qubit) order")
+    size = 2 << n
     counts = np.empty((3 * n, size))
-    for c, ((axis, q), entry) in enumerate(zip(settings, entries)):
+    for c, ((axis, q), entry) in enumerate(zip(order, entries)):
         row = _decode_array(entry.get("counts"), f"records[{c}].counts", size)
         if row.ndim != 1:
             raise ValueError(f"record ({axis}, {q}) has shape {row.shape}, expected {(size,)}")

@@ -104,39 +104,44 @@ def projector_ids(n: int):
     return [ProjectorId(axis, q, sign) for axis, q in circuit_settings(n) for sign in SIGNS]
 
 
-#: The unit eigenvector e of each (axis, sign) Pauli projector |e><e|.
+#: An eigenvector e of each (axis, sign) Pauli projector |e><e| / <e|e>: the
+#: one place the axes are spelt. Unnormalized, so that every product with an
+#: entry, and with its bra e^dagger / <e|e>, is exact.
 _PAULI_EIGENVECTORS = {
     ("z", 1): np.array([1, 0], dtype=np.complex128),
     ("z", -1): np.array([0, 1], dtype=np.complex128),
-    ("x", 1): np.array([1, 1], dtype=np.complex128) / math.sqrt(2),
-    ("x", -1): np.array([1, -1], dtype=np.complex128) / math.sqrt(2),
-    ("y", 1): np.array([1, 1j], dtype=np.complex128) / math.sqrt(2),
-    ("y", -1): np.array([1, -1j], dtype=np.complex128) / math.sqrt(2),
+    ("x", 1): np.array([1, 1], dtype=np.complex128),
+    ("x", -1): np.array([1, -1], dtype=np.complex128),
+    ("y", 1): np.array([1, 1j], dtype=np.complex128),
+    ("y", -1): np.array([1, -1j], dtype=np.complex128),
 }
+
+
+def _pauli_bra_ket(axis: str, sign: int):
+    """``(e^dagger / <e|e>, e)`` of the (axis, sign) Pauli projector, so that
+    the projector is |ket><bra|."""
+    e = _PAULI_EIGENVECTORS[axis, sign]
+    return e.conj() / np.vdot(e, e).real, e
+
+
+def _bra_on_qubit(amps: np.ndarray, q: int, bra: np.ndarray) -> np.ndarray:
+    """<bra| applied to bit q of each row of ``amps``: an array of half the
+    size, laid out for :func:`_ket_on_qubit`."""
+    v = amps.reshape(-1, 2, 1 << q)
+    return bra[0] * v[:, 0] + bra[1] * v[:, 1]
+
+
+def _ket_on_qubit(ket: np.ndarray, c: np.ndarray, shape) -> np.ndarray:
+    """|ket> on bit q tensored with the output ``c`` of :func:`_bra_on_qubit`,
+    as an array of ``shape``."""
+    return (ket[:, None] * c[:, None]).reshape(shape)
 
 
 def _project_amps(amps: np.ndarray, axis: str, q: int, sign: int) -> np.ndarray:
     """Matrix-free application of the rank-1 Pauli eigenprojector on bit q,
     tensored with identity elsewhere. O(2**n), returns a new array."""
-    v = amps.reshape(-1, 2, 1 << q)
-    out = np.zeros_like(v)
-    a0, a1 = v[:, 0, :], v[:, 1, :]
-    if axis == "z":
-        if sign > 0:
-            out[:, 0, :] = a0
-        else:
-            out[:, 1, :] = a1
-    elif axis == "x":
-        # |x+-> = (|0> +- |1>)/sqrt(2)
-        t = 0.5 * (a0 + sign * a1)
-        out[:, 0, :] = t
-        out[:, 1, :] = sign * t
-    else:
-        # |y+-> = (|0> +- i|1>)/sqrt(2)
-        t = 0.5 * (a0 - 1j * sign * a1)
-        out[:, 0, :] = t
-        out[:, 1, :] = 1j * sign * t
-    return out.reshape(amps.shape)
+    bra, ket = _pauli_bra_ket(axis, sign)
+    return _ket_on_qubit(ket, _bra_on_qubit(amps, q, bra), amps.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +274,20 @@ def _json_object(doc) -> dict:
     return doc
 
 
+#: Most qubits a file may declare. A state's payload holds 2^(n+1) float64
+#: entries, 2^(n+4) bytes, and numpy holds no array of 2^63 bytes or more;
+#: the dataset and calibration payloads of an n are larger still.
+_MAX_FILE_QUBITS = 58
+
+
 def _qubit_count(doc) -> int:
-    """The ``n`` of a JSON-object document: an integer >= 1 (``true`` is not)."""
-    return _integer(_json_object(doc).get("n"), "n must be an integer", 1)
+    """The ``n`` of a JSON-object document: an integer from 1 to
+    ``_MAX_FILE_QUBITS`` (``true`` is not), checked before anything of a
+    size that grows with n is built."""
+    n = _integer(_json_object(doc).get("n"), "n must be an integer", 1)
+    if n > _MAX_FILE_QUBITS:
+        raise ValueError(f"n must be at most {_MAX_FILE_QUBITS}: no larger state fits a numpy array")
+    return n
 
 
 def _load(path, kind: str, from_dict):

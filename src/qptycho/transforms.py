@@ -262,12 +262,12 @@ class UnitarySpec:
         :meth:`random_separable` takes)."""
         kind, colon, degree = str(text).lower().partition(":")
         if kind == "aqft":
-            try:
-                m = int(degree)
-            except ValueError:
+            # ASCII digits only, where int() also takes "1_0", " 3" and other scripts' digits.
+            digits = degree.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 hint = "use aqft:<m> with an integer degree m >= 1"
-                raise ValueError(f"bad aqft degree in {text!r}; {hint}") from None
-            spec = cls.aqft(m)
+                raise ValueError(f"bad aqft degree in {text!r}; {hint}")
+            spec = cls.aqft(int(degree))
         elif kind in KINDS and not colon:
             spec = cls.random_separable(n, seed) if kind == "separable" else cls(kind)
         else:

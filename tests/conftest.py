@@ -5,6 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from qptycho import pie
+from qptycho.pie import _correction_amps
+from qptycho.states import _pauli_bra_ket
 
 ACCEPTANCE_LINES = []
 
@@ -34,6 +36,14 @@ def with_counts(dataset, index, counts):
     table = dataset.counts.copy()
     table[index] = counts
     return replace(dataset, counts=table)
+
+
+def pauli_correction(amps, n, pid, target, unitary, beta):
+    """The engine's correction by the Pauli projector ``pid`` in the
+    computational frame: the rank-1 step on its bra and ket, through
+    ``unitary``."""
+    bra, ket = _pauli_bra_ket(pid.axis, pid.sign)
+    return _correction_amps(amps, n, pid.qubit, bra, ket, target, beta, unitary)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -104,7 +104,7 @@ def test_02_shot_limited_ensemble_means_desk_scale():
 
 
 @pytest.mark.fullscale
-@pytest.mark.skipif(not FULL_SCALE, reason="set QPTYCHO_FULL_SCALE=1 to run (about 23 min, estimated)")
+@pytest.mark.skipif(not FULL_SCALE, reason="set QPTYCHO_FULL_SCALE=1 to run (about 16 min, measured)")
 def test_02b_shot_limited_ensemble_means_full_scale():
     """Full 100 x 100 version with the tight +-0.01 tolerance."""
     mean_arbitrary = _fig3_cell("arbitrary", 100, 100)

@@ -172,7 +172,7 @@ class TestSerialRowsReproduced:
     def test_sweep_with_shots(self):
         assert_rows_close(run_fidelity_sweep(small_sweep(shots=(512,))), SERIAL_SWEEP_ROWS_512)
 
-    def test_sweep_separable_shuffled_early_stop(self):
+    def test_sweep_separable_shuffled(self):
         # Captured with a 1e-3 early-stop distance that never fired: all 12
         # traces ran the whole schedule, as every engine row now does.
         cfg = small_sweep(

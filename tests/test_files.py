@@ -3,9 +3,13 @@ files in the older list form, and a pinned end-to-end CLI chain."""
 import base64
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,19 @@ class TestArrayPayload:
             _decode_array(value, "x")
 
 
+# The dataset reader on a 10^7-qubit document with no records, in a child
+# under a 1 GiB address-space limit; it prints the reader's ValueError.
+HUGE_N_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qptycho.protocol import dataset_from_dict
+try:
+    dataset_from_dict({"n": 10**7, "records": []})
+except ValueError as exc:
+    print(exc)
+"""
+
+
 class TestReaderChecks:
     def test_state_rejects_bool_qubit_count(self, tmp_path):
         path = write_json(tmp_path / "s.json", {"n": True, "amps": [[1, 0], [0, 0]]})
@@ -206,6 +223,40 @@ class TestReaderChecks:
         write_json(path, doc)
         with pytest.raises(ValueError, match=r"calibration file .*c\.json: n must be an integer >= 1, got True"):
             load_calibration(path)
+
+    @pytest.mark.parametrize("n", [59, 10**4])
+    def test_every_reader_bounds_the_qubit_count(self, tmp_path, n):
+        # No state of more than 58 qubits fits a numpy array. At n = 10^4 the
+        # readers once failed on Python's 4300-digit limit for printing 2^n.
+        cal_path = tmp_path / "c.json"
+        save_calibration(CalibrationMatrix(np.eye(2), np.eye(2)), cal_path)
+        for reader, kind, doc in (
+            (load_state, "state", {"n": 1, "amps": [[1, 0], [0, 0]]}),
+            (load_dataset, "dataset", dataset_to_dict(small_dataset())),
+            (load_calibration, "calibration", json.loads(cal_path.read_text())),
+        ):
+            path = write_json(tmp_path / "f.json", {**doc, "n": n})
+            with pytest.raises(ValueError, match=rf"{kind} file .*f\.json: n must be at most 58: "):
+                reader(path)
+
+    def test_the_qubit_bound_admits_58(self, tmp_path):
+        path = write_json(tmp_path / "s.json", {"n": 58, "amps": [[1, 0], [0, 0]]})
+        with pytest.raises(ValueError, match=r"s\.json: expected 288230376151711744 amplitudes"):
+            load_state(path)
+
+    def test_huge_qubit_count_fails_cleanly_under_a_memory_limit(self):
+        # The settings list of 3n circuits once came before the record count:
+        # at n = 10^7 under 1 GiB of address space that was a MemoryError.
+        pythonpath = [str(Path(states.__file__).resolve().parent.parent)]
+        if os.environ.get("PYTHONPATH"):
+            pythonpath.append(os.environ["PYTHONPATH"])
+        proc = subprocess.run(
+            [sys.executable, "-c", HUGE_N_CHILD],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("n must be at most 58: ")
 
     @pytest.mark.parametrize("change, message", [
         ({"dtype": "<f4"}, "dtype must be '<f8'"),

@@ -23,11 +23,11 @@ from qptycho import (
     trace_distance,
 )
 from qptycho import pie
-from qptycho.pie import _correction_amps, _frame_correction_amps, _normalized_rows
+from qptycho.pie import _correction_amps, _normalized_rows
 from qptycho.protocol import dataset_from_dict, dataset_to_dict
 from qptycho.states import _project_amps
 
-from conftest import with_counts
+from conftest import pauli_correction, with_counts
 from oracles import (
     basis_state, dense_correction, dense_pauli_projector, dense_product_unitary, frame_vector,
     haar_state,
@@ -182,7 +182,7 @@ class TestCorrectionStep:
                 _project_amps(estimate.amps, pid.axis, pid.qubit, pid.sign), 2
             )
             target = np.abs(tilde)
-            out = _correction_amps(estimate.amps, 2, pid, target, QFT, 1.7)
+            out = pauli_correction(estimate.amps, 2, pid, target, QFT, 1.7)
             np.testing.assert_allclose(out, estimate.amps, atol=1e-12)
 
     def test_zero_beta_is_identity(self):
@@ -190,7 +190,7 @@ class TestCorrectionStep:
         estimate = StateVector(2, haar_state(2, rng))
         pid = ProjectorId("y", 1, -1)
         target = np.abs(haar_state(2, rng))
-        out = _correction_amps(estimate.amps, 2, pid, target, QFT, 0.0)
+        out = pauli_correction(estimate.amps, 2, pid, target, QFT, 0.0)
         np.testing.assert_allclose(out, estimate.amps, atol=1e-15)
 
     def test_orthogonal_estimate_hand_computed(self):
@@ -200,7 +200,7 @@ class TestCorrectionStep:
         # so the update is |1> + beta |0>.
         beta = 1.3
         target = np.array([1, 1]) / math.sqrt(2)
-        out = _correction_amps(
+        out = pauli_correction(
             basis_state(1, 1).amps, 1, ProjectorId("z", 0, 1), target, QFT, beta
         )
         np.testing.assert_allclose(out, [beta, 1.0], atol=1e-12)
@@ -213,7 +213,7 @@ class TestCorrectionStep:
         amps = np.full(8, 0.5, dtype=complex)
         amps[:4] = [1e-310, 1e-310 + 1e-310j, 3e-320j, 0.0]
         target = np.full(8, 0.25)
-        out = _correction_amps(amps, 3, ProjectorId("z", 2, 1), target, identity, 1.5)
+        out = pauli_correction(amps, 3, ProjectorId("z", 2, 1), target, identity, 1.5)
         expected = amps.copy()
         expected[:4] += 1.5 * (target[:4] - amps[:4])
         np.testing.assert_array_equal(out, expected)
@@ -290,7 +290,7 @@ class TestPieRun:
         estimate, _ = pie_run(dataset, cfg)
         amps = random_arbitrary(2, 3).amps
         for pid, target in zip(projector_ids(2), targets):
-            amps = _correction_amps(amps, 2, pid, target, QFT, 2.0)
+            amps = pauli_correction(amps, 2, pid, target, QFT, 2.0)
         np.testing.assert_allclose(
             estimate.amps, amps / np.linalg.norm(amps), atol=1e-13
         )
@@ -391,7 +391,7 @@ class TestPieRunBatch:
         cfg = PieConfig(delta_beta=0.1, shuffle_seed=17)
         assert_rows_match_lone_runs(dataset, cfg, [0, 1, 2, 3], state)
 
-    def test_rows_stop_early_at_their_own_iteration(self):
+    def test_every_row_runs_the_whole_schedule(self):
         state = named_state("w", 3)
         dataset = generate_dataset(state, QFT, 0)
         cfg = PieConfig(delta_beta=0.04, shuffle_seed=5)
@@ -627,7 +627,7 @@ class TestMeasurementFrame:
         for pid, target in zip(projector_ids(n), targets):
             f = frame_vector(spec, n, pid.axis, pid.sign, pid.qubit)
             projector = dense_pauli_projector(pid.axis, pid.sign, pid.qubit, n)
-            frame = _frame_correction_amps(psi, pid.qubit, f, target, 1.7)
+            frame = _correction_amps(psi, n, pid.qubit, f.conj(), f, target, 1.7)
             expected = unitary @ dense_correction(phi, projector, unitary, target, 1.7)
             np.testing.assert_allclose(frame, expected, rtol=0, atol=1e-12, err_msg=str(pid))
 
@@ -654,7 +654,8 @@ class TestMeasurementFrame:
         amps = np.full(8, 0.5, dtype=complex)
         amps[:4] = [1e-310, 1e-310 + 1e-310j, 3e-320j, 0.0]
         target = np.full(8, 0.25)
-        out = _frame_correction_amps(amps, 2, np.array([1, 0], dtype=complex), target, 1.5)
+        f = np.array([1, 0], dtype=complex)
+        out = _correction_amps(amps, 3, 2, f.conj(), f, target, 1.5)
         expected = amps.copy()
         expected[:4] += 1.5 * (target[:4] - amps[:4])
         np.testing.assert_array_equal(out, expected)

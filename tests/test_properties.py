@@ -17,9 +17,9 @@ from qptycho import (
     projector_ids,
     u3_matrix,
 )
-from qptycho.pie import _correction_amps
 from qptycho.states import PAULI_AXES, _project_amps
 
+from conftest import pauli_correction
 from oracles import gates_in_place, haar_state
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -94,5 +94,5 @@ def test_exact_data_is_a_fixed_point_of_every_correction(case, seed, beta):
     state = StateVector(n, haar_state(n, np.random.default_rng(seed)))
     targets = normalize_dataset(generate_dataset(state, spec, 0))
     for pid, target in zip(projector_ids(n), targets):
-        out = _correction_amps(state.amps, n, pid, target, spec, beta)
+        out = pauli_correction(state.amps, n, pid, target, spec, beta)
         np.testing.assert_allclose(out, state.amps, rtol=0, atol=1e-12)

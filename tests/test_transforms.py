@@ -347,6 +347,11 @@ class TestUnitarySpec:
     @pytest.mark.parametrize("text, message", [
         ("aqft:4", "aqft degree m=4 exceeds qubit count n=3"),
         ("aqft:x", "bad aqft degree in 'aqft:x'; use aqft:<m> with an integer degree m >= 1"),
+        ("aqft:1_0", "bad aqft degree in 'aqft:1_0'; use aqft:<m> with an integer degree m >= 1"),
+        ("aqft: 3", "bad aqft degree in 'aqft: 3'; use aqft:<m> with an integer degree m >= 1"),
+        ("aqft:+3", "bad aqft degree in 'aqft:+3'; use aqft:<m> with an integer degree m >= 1"),
+        ("aqft:٣", "bad aqft degree in 'aqft:٣'; use aqft:<m> with an integer degree m >= 1"),
+        ("aqft:", "bad aqft degree in 'aqft:'; use aqft:<m> with an integer degree m >= 1"),
         ("aqft:-1", "aqft requires an integer degree m >= 1, got -1"),
         ("qft:2", "unknown unitary 'qft:2'; use qft, aqft:<m>, hadamard, or separable"),
         ("dft", "unknown unitary 'dft'"),

@@ -46,7 +46,6 @@ from .stateprep import (
     w_state,
 )
 from .states import (
-    ProjectorId,
     StateVector,
     circuit_settings,
     load_state,
@@ -65,7 +64,6 @@ __all__ = [
     "CircuitRecord",
     "PieConfig",
     "PieTrace",
-    "ProjectorId",
     "PtychoDataset",
     "ReadoutNoiseModel",
     "StateVector",

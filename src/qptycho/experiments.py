@@ -15,7 +15,7 @@ import numpy as np
 # pie_run is unused here; perfbench's multistart-sweep workload patches experiments.pie_run.
 from .pie import PieConfig, _run_datasets, pie_run
 from .protocol import generate_dataset
-from .seeding import derive_seed
+from .seeding import derive_seed, shot_count
 from .stateprep import random_arbitrary, random_separable, table_states
 from .states import _integer
 from .states import _write_csv as write_csv  # the CLI's table writer
@@ -53,7 +53,7 @@ class SweepConfig:
     def __post_init__(self):
         minimum = 2 if self.ensemble == "table" else 1  # the benchmark table starts at n=2
         object.__setattr__(self, "n_values", _qubit_counts(self.n_values, minimum))
-        shots = tuple(_integer(s, "shots must hold integers", 0) for s in self.shots)
+        shots = tuple(shot_count(s, what="shots must hold integers") for s in self.shots)
         if not shots:
             raise ValueError("shots must be non-empty")
         object.__setattr__(self, "shots", shots)  # 0 means exact
@@ -149,7 +149,7 @@ def run_aqft_study(
     m_values = [_integer(m, "m_values must hold integers", 1) for m in m_values]
     if not m_values:
         raise ValueError("m_values must be non-empty")
-    shots = _integer(shots, "shots must be an integer", 0)
+    shots = shot_count(shots)
     runs_per_state = _integer(runs_per_state, "runs_per_state must be an integer", 1)
     master_seed = _integer(master_seed, "master_seed must be an integer", 0)
     rows = []

@@ -14,7 +14,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .seeding import shot_streams
+from .seeding import shot_count, shot_streams
 from .states import (
     _decode_array, _encode_array, _integer, _load, _qubit_count, _real, _write_json,
 )
@@ -194,7 +194,7 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
     n = _integer(n, "qubit count must be an integer", 1)
     if model.num_bits != n + 1:
         raise ValueError(f"model covers {model.num_bits} bits, expected {n + 1}")
-    shots = _integer(shots, "shots must be an integer", 0)
+    shots = shot_count(shots)
     streams, entropy = shot_streams(seed, shots, (1 << n) + 2)
     children = iter(streams)
 

@@ -96,7 +96,11 @@ class PieConfig:
             return self.iterations
         if self.delta_beta == 0:
             raise ValueError("iterations must be given explicitly when delta_beta is 0")
-        return round(self.beta0 / self.delta_beta)
+        steps = self.beta0 / self.delta_beta
+        if not math.isfinite(steps):
+            raise ValueError(f"beta0 / delta_beta = {self.beta0!r} / {self.delta_beta!r} "
+                             "overflows; give iterations explicitly or a larger delta_beta")
+        return round(steps)
 
 
 def beta_schedule(iteration: int, config: PieConfig) -> float:
@@ -235,15 +239,26 @@ def _run_datasets(jobs, config: PieConfig):
     number of starts and reference-or-None, and as many as fit in
     ``_CHUNK_AMPS`` amplitudes. A pass runs as soon as it is full or the next
     job differs, so at most one pass and one job are drawn from ``jobs`` at a
-    time. A job whose starts alone do not fit is split into chunks of starts,
-    as :func:`pie_run_batch` does. Rows never mix in any kernel, so every row
-    equals the row :func:`pie_run_batch` gives for its dataset alone, bit for
-    bit. Each trace's ``total_seconds`` is its pass's time.
+    time. A job whose starts alone do not fit runs in chunks of starts, each
+    of at most ``_CHUNK_AMPS`` amplitudes. Rows never mix in any kernel, so
+    every row equals the row :func:`pie_run_batch` gives for its dataset
+    alone, bit for bit. Each trace's ``total_seconds`` is its pass's time.
     """
     for (n, unitary, starts, _), run in groupby(_checked(jobs), key=lambda job: job[0]):
-        per_pass = max(1, (_CHUNK_AMPS >> n) // starts)
-        while group := list(islice(run, per_pass)):
-            yield from _run_pass(n, unitary, group, config)
+        rows = max(1, _CHUNK_AMPS >> n)
+        while group := list(islice(run, max(1, rows // starts))):
+            _, targets, seeds, references = zip(*group)
+            # One (S, 1, 2^n) block per projector, broadcast over the starts.
+            targets = np.stack(targets, axis=1)[:, :, None, :]
+            refs = None
+            if references[0] is not None:
+                refs = np.stack([_normalized(reference.amps) for reference in references])
+            results = [[] for _ in group]
+            for first in range(0, starts, rows):
+                chunk = [job_seeds[first : first + rows] for job_seeds in seeds]
+                for acc, out in zip(results, _run_rows(n, unitary, targets, config, chunk, refs)):
+                    acc += out
+            yield from results
 
 
 def _checked(jobs):
@@ -260,26 +275,6 @@ def _checked(jobs):
         yield (n, dataset.unitary, len(seeds), reference is None), targets, seeds, reference
 
 
-def _run_pass(n, unitary, group, config):
-    """One engine pass over ``group``, a list of ``(key, targets, seeds,
-    reference)`` jobs of one key. Returns one list of ``(estimate, trace)``
-    per job."""
-    _, targets, seeds, references = zip(*group)
-    # One (S, 1, 2^n) block per projector, broadcast over the starts.
-    targets = np.stack(targets, axis=1)[:, :, None, :]
-    refs = None
-    if references[0] is not None:
-        refs = np.stack([_normalized(reference.amps) for reference in references])
-    ids = projector_ids(n)
-    rows_per_pass = max(1, _CHUNK_AMPS >> n)
-    results = [[] for _ in group]
-    for first in range(0, len(seeds[0]), rows_per_pass):
-        chunk = [starts[first : first + rows_per_pass] for starts in seeds]
-        for acc, rows in zip(results, _run_rows(n, unitary, ids, targets, config, chunk, refs)):
-            acc += rows
-    return results
-
-
 def _normalized_rows(amps: np.ndarray, iteration: int) -> np.ndarray:
     """Unit-norm copy of each row (last axis); raises on a non-finite or zero
     row, so no metric is ever reported for such an estimate."""
@@ -292,24 +287,26 @@ def _normalized_rows(amps: np.ndarray, iteration: int) -> np.ndarray:
     return amps / norms[..., None]
 
 
-def _run_rows(n, unitary, ids, targets, config, seeds, refs):
+def _run_rows(n, unitary, targets, config, seeds, refs):
     """The engine loop on one pass of S datasets x K starts, laid out as an
     ``(S, K, 2^n)`` array. ``targets`` is the ``(6n, S, 1, 2^n)`` array of
-    target blocks, one per projector of ``ids``, ``seeds`` the S lists of K
-    starts and ``refs`` the S unit references (or None). Every row runs the
-    whole schedule. Returns S lists of K ``(estimate, trace)``, each trace
-    with the pass's wall time.
+    target blocks, one per projector of ``projector_ids(n)``, ``seeds`` the S
+    lists of K starts and ``refs`` the S unit references (or None). Every row
+    runs the whole schedule. Returns S lists of K ``(estimate, trace)``, each
+    trace with the pass's wall time.
 
-    A product unitary (hadamard, separable) runs in the measurement frame of
-    the module docstring: each projector's step is |f><f| with no unitary.
+    Each projector's step is a ``(qubit, bra, ket, unitary)`` entry. A product
+    unitary (hadamard, separable) runs in the measurement frame of the module
+    docstring: each step is |f><f| with no unitary.
     """
     amps = np.stack([[random_arbitrary(n, seed).amps for seed in starts] for starts in seeds])
     gates = unitary.qubit_gates(n)
     if gates is None:
-        steps = [(*_pauli_bra_ket(p.axis, p.sign), unitary) for p in ids]
+        steps = [(q, *_pauli_bra_ket(axis, sign), unitary) for axis, q, sign in projector_ids(n)]
     else:
-        kets = [gates[p.qubit] @ _normalized(_PAULI_EIGENVECTORS[p.axis, p.sign]) for p in ids]
-        steps = [(f.conj(), f, None) for f in kets]
+        kets = [(q, gates[q] @ _normalized(_PAULI_EIGENVECTORS[axis, sign]))
+                for axis, q, sign in projector_ids(n)]
+        steps = [(q, f.conj(), f, None) for q, f in kets]
         amps = unitary.apply_amps(amps, n)
         if refs is not None:
             refs = unitary.apply_amps(refs, n)
@@ -325,15 +322,13 @@ def _run_rows(n, unitary, ids, targets, config, seeds, refs):
     for iteration in range(1, config.resolved_iterations() + 1):
         beta = beta_schedule(iteration, config)
         order = (
-            range(len(ids))
+            range(len(steps))
             if order_rng is None
-            else order_rng.permutation(len(ids))
+            else order_rng.permutation(len(steps))
         )
         for idx in order:
-            bra, ket, step_unitary = steps[idx]
-            amps = _correction_amps(
-                amps, n, ids[idx].qubit, bra, ket, targets[idx], beta, step_unitary
-            )
+            q, bra, ket, step_unitary = steps[idx]
+            amps = _correction_amps(amps, n, q, bra, ket, targets[idx], beta, step_unitary)
         previous, current = current, _normalized_rows(amps, iteration)
         distance = _distance(current, previous)
         for s, dataset_rows in enumerate(rows):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mitigation import CalibrationMatrix, ReadoutNoiseModel, corrupt_counts, mitigate
-from .seeding import shot_streams
+from .seeding import shot_count, shot_streams
 from .states import (
     SIGNS,
     StateVector,
@@ -125,7 +125,7 @@ class PtychoDataset:
 def sample_shots(p: np.ndarray, shots: int, rng=None) -> np.ndarray:
     """One multinomial draw of ``shots`` trials over the outcome alphabet."""
     p = np.asarray(p, dtype=np.float64)
-    shots = _integer(shots, "shots must be an integer", 1)
+    shots = shot_count(shots, 1)
     if p.ndim != 1:
         raise ValueError(f"p must be one distribution (1-D), got shape {p.shape}")
     if np.any(p < -1e-12):
@@ -155,7 +155,7 @@ def generate_dataset(
     ``seed = None``.
     """
     n = state.n
-    shots = _integer(shots, "shots must be an integer", 0)
+    shots = shot_count(shots)
     unitary.validate_for(n)
     if noise is not None and noise.num_bits != n + 1:
         raise ValueError(f"noise model covers {noise.num_bits} bits, expected {n + 1}")
@@ -241,14 +241,15 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
     order = [(entry.get("xi"), entry["q"]) for entry in entries]
     if len(order) != 3 * n or order != circuit_settings(n):
         raise ValueError(f"dataset must hold {3 * n} records in canonical (axis, qubit) order")
-    size = 2 << n
-    counts = np.empty((3 * n, size))
+    size, counts = 2 << n, None
     for c, ((axis, q), entry) in enumerate(zip(order, entries)):
         row = _decode_array(entry.get("counts"), f"records[{c}].counts", size)
         if row.ndim != 1:
             raise ValueError(f"record ({axis}, {q}) has shape {row.shape}, expected {(size,)}")
         if row.size != size:
             raise ValueError(f"record ({axis}, {q}) has length {row.size}, expected {size}")
+        if counts is None:  # only once a whole record has decoded from the file
+            counts = np.empty((3 * n, size))
         counts[c] = row
     return PtychoDataset(
         n=n,

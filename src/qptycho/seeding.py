@@ -41,6 +41,20 @@ def derive_seed(*key) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+#: Most shots one draw takes: numpy counts a multinomial draw in an int64.
+MAX_SHOTS = (1 << 63) - 1
+
+
+def shot_count(shots, minimum: int = 0, what: str = "shots must be an integer") -> int:
+    """``shots`` as an int: the one check of every shot budget, made before
+    any work. Raises ``ValueError`` unless it is an int or a numpy integer,
+    not a bool, from ``minimum`` to ``MAX_SHOTS``."""
+    shots = _integer(shots, what, minimum)
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2^63 - 1, the most numpy draws, got {shots}")
+    return shots
+
+
 def shot_streams(seed, shots: int, count: int) -> tuple[list, int | None]:
     """Child seed sequences for ``count`` shot draws, and the seed a run records.
 

@@ -75,33 +75,16 @@ class StateVector:
         return abs(total - 1.0) < NORMALIZATION_ATOL
 
 
-@dataclass(frozen=True, order=True)
-class ProjectorId:
-    """Label of one rank-2**(n-1) overlapping projector: a Pauli axis,
-    the measured qubit, and the eigenvalue sign. An n-qubit protocol uses
-    all 6n of these (3n circuits, both signs recorded per circuit)."""
-
-    axis: str
-    qubit: int
-    sign: int
-
-    def __post_init__(self):
-        if self.axis not in PAULI_AXES:
-            raise ValueError(f"axis must be one of {PAULI_AXES}, got {self.axis!r}")
-        object.__setattr__(self, "qubit", _integer(self.qubit, "qubit index must be an integer", 0))
-        if self.sign not in SIGNS:
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-
 def circuit_settings(n: int):
     """The 3n (axis, qubit) circuits in canonical order: axis x,y,z outer, qubit ascending."""
     return [(axis, q) for axis in PAULI_AXES for q in range(n)]
 
 
 def projector_ids(n: int):
-    """The 6n projector labels in canonical order: the circuits of
-    :func:`circuit_settings`, sign + before - within each."""
-    return [ProjectorId(axis, q, sign) for axis, q in circuit_settings(n) for sign in SIGNS]
+    """The 6n projectors as ``(axis, qubit, sign)`` in canonical order: the
+    circuits of :func:`circuit_settings`, sign + before - within each. An
+    n-qubit protocol records all of them (3n circuits, both signs each)."""
+    return [(axis, q, sign) for axis, q in circuit_settings(n) for sign in SIGNS]
 
 
 #: An eigenvector e of each (axis, sign) Pauli projector |e><e| / <e|e>: the
@@ -200,14 +183,21 @@ def _inflate_into(data: bytes, dest: np.ndarray) -> int:
     return total
 
 
+#: Most bytes one byte of a deflate stream inflates to (zlib FAQ): a length
+#: 258 match in two bits.
+_MAX_INFLATE_RATIO = 1032
+
+
 def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
     """Owned, writable, C-contiguous float64 array from a payload object or
     from a plain JSON list of numbers, the form that older files hold. A
     payload without ``encoding`` holds the raw bytes, as older files do.
 
     ``size`` is the entry count the reader expects: a payload whose shape
-    declares more is refused before its buffer is allocated. A smaller one
-    decodes, and the length check of the value built from it names it."""
+    declares more is refused before its buffer is allocated, and so is one
+    whose data cannot fill its shape (raw bytes of another length, or a zlib
+    stream too short to inflate to it). A smaller shape decodes, and the
+    length check of the value built from it names it."""
     if isinstance(value, list):
         try:
             arr = np.array(value)
@@ -233,19 +223,18 @@ def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
         raw = base64.b64decode(value.get("data"), validate=True)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: data is not valid base64 ({exc})") from None
-    out = np.empty(shape, dtype=_PAYLOAD_DTYPE)
-    dest = out.reshape(-1).view(np.uint8)
+    length, needed = len(raw), 8 * count
     if encoding == "zlib":
+        # A stream too short to fill the shape is only checked and counted.
+        out = np.empty(shape if needed <= _MAX_INFLATE_RATIO * length else 0, dtype=_PAYLOAD_DTYPE)
         try:
-            length = _inflate_into(raw, dest)
+            length = _inflate_into(raw, out.reshape(-1).view(np.uint8))
         except zlib.error as exc:
             raise ValueError(f"{field}: data is not a valid zlib stream ({exc})") from None
-    else:
-        length = len(raw)
-        if length == dest.size:
-            dest[:] = np.frombuffer(raw, np.uint8)
-    if length != dest.size:
-        raise ValueError(f"{field}: data holds {length} bytes, shape {shape} needs {dest.size}")
+    if length != needed:
+        raise ValueError(f"{field}: data holds {length} bytes, shape {shape} needs {needed}")
+    if encoding is None:
+        out = np.frombuffer(raw, _PAYLOAD_DTYPE).reshape(shape).copy()
     return out.astype(np.float64, copy=False)  # a copy only where float64 is big-endian
 
 

@@ -39,11 +39,12 @@ def with_counts(dataset, index, counts):
 
 
 def pauli_correction(amps, n, pid, target, unitary, beta):
-    """The engine's correction by the Pauli projector ``pid`` in the
-    computational frame: the rank-1 step on its bra and ket, through
-    ``unitary``."""
-    bra, ket = _pauli_bra_ket(pid.axis, pid.sign)
-    return _correction_amps(amps, n, pid.qubit, bra, ket, target, beta, unitary)
+    """The engine's correction by the Pauli projector ``pid``, an ``(axis,
+    qubit, sign)`` triple, in the computational frame: the rank-1 step on its
+    bra and ket, through ``unitary``."""
+    axis, q, sign = pid
+    bra, ket = _pauli_bra_ket(axis, sign)
+    return _correction_amps(amps, n, q, bra, ket, target, beta, unitary)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -58,9 +59,9 @@ def engine_passes(monkeypatch):
     """The (n, datasets, starts) of every engine pass made during the test."""
     shapes, run = [], pie._run_rows
 
-    def spy(n, unitary, ids, targets, config, seeds, refs):
+    def spy(n, unitary, targets, config, seeds, refs):
         shapes.append((n, len(seeds), len(seeds[0])))
-        return run(n, unitary, ids, targets, config, seeds, refs)
+        return run(n, unitary, targets, config, seeds, refs)
 
     monkeypatch.setattr(pie, "_run_rows", spy)
     return shapes

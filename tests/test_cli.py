@@ -270,6 +270,38 @@ def test_estimate_rejects_nan_beta0(tmp_path, capsys):
     assert not (tmp_path / "e.json").exists()
 
 
+def test_estimate_rejects_a_delta_beta_that_overflows_the_iteration_count(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    data_path = tmp_path / "data.json"
+    run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2", "--out", str(state_path))
+    run_cli("run-protocol", "--state", str(state_path), "--shots", "0", "--out", str(data_path))
+    capsys.readouterr()
+    code = run_cli(
+        "estimate", "--data", str(data_path), "--delta-beta", "1e-310", "--out", str(tmp_path / "e.json")
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error.startswith("ValueError: ") and "delta_beta" in error
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run-protocol", "calibrate"])
+def test_shot_budget_past_int64_is_one_value_error_line(tmp_path, capsys, command):
+    state_path, out = tmp_path / "state.json", tmp_path / "out.json"
+    run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2", "--out", str(state_path))
+    capsys.readouterr()
+    inputs = {"run-protocol": ["--state", str(state_path)], "calibrate": ["-n", "2", "--readout-error", "0.1"]}
+    code = run_cli(command, *inputs[command], "--shots", str(1 << 63), "--seed", "1", "--out", str(out))
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line)["error"] for line in lines] == [
+        f"ValueError: shots must be at most 2^63 - 1, the most numpy draws, got {1 << 63}"
+    ]
+    assert not out.exists()
+
+
 def test_config_iterations_must_be_an_integer(tmp_path, capsys):
     state_path = tmp_path / "state.json"
     data_path = tmp_path / "data.json"

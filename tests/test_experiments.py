@@ -213,6 +213,15 @@ class TestHarnessArguments:
             run()
         assert engine_passes == []
 
+    @pytest.mark.parametrize("run", [
+        lambda: small_sweep(shots=(0, 1 << 63)),
+        lambda: run_aqft_study((3,), (1,), shots=1 << 63, runs_per_state=2),
+    ], ids=["sweep", "aqft-study"])
+    def test_shots_past_int64_are_refused_before_any_cell_runs(self, run, engine_passes):
+        with pytest.raises(ValueError, match=r"^shots must be at most 2\^63 - 1, the most numpy draws"):
+            run()
+        assert engine_passes == []
+
     @pytest.mark.parametrize("kwargs, field", [
         (dict(runs_per_state=0), "runs_per_state"),
         (dict(runs_per_state=2.5), "runs_per_state"),

@@ -22,6 +22,7 @@ from qptycho import (
     StateVector,
     UnitarySpec,
     build_calibration,
+    circuit_settings,
     generate_dataset,
     load_calibration,
     load_dataset,
@@ -143,6 +144,23 @@ class TestArrayPayload:
         with pytest.raises(ValueError, match=re.escape(f"x: data holds 8 bytes, shape {shape} needs")):
             _decode_array(payload([1.0], shape=shape), "x")
 
+    def test_rejects_a_zlib_stream_too_short_for_its_shape_before_allocating(self):
+        # No stream of 11 bytes inflates to the 8 MiB the shape declares.
+        value = payload([0.0], shape=[1 << 20])
+
+        def decode():
+            with pytest.raises(ValueError, match=r"^x: data holds 8 bytes, shape \[1048576\] needs 8388608$"):
+                _decode_array(value, "x")
+
+        assert peak_traced_bytes(decode) < 1 << 20
+
+    def test_a_stream_near_the_deflate_ceiling_still_decodes(self):
+        # 2^20 zero bytes at level 9 compress about 1028:1; deflate's ceiling is 1032:1.
+        stream = zlib.compress(bytes(1 << 20), 9)
+        assert len(stream) * 1000 < 1 << 20
+        back = _decode_array(payload([0.0], shape=[1 << 17], data=base64.b64encode(stream).decode()), "x")
+        assert back.shape == (1 << 17,) and not back.any()
+
     @pytest.mark.parametrize("value", [["1.0"], [1.0, "a"], [[1.0], [1.0, 2.0]], [{"a": 1}], "AAAA", 3])
     def test_rejects_non_numeric_values(self, value):
         with pytest.raises(ValueError, match="x must be"):
@@ -160,6 +178,44 @@ try:
 except ValueError as exc:
     print(exc)
 """
+
+# The reader of kind argv[1] on the file argv[2], in a child under the same
+# limit; it prints the reader's ValueError.
+LIMITED_READER_CHILD = """
+import resource
+import sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qptycho import load_calibration, load_dataset, load_state
+readers = {"state": load_state, "dataset": load_dataset, "calibration": load_calibration}
+try:
+    readers[sys.argv[1]](sys.argv[2])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def run_child(code, *args):
+    """``python -c code *args`` on this checkout's package."""
+    pythonpath = [str(Path(states.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def empty_payload(shape, encoding="zlib"):
+    """A payload that declares ``shape`` and holds no data."""
+    doc = {"dtype": "<f8", "shape": shape, "data": ""}
+    return doc if encoding is None else {**doc, "encoding": encoding}
+
+
+def empty_dataset(n):
+    """A dataset document of n qubits whose 3n records hold no data."""
+    records = [{"xi": axis, "q": q, "counts": empty_payload([2 << n])} for axis, q in circuit_settings(n)]
+    return {"n": n, "unitary": UnitarySpec.qft().to_dict(), "shots": 0, "records": records}
 
 
 class TestReaderChecks:
@@ -247,16 +303,26 @@ class TestReaderChecks:
     def test_huge_qubit_count_fails_cleanly_under_a_memory_limit(self):
         # The settings list of 3n circuits once came before the record count:
         # at n = 10^7 under 1 GiB of address space that was a MemoryError.
-        pythonpath = [str(Path(states.__file__).resolve().parent.parent)]
-        if os.environ.get("PYTHONPATH"):
-            pythonpath.append(os.environ["PYTHONPATH"])
-        proc = subprocess.run(
-            [sys.executable, "-c", HUGE_N_CHILD],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_child(HUGE_N_CHILD)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("n must be at most 58: ")
+
+    @pytest.mark.parametrize("kind, doc, field", [
+        ("calibration", {"n": 29, "M1": _encode_array(np.eye(2)), "Mn": empty_payload([1 << 40])}, "Mn"),
+        ("calibration", {"n": 29, "M1": _encode_array(np.eye(2)), "Mn": empty_payload([1 << 40], None)},
+         "Mn"),
+        ("state", {"n": 40, "amps": empty_payload([1 << 40, 2])}, "amps"),
+        ("dataset", empty_dataset(40), "records[0].counts"),
+        ("dataset", empty_dataset(58), "records[0].counts"),
+    ], ids=["calibration-zlib", "calibration-raw", "state", "dataset-40", "dataset-58"])
+    def test_a_huge_shape_with_no_data_fails_cleanly_under_a_memory_limit(self, tmp_path, kind, doc, field):
+        # Each reader once allocated what the shape declares before it read
+        # the data: 8 TiB to 1.9 PiB, a MemoryError under 1 GiB; at n = 58 the
+        # dataset table was numpy's "array is too big".
+        path = write_json(tmp_path / "f.json", doc)
+        proc = run_child(LIMITED_READER_CHILD, kind, str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"{kind} file {path}: {field}: ")
 
     @pytest.mark.parametrize("change, message", [
         ({"dtype": "<f4"}, "dtype must be '<f8'"),

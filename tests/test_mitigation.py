@@ -132,6 +132,13 @@ class TestBuildCalibration:
         with pytest.raises(ValueError, match="shots must be an integer >= 0"):
             build_calibration(2, ReadoutNoiseModel.identity(3), shots=shots)
 
+    def test_shots_past_int64_are_refused(self):
+        model = ReadoutNoiseModel.symmetric(2, 0.1)
+        with pytest.raises(ValueError, match=r"^shots must be at most 2\^63 - 1, the most numpy draws"):
+            build_calibration(1, model, shots=1 << 63, seed=1)
+        cal = build_calibration(1, model, shots=(1 << 63) - 1, seed=1)
+        np.testing.assert_allclose(cal.register, [[0.9, 0.1], [0.1, 0.9]], atol=1e-9)
+
     @pytest.mark.parametrize("n", [True, 2.0, "2", 0, -1])
     def test_qubit_count_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match=rf"^qubit count must be an integer >= 1, got {n!r}$"):

@@ -75,7 +75,6 @@ def _dataset():
 #: One instance of each value type that the pipeline passes between stages.
 PIPELINE_VALUES = {
     "StateVector": lambda: qptycho.named_state("ghz", 2),
-    "ProjectorId": lambda: qptycho.ProjectorId("x", 0, 1),
     "UnitarySpec": lambda: qptycho.UnitarySpec.random_separable(2, 0),
     "CircuitRecord": lambda: _dataset().records[0],
     "PtychoDataset": _dataset,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qptycho import (
     PieConfig,
-    ProjectorId,
     StateVector,
     UnitarySpec,
     beta_schedule,
@@ -89,6 +88,13 @@ class TestPieConfig:
     def test_numpy_integer_iterations_become_int(self):
         cfg = PieConfig(iterations=np.int64(20))
         assert cfg.iterations == 20 and type(cfg.iterations) is int
+
+    @pytest.mark.parametrize("beta0, delta_beta", [(2.0, 1e-310), (1e308, 1e-10)])
+    def test_default_iteration_count_past_the_float_range(self, beta0, delta_beta):
+        # round(beta0 / delta_beta) of an inf quotient once raised OverflowError.
+        with pytest.raises(ValueError, match="delta_beta"):
+            PieConfig(beta0=beta0, delta_beta=delta_beta)
+        assert PieConfig(beta0=beta0, delta_beta=delta_beta, iterations=3).resolved_iterations() == 3
 
 
 class TestBetaSchedule:
@@ -178,9 +184,7 @@ class TestCorrectionStep:
         rng = np.random.default_rng(92)
         estimate = StateVector(2, haar_state(2, rng))
         for pid in projector_ids(2):
-            tilde = QFT.apply_amps(
-                _project_amps(estimate.amps, pid.axis, pid.qubit, pid.sign), 2
-            )
+            tilde = QFT.apply_amps(_project_amps(estimate.amps, *pid), 2)
             target = np.abs(tilde)
             out = pauli_correction(estimate.amps, 2, pid, target, QFT, 1.7)
             np.testing.assert_allclose(out, estimate.amps, atol=1e-12)
@@ -188,7 +192,7 @@ class TestCorrectionStep:
     def test_zero_beta_is_identity(self):
         rng = np.random.default_rng(93)
         estimate = StateVector(2, haar_state(2, rng))
-        pid = ProjectorId("y", 1, -1)
+        pid = ("y", 1, -1)
         target = np.abs(haar_state(2, rng))
         out = pauli_correction(estimate.amps, 2, pid, target, QFT, 0.0)
         np.testing.assert_allclose(out, estimate.amps, atol=1e-15)
@@ -201,7 +205,7 @@ class TestCorrectionStep:
         beta = 1.3
         target = np.array([1, 1]) / math.sqrt(2)
         out = pauli_correction(
-            basis_state(1, 1).amps, 1, ProjectorId("z", 0, 1), target, QFT, beta
+            basis_state(1, 1).amps, 1, ("z", 0, 1), target, QFT, beta
         )
         np.testing.assert_allclose(out, [beta, 1.0], atol=1e-12)
 
@@ -213,7 +217,7 @@ class TestCorrectionStep:
         amps = np.full(8, 0.5, dtype=complex)
         amps[:4] = [1e-310, 1e-310 + 1e-310j, 3e-320j, 0.0]
         target = np.full(8, 0.25)
-        out = pauli_correction(amps, 3, ProjectorId("z", 2, 1), target, identity, 1.5)
+        out = pauli_correction(amps, 3, ("z", 2, 1), target, identity, 1.5)
         expected = amps.copy()
         expected[:4] += 1.5 * (target[:4] - amps[:4])
         np.testing.assert_array_equal(out, expected)
@@ -596,7 +600,7 @@ def dense_run(dataset, config, seed, reference):
     normalized estimate and its (distance, fidelity) per iteration."""
     n = dataset.n
     unitary = dense_product_unitary(dataset.unitary, n)
-    projectors = [dense_pauli_projector(p.axis, p.sign, p.qubit, n) for p in projector_ids(n)]
+    projectors = [dense_pauli_projector(axis, sign, q, n) for axis, q, sign in projector_ids(n)]
     amps = random_arbitrary(n, seed).amps
     current, rows = StateVector(n, amps), []
     for iteration in range(1, config.resolved_iterations() + 1):
@@ -625,9 +629,10 @@ class TestMeasurementFrame:
         phi = haar_state(n, rng)
         psi = unitary @ phi
         for pid, target in zip(projector_ids(n), targets):
-            f = frame_vector(spec, n, pid.axis, pid.sign, pid.qubit)
-            projector = dense_pauli_projector(pid.axis, pid.sign, pid.qubit, n)
-            frame = _correction_amps(psi, n, pid.qubit, f.conj(), f, target, 1.7)
+            axis, q, sign = pid
+            f = frame_vector(spec, n, axis, sign, q)
+            projector = dense_pauli_projector(axis, sign, q, n)
+            frame = _correction_amps(psi, n, q, f.conj(), f, target, 1.7)
             expected = unitary @ dense_correction(phi, projector, unitary, target, 1.7)
             np.testing.assert_allclose(frame, expected, rtol=0, atol=1e-12, err_msg=str(pid))
 

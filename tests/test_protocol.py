@@ -20,6 +20,7 @@ from qptycho import (
     sample_shots,
     save_dataset,
 )
+from qptycho import protocol
 from qptycho.mitigation import build_calibration, corrupt_counts, mitigate
 from qptycho.protocol import CircuitRecord, PtychoDataset
 from qptycho.states import _project_amps
@@ -111,6 +112,12 @@ class TestSampleShots:
     def test_numpy_integer_shots_accepted(self):
         assert sample_shots(np.array([0.5, 0.5]), np.int64(7), 1).sum() == 7
 
+    def test_shots_past_int64_are_refused(self):
+        # numpy counts a draw in an int64: 2^63 once raised its OverflowError.
+        with pytest.raises(ValueError, match=r"^shots must be at most 2\^63 - 1, the most numpy draws"):
+            sample_shots(np.array([0.5, 0.5]), 1 << 63, 1)
+        assert sample_shots(np.array([0.5, 0.5]), (1 << 63) - 1, 1).sum() == (1 << 63) - 1
+
 
 class TestPublicEntryPoints:
     @pytest.mark.parametrize("call, message", [
@@ -163,6 +170,18 @@ class TestGenerateDataset:
     def test_shots_must_be_an_integer(self, shots):
         with pytest.raises(ValueError, match="shots must be an integer >= 0"):
             generate_dataset(named_state("ghz", 2), QFT, shots, seed=1)
+
+    def test_shots_past_int64_are_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("shot streams were made")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "shot_streams", no_draw)
+            for shots in (1 << 63, np.uint64(1 << 63)):
+                with pytest.raises(ValueError, match=r"^shots must be at most 2\^63 - 1"):
+                    generate_dataset(named_state("ghz", 2), QFT, shots, seed=1)
+        dataset = generate_dataset(named_state("ghz", 2), QFT, (1 << 63) - 1, seed=1)
+        assert dataset.shots_per_circuit == (1 << 63) - 1
 
     def test_numpy_integer_shots_stored_as_int(self):
         dataset = generate_dataset(named_state("ghz", 2), QFT, np.int64(100), seed=76)
@@ -228,9 +247,9 @@ class TestNormalizeDataset:
         targets = normalize_dataset(generate_dataset(state, QFT, 0))
         assert targets.shape == (18, 8)
         laws = dict(zip(circuit_settings(3), looped_joint_laws(state, QFT), strict=True))
-        for row, pid in zip(targets, projector_ids(3), strict=True):
-            p = laws[pid.axis, pid.qubit]
-            np.testing.assert_array_equal(row, np.sqrt(p[:8] if pid.sign == 1 else p[8:]))
+        for row, (axis, q, sign) in zip(targets, projector_ids(3), strict=True):
+            p = laws[axis, q]
+            np.testing.assert_array_equal(row, np.sqrt(p[:8] if sign == 1 else p[8:]))
 
     def test_exact_path_sums_to_one(self):
         state = named_state("ghz", 2)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qptycho import (
-    ProjectorId,
     StateVector,
     fidelity,
     load_state,
@@ -113,24 +112,7 @@ class TestApplySingleQubit:
                 )
 
 
-class TestProjectorId:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProjectorId("w", 0, 1)
-        with pytest.raises(ValueError):
-            ProjectorId("x", 0, 2)
-        with pytest.raises(ValueError):
-            ProjectorId("x", -1, 1)
-
-    @pytest.mark.parametrize("qubit", [1.5, True, "1", None])
-    def test_qubit_must_be_an_integer(self, qubit):
-        with pytest.raises(ValueError, match="qubit index must be an integer >= 0"):
-            ProjectorId("x", qubit, 1)
-
-    def test_numpy_integer_qubit_accepted(self):
-        pid = ProjectorId("x", np.int64(1), 1)
-        assert pid == ProjectorId("x", 1, 1) and type(pid.qubit) is int
-
+class TestProjectorEnumeration:
     def test_enumeration_size(self):
         for n in (1, 3, 5):
             ids = projector_ids(n)

@@ -18,6 +18,7 @@ from .seeding import shot_count, shot_streams
 from .states import (
     _decode_array, _encode_array, _integer, _load, _qubit_count, _real, _write_json,
 )
+from .transforms import _apply_gates_amps
 
 #: Refuse to mitigate through a calibration matrix worse-conditioned than this.
 MAX_CONDITION_NUMBER = 1e12
@@ -38,7 +39,8 @@ class ReadoutNoiseModel:
 
     ``bit_confusions[i]`` acts on the outcome bit of weight 2**i; for the
     ptychographic layout bits 0..n-1 are the final register and bit n is the
-    intermediate measurement.
+    intermediate measurement. Each matrix is kept with its columns divided by
+    their sums, so they sum to 1 within rounding.
     """
 
     bit_confusions: tuple
@@ -49,6 +51,9 @@ class ReadoutNoiseModel:
         for mat in self.bit_confusions:
             mat = np.array(mat, dtype=np.float64)
             _check_confusion(mat)
+            # Sums 1e-9 from 1 would compound over n+1 bits past the protocol's sum
+            # checks. fl(fl(1 - p) + p) is exactly 1: a (1 - p, p) column stays.
+            mat = mat / mat.sum(axis=0)
             mat.flags.writeable = False
             mats.append(mat)
         if not mats:
@@ -91,18 +96,15 @@ class ReadoutNoiseModel:
 
 
 def corrupt_counts(p: np.ndarray, model: ReadoutNoiseModel) -> np.ndarray:
-    """Push a distribution (or count vector) through the independent-bit channel."""
+    """Push a distribution (or count vector) through the independent-bit
+    channel: each bit's confusion matrix through the per-qubit kernel."""
     p = np.asarray(p, dtype=np.float64)
     k = model.num_bits
     if p.shape != (1 << k,):
         raise ValueError(f"expected a length-{1 << k} vector for {k} bits, got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("distribution p must be finite")
-    arr = p.reshape((2,) * k)  # axis 0 holds the most significant bit
-    for i, c in enumerate(model.bit_confusions):
-        axis = k - 1 - i
-        arr = np.moveaxis(np.tensordot(c, arr, axes=([1], [axis])), 0, axis)
-    return arr.reshape(-1)
+    return _apply_gates_amps(p, model.bit_confusions)
 
 
 def _refuse(self, *args, **kwargs):

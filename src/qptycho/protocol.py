@@ -18,6 +18,7 @@ from .seeding import shot_count, shot_streams
 from .states import (
     SIGNS,
     StateVector,
+    _check_payload,
     _decode_array,
     _encode_array,
     _integer,
@@ -242,8 +243,14 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
     if len(order) != 3 * n or order != circuit_settings(n):
         raise ValueError(f"dataset must hold {3 * n} records in canonical (axis, qubit) order")
     size, counts = 2 << n, None
-    for c, ((axis, q), entry) in enumerate(zip(order, entries)):
-        row = _decode_array(entry.get("counts"), f"records[{c}].counts", size)
+    fields = [f"records[{c}].counts" for c in range(3 * n)]
+    payloads = [entry.get("counts") for entry in entries]
+    # Every payload must be able to fill its row before the table is allocated;
+    # one that declares another shape is decoded first, for the error it raises.
+    unfit = [c for c, value in enumerate(payloads)
+             if isinstance(value, dict) and _check_payload(value, fields[c], size)[0] != [size]]
+    for c in unfit + list(range(3 * n)):
+        (axis, q), row = order[c], _decode_array(payloads[c], fields[c], size)
         if row.ndim != 1:
             raise ValueError(f"record ({axis}, {q}) has shape {row.shape}, expected {(size,)}")
         if row.size != size:

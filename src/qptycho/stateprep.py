@@ -11,17 +11,7 @@ import math
 import numpy as np
 
 from .states import StateVector, _integer
-from .transforms import _haar_u3_angles, u3_matrix
-
-# The benchmark set contains two unspecified random states at n=2 and one
-# random separable n-qubit state; these seeds pin them for reproducibility.
-PSI9_SEED = 9
-PSI10_SEED = 10
-PSI3N_SEED = 3
-
-TWO_QUBIT_TAGS = tuple(f"psi{i}" for i in range(1, 11))
-NQUBIT_TAGS = tuple(f"psi{i}_n" for i in range(1, 6))
-STATE_TAGS = TWO_QUBIT_TAGS + NQUBIT_TAGS + ("ghz", "w")
+from .transforms import UnitarySpec
 
 
 def _product_state(n: int, factor: np.ndarray) -> StateVector:
@@ -53,16 +43,12 @@ def w_state(n: int) -> StateVector:
 
 
 def random_separable(n: int, rng=None) -> StateVector:
-    """Product state from an independent Haar-random unitary on each qubit.
-
-    The per-qubit unitary is drawn in the (theta, phi, lam) chart with
-    cos(theta) uniform on [-1, 1] and phi, lam uniform on [0, 2 pi).
-    """
+    """Product state from an independent Haar-random unitary on each qubit:
+    :meth:`UnitarySpec.random_separable` applied to |0...0>."""
     n = _integer(n, "qubit count must be an integer", 1)
-    amps = np.array([1.0 + 0.0j])
-    for triple in _haar_u3_angles(n, rng):
-        amps = np.kron(u3_matrix(*triple)[:, 0], amps)
-    return StateVector(n, amps)
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(n, UnitarySpec.random_separable(n, rng).apply_amps(amps, n))
 
 
 def random_arbitrary(n: int, rng=None) -> StateVector:
@@ -74,39 +60,30 @@ def random_arbitrary(n: int, rng=None) -> StateVector:
     return StateVector(n, z / np.linalg.norm(z))
 
 
-def _two_qubit_state(tag: str) -> StateVector:
-    sqrt2 = math.sqrt(2)
-    if tag == "psi1":
-        return _product_state(2, _superposition_factor(+1))
-    if tag == "psi2":
-        return _product_state(2, _superposition_factor(-1))
-    if tag == "psi3":
-        return _product_state(2, _superposition_factor(+1, math.pi / 4))
-    if tag == "psi4":
-        return _product_state(2, _superposition_factor(-1, math.pi / 4))
-    if tag == "psi5":
-        return ghz_state(2)
-    if tag == "psi6":
-        return StateVector(2, np.array([1, 0, 0, -1]) / sqrt2)
-    if tag == "psi7":
-        return StateVector(2, np.array([0, 1, 1, 0]) / sqrt2)
-    if tag == "psi8":
-        return StateVector(2, np.array([0, 1, -1, 0]) / sqrt2)
-    if tag == "psi9":
-        return random_arbitrary(2, PSI9_SEED)
-    return random_arbitrary(2, PSI10_SEED)  # psi10
-
-
-def _nqubit_state(tag: str, n: int) -> StateVector:
-    if tag == "psi1_n":
-        return _product_state(n, _superposition_factor(+1, math.pi / 4))
-    if tag == "psi2_n":
-        return _product_state(n, _superposition_factor(-1, math.pi / 4))
-    if tag == "psi3_n":
-        return random_separable(n, PSI3N_SEED)
-    if tag in ("psi4_n", "ghz"):
-        return ghz_state(n)
-    return w_state(n)  # psi5_n, w
+# The benchmark set, tag -> builder, in table order. It holds two unspecified
+# random states at n=2 and one random separable n-qubit state; the seeds 9,
+# 10 and 3 pin them for reproducibility.
+_TWO_QUBIT_STATES = {
+    "psi1": lambda: _product_state(2, _superposition_factor(+1)),
+    "psi2": lambda: _product_state(2, _superposition_factor(-1)),
+    "psi3": lambda: _product_state(2, _superposition_factor(+1, math.pi / 4)),
+    "psi4": lambda: _product_state(2, _superposition_factor(-1, math.pi / 4)),
+    "psi5": lambda: ghz_state(2),
+    "psi6": lambda: StateVector(2, np.array([1, 0, 0, -1]) / math.sqrt(2)),
+    "psi7": lambda: StateVector(2, np.array([0, 1, 1, 0]) / math.sqrt(2)),
+    "psi8": lambda: StateVector(2, np.array([0, 1, -1, 0]) / math.sqrt(2)),
+    "psi9": lambda: random_arbitrary(2, 9),
+    "psi10": lambda: random_arbitrary(2, 10),
+}
+_NQUBIT_STATES = {
+    "psi1_n": lambda n: _product_state(n, _superposition_factor(+1, math.pi / 4)),
+    "psi2_n": lambda n: _product_state(n, _superposition_factor(-1, math.pi / 4)),
+    "psi3_n": lambda n: random_separable(n, 3),
+    "psi4_n": ghz_state,
+    "psi5_n": w_state,
+    "ghz": ghz_state,
+    "w": w_state,
+}
 
 
 def named_state(tag: str, n: int) -> StateVector:
@@ -116,18 +93,19 @@ def named_state(tag: str, n: int) -> StateVector:
     tags ``psi1_n`` .. ``psi5_n`` (aliases ``ghz``, ``w``) work for any n >= 2.
     Tags are case-insensitive; any other tag raises ``ValueError``.
     """
-    if not isinstance(tag, str) or tag.lower() not in STATE_TAGS:
-        raise ValueError(f"unknown state tag {tag!r}, expected one of {', '.join(STATE_TAGS)}")
+    tags = (*_TWO_QUBIT_STATES, *_NQUBIT_STATES)
+    if not isinstance(tag, str) or tag.lower() not in tags:
+        raise ValueError(f"unknown state tag {tag!r}, expected one of {', '.join(tags)}")
     tag = tag.lower()
     n = _integer(n, "named states need an integer n", 2)
-    if tag in TWO_QUBIT_TAGS:
+    if tag in _TWO_QUBIT_STATES:
         if n != 2:
             raise ValueError(f"state {tag!r} is a two-qubit state, got n={n}")
-        return _two_qubit_state(tag)
-    return _nqubit_state(tag, n)
+        return _TWO_QUBIT_STATES[tag]()
+    return _NQUBIT_STATES[tag](n)
 
 
 def table_states(n: int):
     """The full benchmark set for a given qubit count, as (tag, state) pairs."""
-    tags = TWO_QUBIT_TAGS if n == 2 else NQUBIT_TAGS
+    tags = _TWO_QUBIT_STATES if n == 2 else [t for t in _NQUBIT_STATES if t.endswith("_n")]
     return [(tag, named_state(tag, n)) for tag in tags]

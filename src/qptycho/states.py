@@ -155,31 +155,34 @@ def _encode_array(values) -> dict:
 _INFLATE_STEP = 1 << 16
 
 
-def _inflate_into(data: bytes, dest: np.ndarray) -> int:
+def _inflate_into(data: bytes, dest: np.ndarray, field: str) -> int:
     """Inflate the zlib stream ``data`` into the uint8 array ``dest`` and
     return the stream's length in bytes; bytes past ``dest`` are counted, not
-    kept. Raises ``zlib.error`` for a stream that ends early or is followed by
-    other bytes."""
+    kept. Raises a ``ValueError`` that names ``field`` for data that is no
+    zlib stream, ends early or is followed by other bytes."""
     stream, view = zlib.decompressobj(), memoryview(data)
     total = fed = 0
     pending = b""
-    while True:
-        if not pending:
-            pending = view[fed : fed + _INFLATE_STEP]
-            fed += len(pending)
-        chunk = stream.decompress(pending, _INFLATE_STEP)
-        pending = stream.unconsumed_tail
-        keep = min(len(chunk), dest.size - total)
-        if keep > 0:
-            dest[total : total + keep] = np.frombuffer(chunk, np.uint8, keep)
-        total += len(chunk)
-        if stream.eof:
-            break
-        if not chunk and not pending and fed == len(view):
-            raise zlib.error("the stream ends early")
-    trailing = len(stream.unused_data) + len(view) - fed
-    if trailing:
-        raise zlib.error(f"{trailing} bytes follow the end of the stream")
+    try:
+        while True:
+            if not pending:
+                pending = view[fed : fed + _INFLATE_STEP]
+                fed += len(pending)
+            chunk = stream.decompress(pending, _INFLATE_STEP)
+            pending = stream.unconsumed_tail
+            keep = min(len(chunk), dest.size - total)
+            if keep > 0:
+                dest[total : total + keep] = np.frombuffer(chunk, np.uint8, keep)
+            total += len(chunk)
+            if stream.eof:
+                break
+            if not chunk and not pending and fed == len(view):
+                raise zlib.error("the stream ends early")
+        trailing = len(stream.unused_data) + len(view) - fed
+        if trailing:
+            raise zlib.error(f"{trailing} bytes follow the end of the stream")
+    except zlib.error as exc:
+        raise ValueError(f"{field}: data is not a valid zlib stream ({exc})") from None
     return total
 
 
@@ -188,26 +191,21 @@ def _inflate_into(data: bytes, dest: np.ndarray) -> int:
 _MAX_INFLATE_RATIO = 1032
 
 
-def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
-    """Owned, writable, C-contiguous float64 array from a payload object or
-    from a plain JSON list of numbers, the form that older files hold. A
-    payload without ``encoding`` holds the raw bytes, as older files do.
+def _check_length(length: int, shape: list, field: str):
+    """Refuse ``length`` bytes of data unless they fill ``shape`` exactly."""
+    needed = 8 * math.prod(shape)
+    if length != needed:
+        raise ValueError(f"{field}: data holds {length} bytes, shape {shape} needs {needed}")
 
-    ``size`` is the entry count the reader expects: a payload whose shape
-    declares more is refused before its buffer is allocated, and so is one
-    whose data cannot fill its shape (raw bytes of another length, or a zlib
-    stream too short to inflate to it). A smaller shape decodes, and the
-    length check of the value built from it names it."""
-    if isinstance(value, list):
-        try:
-            arr = np.array(value)
-        except ValueError:
-            arr = None  # ragged nesting
-        if arr is None or arr.dtype.kind not in "fiu":
-            raise ValueError(f"{field} must be a list of numbers")
-        return arr.astype(np.float64)
-    if not isinstance(value, dict):
-        raise ValueError(f"{field} must be a payload object or a list of numbers")
+
+def _check_payload(value: dict, field: str, size: int | None = None):
+    """The ``(shape, raw data bytes, encoding)`` of the payload object
+    ``value``, checked as far as they can be before its array is allocated.
+
+    ``size`` is the entry count the reader expects: a shape that declares
+    more is refused, and so is data that cannot fill the shape (raw bytes of
+    another length, or a zlib stream too short to inflate to it, which is
+    only inflated to count it). Every ``ValueError`` names ``field``."""
     if value.get("dtype") != _PAYLOAD_DTYPE:
         raise ValueError(f"{field}: dtype must be {_PAYLOAD_DTYPE!r}, got {value.get('dtype')!r}")
     shape = value.get("shape")
@@ -223,18 +221,37 @@ def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
         raw = base64.b64decode(value.get("data"), validate=True)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: data is not valid base64 ({exc})") from None
-    length, needed = len(raw), 8 * count
-    if encoding == "zlib":
-        # A stream too short to fill the shape is only checked and counted.
-        out = np.empty(shape if needed <= _MAX_INFLATE_RATIO * length else 0, dtype=_PAYLOAD_DTYPE)
+    if encoding is None:
+        _check_length(len(raw), shape, field)
+    elif 8 * count > _MAX_INFLATE_RATIO * len(raw):
+        _check_length(_inflate_into(raw, np.empty(0, np.uint8), field), shape, field)
+    return shape, raw, encoding
+
+
+def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
+    """Owned, writable, C-contiguous float64 array from a payload object or
+    from a plain JSON list of numbers, the form that older files hold. A
+    payload without ``encoding`` holds the raw bytes, as older files do.
+
+    A payload passes :func:`_check_payload` with ``size`` before its buffer
+    is allocated. A smaller shape decodes, and the length check of the value
+    built from it names it."""
+    if isinstance(value, list):
         try:
-            length = _inflate_into(raw, out.reshape(-1).view(np.uint8))
-        except zlib.error as exc:
-            raise ValueError(f"{field}: data is not a valid zlib stream ({exc})") from None
-    if length != needed:
-        raise ValueError(f"{field}: data holds {length} bytes, shape {shape} needs {needed}")
+            arr = np.array(value)
+        except ValueError:
+            arr = None  # ragged nesting
+        if arr is None or arr.dtype.kind not in "fiu":
+            raise ValueError(f"{field} must be a list of numbers")
+        return arr.astype(np.float64)
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a payload object or a list of numbers")
+    shape, raw, encoding = _check_payload(value, field, size)
     if encoding is None:
         out = np.frombuffer(raw, _PAYLOAD_DTYPE).reshape(shape).copy()
+    else:
+        out = np.empty(shape, dtype=_PAYLOAD_DTYPE)
+        _check_length(_inflate_into(raw, out.reshape(-1).view(np.uint8), field), shape, field)
     return out.astype(np.float64, copy=False)  # a copy only where float64 is big-endian
 
 

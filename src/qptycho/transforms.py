@@ -124,32 +124,11 @@ def _apply_gates_amps(amps: np.ndarray, gates) -> np.ndarray:
     return amps
 
 
-@lru_cache(maxsize=64)
-def _separable_gates(angles: tuple, adjoint: bool) -> tuple:
-    """The per-qubit u3 matrices of a separable spec, or their adjoints."""
-    gates = tuple(u3_matrix(*t).conj().T if adjoint else u3_matrix(*t) for t in angles)
-    for g in gates:
-        g.flags.writeable = False  # shared between calls
-    return gates
-
-
 def _angle(value) -> float:
     """A finite angle in radians; TypeError for anything else (a bool too)."""
     if isinstance(value, bool) or not math.isfinite(value):
         raise TypeError(f"not a finite angle: {value!r}")
     return float(value)
-
-
-def _haar_u3_angles(n: int, rng) -> list:
-    """n Haar-random (theta, phi, lam) triples: cos(theta) uniform on [-1, 1],
-    phi and lam uniform on [0, 2 pi), drawn qubit by qubit."""
-    rng = np.random.default_rng(rng)
-    angles = []
-    for _ in range(n):
-        theta = math.acos(1.0 - 2.0 * rng.random())
-        phi, lam = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        angles.append((theta, float(phi), float(lam)))
-    return angles
 
 
 @dataclass(frozen=True)
@@ -173,8 +152,6 @@ class UnitarySpec:
         elif self.m is not None:
             raise ValueError(f"degree m is only valid for aqft, not {self.kind!r}")
         if self.kind == "separable":
-            if not self.angles:
-                raise ValueError("separable requires one angle triple per qubit")
             try:
                 angles = tuple(tuple(_angle(a) for a in triple) for triple in self.angles)
             except TypeError:
@@ -182,6 +159,8 @@ class UnitarySpec:
                     f"separable angles must be (theta, phi, lam) triples of finite numbers, "
                     f"got {self.angles!r}"
                 ) from None
+            if not angles:
+                raise ValueError("separable requires one angle triple per qubit")
             if any(len(triple) != 3 for triple in angles):
                 raise ValueError("each separable angle entry must be a (theta, phi, lam) triple")
             object.__setattr__(self, "angles", angles)
@@ -202,12 +181,18 @@ class UnitarySpec:
 
     @classmethod
     def separable(cls, angles) -> "UnitarySpec":
-        return cls("separable", angles=tuple(tuple(t) for t in angles))
+        return cls("separable", angles=angles)
 
     @classmethod
     def random_separable(cls, n: int, rng) -> "UnitarySpec":
-        """Haar-random per-qubit unitaries: cos(theta) uniform, phases uniform."""
-        return cls.separable(_haar_u3_angles(n, rng))
+        """Haar-random per-qubit unitaries: cos(theta) uniform on [-1, 1],
+        phi and lam uniform on [0, 2 pi), drawn qubit by qubit."""
+        rng = np.random.default_rng(rng)
+        angles = []
+        for _ in range(n):
+            theta = math.acos(1.0 - 2.0 * rng.random())
+            angles.append((theta, *rng.uniform(0.0, 2.0 * math.pi, size=2)))
+        return cls.separable(angles)
 
     def validate_for(self, n: int):
         n = _integer(n, "qubit count must be an integer", 1)
@@ -221,12 +206,15 @@ class UnitarySpec:
     def qubit_gates(self, n: int, adjoint: bool = False):
         """The 2x2 gate of each qubit, qubit 0 first, when this unitary is a
         product of them (hadamard, separable), or their adjoints; None for
-        the Fourier kinds. The matrices are shared and read-only."""
+        the Fourier kinds. The matrices are read-only."""
         if self.kind == "hadamard":
             return (_H,) * n  # self-adjoint
-        if self.kind == "separable":
-            return _separable_gates(self.angles, adjoint)
-        return None
+        if self.kind != "separable":
+            return None
+        gates = tuple(u3_matrix(*t).conj().T if adjoint else u3_matrix(*t) for t in self.angles)
+        for g in gates:
+            g.flags.writeable = False
+        return gates
 
     def apply_amps(self, amps: np.ndarray, n: int, adjoint: bool = False) -> np.ndarray:
         if self.kind == "qft":

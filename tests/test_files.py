@@ -324,6 +324,35 @@ class TestReaderChecks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith(f"{kind} file {path}: {field}: ")
 
+    @pytest.mark.parametrize("later_shape, message", [
+        ([1 << 21], r"records\[1\]\.counts: data holds 0 bytes, shape \[2097152\] needs 16777216"),
+        ([0], r"record \(x, 1\) has length 0, expected 2097152"),
+    ], ids=["full-shape", "no-entries"])
+    def test_records_that_cannot_fill_the_table_fail_before_it_is_allocated(self, tmp_path, later_shape,
+                                                                            message):
+        # A 28 KB file at n = 20: one full record of zeros at zlib level 9,
+        # then 59 empty streams. The table is 960 MiB, so the reader once
+        # failed under 1 GiB with a MemoryError after the first record.
+        doc = empty_dataset(20)
+        full = zlib.compress(bytes(8 << 21), 9)
+        doc["records"][0]["counts"]["data"] = base64.b64encode(full).decode()
+        for record in doc["records"][1:]:
+            record["counts"].update(shape=later_shape, data=base64.b64encode(zlib.compress(b"")).decode())
+        path = write_json(tmp_path / "f.json", doc)
+        assert path.stat().st_size < 30_000
+        proc = run_child(LIMITED_READER_CHILD, "dataset", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(rf"dataset file {re.escape(str(path))}: {message}\n", proc.stdout)
+
+    def test_a_valid_load_peaks_near_its_table(self, tmp_path):
+        # The check of every record before the table is allocated decodes one
+        # record's bytes at a time; it adds no copy of the table.
+        state = StateVector(12, haar_state(12, np.random.default_rng(1)))
+        data = generate_dataset(state, UnitarySpec.qft(), 8192, seed=1)
+        path = tmp_path / "d.json"
+        save_dataset(data, path)
+        assert peak_traced_bytes(lambda: load_dataset(path)) < 1.4 * data.counts.nbytes
+
     @pytest.mark.parametrize("change, message", [
         ({"dtype": "<f4"}, "dtype must be '<f8'"),
         ({"data": "not base64!"}, "data is not valid base64"),

@@ -59,6 +59,29 @@ class TestReadoutNoiseModel:
         with pytest.raises(ValueError, match=message):
             ReadoutNoiseModel.from_flip_probabilities(p10, p01)
 
+    # Columns that sum to 1 + 9e-10 pass the 1e-9 column check; kept as given,
+    # n+1 of them pushed the outcome laws past the protocol's own sum checks.
+    NEAR_STOCHASTIC = np.array([[0.9, 0.2], [0.1 + 9e-10, 0.8 + 9e-10]])
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_a_model_that_passes_the_column_check_generates_datasets(self, n, shots):
+        model = ReadoutNoiseModel((self.NEAR_STOCHASTIC,) * (n + 1))
+        data = generate_dataset(random_arbitrary(n, 5), UnitarySpec.qft(), shots, noise=model, seed=1)
+        assert data.counts.shape == (3 * n, 2 << n)
+        for c in model.bit_confusions:
+            assert np.allclose(c.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+    def test_stochastic_columns_are_kept_bit_for_bit(self):
+        f = 0.025
+        for c in ReadoutNoiseModel.symmetric(3, f).bit_confusions:
+            assert np.array_equal(c, [[1 - f, f], [f, 1 - f]])
+        rng = np.random.default_rng(62)
+        e10, e01 = rng.random(50), rng.random(50)
+        model = ReadoutNoiseModel.from_flip_probabilities(e10, e01)
+        for c, a, b in zip(model.bit_confusions, e10, e01):
+            assert np.array_equal(c, [[1 - a, b], [a, 1 - b]])
+
 
 class TestCorruptCounts:
     def test_identity_model(self):
@@ -87,6 +110,19 @@ class TestCorruptCounts:
         model = ReadoutNoiseModel.symmetric(3, 0.07)
         p = rng.random(8)
         assert corrupt_counts(p, model).sum() == pytest.approx(p.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_the_dense_channel(self, k):
+        rng = np.random.default_rng(63 + k)
+        model = ReadoutNoiseModel.from_flip_probabilities(rng.uniform(0, 0.3, k), rng.uniform(0, 0.3, k))
+        p = rng.random(1 << k)
+        p[rng.random(1 << k) < 0.3] = 0.0
+        before = p.copy()
+        out = corrupt_counts(p, model)
+        assert out.dtype == np.float64 and out.shape == p.shape
+        assert np.array_equal(p, before)
+        expected = dense_readout_channel(model.bit_confusions) @ p
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15 * np.abs(out).max())
 
 
 class TestBuildCalibration:

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,28 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(qptycho, name, None) is not None, name
+
+
+# In a fresh interpreter: the top-level modules that importing the package and
+# its CLI adds, other than the standard library's. Modules that site hooks
+# load at start-up are in sys.modules before the import, so they do not count.
+IMPORTS_CHILD = """
+import sys
+before = set(sys.modules)
+import qptycho, qptycho.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(*sorted(added - set(sys.stdlib_module_names)))
+"""
+
+
+def test_the_only_runtime_dependency_is_numpy():
+    pythonpath = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORTS_CHILD], env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numpy", "qptycho"]
 
 
 def _names_used_outside_own_definition() -> set:

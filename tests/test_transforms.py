@@ -336,6 +336,31 @@ class TestUnitarySpec:
         with pytest.raises(ValueError):
             UnitarySpec.aqft(4).validate_for(2)
 
+    SEPARABLE_ENTRY_POINTS = {
+        "classmethod": UnitarySpec.separable,
+        "constructor": lambda angles: UnitarySpec("separable", angles=angles),
+    }
+
+    @pytest.mark.parametrize("build", SEPARABLE_ENTRY_POINTS.values(), ids=SEPARABLE_ENTRY_POINTS)
+    @pytest.mark.parametrize("angles, message", [
+        ([1, 2, 3], "separable angles must be (theta, phi, lam) triples of finite numbers, got [1, 2, 3]"),
+        (None, "separable angles must be (theta, phi, lam) triples of finite numbers, got None"),
+        (5, "separable angles must be (theta, phi, lam) triples of finite numbers, got 5"),
+        ([], "separable requires one angle triple per qubit"),
+        (np.zeros((0, 3)), "separable requires one angle triple per qubit"),
+        (np.zeros((3, 2)), "each separable angle entry must be a (theta, phi, lam) triple"),
+    ], ids=["ints", "none", "scalar", "empty", "empty-array", "pairs"])
+    def test_separable_rejects_bad_angles(self, build, angles, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(angles)
+
+    @pytest.mark.parametrize("build", SEPARABLE_ENTRY_POINTS.values(), ids=SEPARABLE_ENTRY_POINTS)
+    def test_separable_takes_an_n_by_3_array(self, build):
+        angles = np.random.default_rng(50).uniform(0, 2 * math.pi, (3, 3))
+        spec = build(angles)
+        assert spec == UnitarySpec.separable(tuple(map(tuple, angles.tolist())))
+        assert all(type(a) is float for triple in spec.angles for a in triple)
+
     @pytest.mark.parametrize("text, spec", [
         ("qft", UnitarySpec.qft()), ("AQFT:2", UnitarySpec.aqft(2)), ("aqft:3", UnitarySpec.aqft(3)),
         ("Hadamard", UnitarySpec.hadamard()), ("separable", UnitarySpec.random_separable(3, 9)),

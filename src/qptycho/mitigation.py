@@ -219,25 +219,9 @@ def build_calibration(n: int, model: ReadoutNoiseModel, shots: int, seed=None) -
     return CalibrationMatrix(intermediate, register, provenance)
 
 
-#: Entries in the buffer through which ``_neumann_terms`` reads Mn's rows.
-_ROW_BLOCK = 1 << 15
-
-
 def _neumann_terms(mat: np.ndarray) -> tuple[float, float]:
-    """q = ||I - Mn||_1 and ||Mn||_1, read through one buffer of a few rows
-    instead of a full-size ``np.abs(mat)``. Each block's first row takes the
-    running column sums, so the rows are added in the order that
-    ``np.abs(mat).sum(axis=0)`` adds them, and the result is the same bit for
-    bit."""
-    dim, cols = mat.shape
-    rows = max(1, _ROW_BLOCK // cols)
-    buf = np.empty((min(rows, dim), cols))
-    col = None
-    for start in range(0, dim, rows):
-        block = np.abs(mat[start : start + rows], out=buf[: min(rows, dim - start)])
-        if col is not None:
-            block[0] += col
-        col = np.add.reduce(block, axis=0)
+    """q = ||I - Mn||_1 and ||Mn||_1."""
+    col = np.abs(mat).sum(axis=0)
     diag = np.diag(mat)
     return float(np.max(col - np.abs(diag) + np.abs(1 - diag))), float(col.max())
 

@@ -100,6 +100,9 @@ class PieConfig:
         if not math.isfinite(steps):
             raise ValueError(f"beta0 / delta_beta = {self.beta0!r} / {self.delta_beta!r} "
                              "overflows; give iterations explicitly or a larger delta_beta")
+        if round(steps) == 0:
+            raise ValueError(f"beta0 / delta_beta = {self.beta0!r} / {self.delta_beta!r} "
+                             "rounds to 0 iterations; give iterations explicitly or a smaller delta_beta")
         return round(steps)
 
 

@@ -246,9 +246,10 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
     fields = [f"records[{c}].counts" for c in range(3 * n)]
     payloads = [entry.get("counts") for entry in entries]
     # Every payload must be able to fill its row before the table is allocated;
-    # one that declares another shape is decoded first, for the error it raises.
+    # any other record (another shape, a list, a non-payload) is decoded
+    # first, for the error it raises.
     unfit = [c for c, value in enumerate(payloads)
-             if isinstance(value, dict) and _check_payload(value, fields[c], size)[0] != [size]]
+             if not (isinstance(value, dict) and _check_payload(value, fields[c], size)[0] == [size])]
     for c in unfit + list(range(3 * n)):
         (axis, q), row = order[c], _decode_array(payloads[c], fields[c], size)
         if row.ndim != 1:

@@ -287,6 +287,24 @@ def test_estimate_rejects_a_delta_beta_that_overflows_the_iteration_count(tmp_pa
     assert not (tmp_path / "e.json").exists()
 
 
+def test_estimate_rejects_a_schedule_of_no_iterations(tmp_path, capsys):
+    # round(0.01 / 0.04) is 0: the estimate file was once written before an IndexError.
+    state_path = tmp_path / "state.json"
+    data_path = tmp_path / "data.json"
+    run_cli("prepare-state", "--kind", "named", "--tag", "ghz", "-n", "2", "--out", str(state_path))
+    run_cli("run-protocol", "--state", str(state_path), "--shots", "0", "--out", str(data_path))
+    capsys.readouterr()
+    code = run_cli(
+        "estimate", "--data", str(data_path), "--beta0", "0.01", "--out", str(tmp_path / "e.json")
+    )
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error.startswith("ValueError: ") and "beta0 / delta_beta" in error
+    assert not (tmp_path / "e.json").exists()
+
+
 @pytest.mark.parametrize("command", ["run-protocol", "calibrate"])
 def test_shot_budget_past_int64_is_one_value_error_line(tmp_path, capsys, command):
     state_path, out = tmp_path / "state.json", tmp_path / "out.json"

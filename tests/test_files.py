@@ -34,7 +34,6 @@ from qptycho import (
     states,
 )
 from qptycho.cli import main
-from qptycho.mitigation import _condition_bound
 from qptycho.protocol import dataset_to_dict
 from qptycho.states import _decode_array, _encode_array
 
@@ -193,6 +192,24 @@ except ValueError as exc:
     print(exc)
 """
 
+# The rise of the process peak, in bytes, across mitigate_dataset at
+# n = argv[1]: a sampled calibration and a noisy 8192-shot qft dataset.
+MITIGATION_PEAK_CHILD = """
+import resource
+import sys
+import numpy as np
+from qptycho import (ReadoutNoiseModel, UnitarySpec, build_calibration, generate_dataset,
+                     mitigate_dataset, random_arbitrary)
+n = int(sys.argv[1])
+noise = ReadoutNoiseModel.symmetric(n + 1, 0.025)
+cal = build_calibration(n, noise, 20_000, seed=n)
+state = random_arbitrary(n, np.random.default_rng(n))
+dataset = generate_dataset(state, UnitarySpec.qft(), 8192, noise=noise, seed=n)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+mitigate_dataset(dataset, cal)
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))  # ru_maxrss is in KiB on Linux
+"""
+
 
 def run_child(code, *args):
     """``python -c code *args`` on this checkout's package."""
@@ -216,6 +233,22 @@ def empty_dataset(n):
     """A dataset document of n qubits whose 3n records hold no data."""
     records = [{"xi": axis, "q": q, "counts": empty_payload([2 << n])} for axis, q in circuit_settings(n)]
     return {"n": n, "unitary": UnitarySpec.qft().to_dict(), "shots": 0, "records": records}
+
+
+def read_n20_file(tmp_path, later):
+    """(path, output) of the dataset reader under 1 GiB of address space on
+    an n = 20 file under 30 KB: record 0 is a full row of zeros at zlib
+    level 9, and each later record's counts are ``later(counts)``."""
+    doc = empty_dataset(20)
+    full = zlib.compress(bytes(8 << 21), 9)
+    doc["records"][0]["counts"]["data"] = base64.b64encode(full).decode()
+    for record in doc["records"][1:]:
+        record["counts"] = later(record["counts"])
+    path = write_json(tmp_path / "f.json", doc)
+    assert path.stat().st_size < 30_000
+    proc = run_child(LIMITED_READER_CHILD, "dataset", str(path))
+    assert proc.returncode == 0, proc.stderr
+    return path, proc.stdout
 
 
 class TestReaderChecks:
@@ -330,19 +363,24 @@ class TestReaderChecks:
     ], ids=["full-shape", "no-entries"])
     def test_records_that_cannot_fill_the_table_fail_before_it_is_allocated(self, tmp_path, later_shape,
                                                                             message):
-        # A 28 KB file at n = 20: one full record of zeros at zlib level 9,
-        # then 59 empty streams. The table is 960 MiB, so the reader once
-        # failed under 1 GiB with a MemoryError after the first record.
-        doc = empty_dataset(20)
-        full = zlib.compress(bytes(8 << 21), 9)
-        doc["records"][0]["counts"]["data"] = base64.b64encode(full).decode()
-        for record in doc["records"][1:]:
-            record["counts"].update(shape=later_shape, data=base64.b64encode(zlib.compress(b"")).decode())
-        path = write_json(tmp_path / "f.json", doc)
-        assert path.stat().st_size < 30_000
-        proc = run_child(LIMITED_READER_CHILD, "dataset", str(path))
-        assert proc.returncode == 0, proc.stderr
-        assert re.fullmatch(rf"dataset file {re.escape(str(path))}: {message}\n", proc.stdout)
+        # Records 1-59 are empty streams. The table is 960 MiB, so the reader
+        # once failed under 1 GiB with a MemoryError after the first record.
+        empty = base64.b64encode(zlib.compress(b"")).decode()
+        path, out = read_n20_file(tmp_path, lambda counts: {**counts, "shape": later_shape, "data": empty})
+        assert re.fullmatch(rf"dataset file {re.escape(str(path))}: {message}\n", out)
+
+    @pytest.mark.parametrize("filler, message", [
+        ([0.0], r"record \(x, 1\) has length 1, expected 2097152"),
+        ([], r"record \(x, 1\) has length 0, expected 2097152"),
+        (None, r"records\[1\]\.counts must be a payload object or a list of numbers"),
+        ("x", r"records\[1\]\.counts must be a payload object or a list of numbers"),
+    ], ids=["short-list", "empty-list", "null", "string"])
+    def test_records_that_are_not_payloads_fail_before_the_table_is_allocated(self, tmp_path, filler,
+                                                                              message):
+        # Records 1-59 are no payload object: the reader once allocated the
+        # 960 MiB table before it decoded them.
+        path, out = read_n20_file(tmp_path, lambda counts: filler)
+        assert re.fullmatch(rf"dataset file {re.escape(str(path))}: {message}\n", out)
 
     def test_a_valid_load_peaks_near_its_table(self, tmp_path):
         # The check of every record before the table is allocated decodes one
@@ -770,8 +808,9 @@ class TestCalibrationSize:
 
 
 class TestTenQubitCalibrationMemory:
-    """At n=10 the reader inflates Mn straight into its array, and the
-    mitigation guard reads Mn through a few rows at a time."""
+    """At n=10 the reader inflates Mn straight into its array. At n=11
+    mitigating a dataset raises the process peak by little more than the
+    solve's own copy of Mn."""
 
     N = 10
 
@@ -785,9 +824,11 @@ class TestTenQubitCalibrationMemory:
     def test_load_peaks_below_1_4_matrices(self, cal_path):
         assert peak_traced_bytes(lambda: load_calibration(cal_path)) < 1.4 * 8 * 4**self.N
 
-    def test_condition_bound_peaks_below_a_tenth_of_the_matrix(self, cal_path):
-        cal = load_calibration(cal_path)
-        assert peak_traced_bytes(lambda: _condition_bound(cal)) < 0.1 * 8 * 4**self.N
+    def test_mitigation_raises_the_peak_by_less_than_1_5_matrices(self):
+        n = 11
+        proc = run_child(MITIGATION_PEAK_CHILD, str(n))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1.5 * 8 * 4**n
 
 
 class TestListFormFiles:

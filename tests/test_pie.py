@@ -96,6 +96,13 @@ class TestPieConfig:
             PieConfig(beta0=beta0, delta_beta=delta_beta)
         assert PieConfig(beta0=beta0, delta_beta=delta_beta, iterations=3).resolved_iterations() == 3
 
+    @pytest.mark.parametrize("beta0", [0.01, 0.02])  # round(0.5) is 0 too
+    def test_default_iteration_count_of_zero(self, beta0):
+        # A schedule of no iterations once built, then crashed in pie_run.
+        with pytest.raises(ValueError, match=r"beta0 / delta_beta = .* rounds to 0 iterations"):
+            PieConfig(beta0=beta0, delta_beta=0.04)
+        assert PieConfig(beta0=beta0, delta_beta=0.04, iterations=1).resolved_iterations() == 1
+
 
 class TestBetaSchedule:
     def test_twenty_iteration_schedule(self):

@@ -18,9 +18,11 @@ from .seeding import shot_count, shot_streams
 from .states import (
     SIGNS,
     StateVector,
+    _PAYLOAD_DTYPE,
     _check_payload,
     _decode_array,
     _encode_array,
+    _fill_payload,
     _integer,
     _load,
     _project_amps,
@@ -242,28 +244,37 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
     order = [(entry.get("xi"), entry["q"]) for entry in entries]
     if len(order) != 3 * n or order != circuit_settings(n):
         raise ValueError(f"dataset must hold {3 * n} records in canonical (axis, qubit) order")
-    size, counts = 2 << n, None
+    size = 2 << n
     fields = [f"records[{c}].counts" for c in range(3 * n)]
     payloads = [entry.get("counts") for entry in entries]
-    # Every payload must be able to fill its row before the table is allocated;
-    # any other record (another shape, a list, a non-payload) is decoded
-    # first, for the error it raises.
-    unfit = [c for c, value in enumerate(payloads)
-             if not (isinstance(value, dict) and _check_payload(value, fields[c], size)[0] == [size])]
-    for c in unfit + list(range(3 * n)):
+
+    def decoded_row(c):
         (axis, q), row = order[c], _decode_array(payloads[c], fields[c], size)
         if row.ndim != 1:
             raise ValueError(f"record ({axis}, {q}) has shape {row.shape}, expected {(size,)}")
         if row.size != size:
             raise ValueError(f"record ({axis}, {q}) has length {row.size}, expected {size}")
-        if counts is None:  # only once a whole record has decoded from the file
-            counts = np.empty((3 * n, size))
-        counts[c] = row
+        return row
+
+    # Every payload must be able to fill its row before the table is allocated,
+    # and its checked bytes then fill it; any other record (another shape, a
+    # list, a non-payload) is decoded first, for the error it raises.
+    checked = [_check_payload(value, fields[c], size) if isinstance(value, dict) else None
+               for c, value in enumerate(payloads)]
+    unfit = [c for c, check in enumerate(checked) if check is None or check[0] != [size]]
+    for c in unfit:
+        decoded_row(c)
+    counts = np.empty((3 * n, size), dtype=_PAYLOAD_DTYPE)
+    for c, check in enumerate(checked):
+        if c in unfit:
+            counts[c] = decoded_row(c)
+        else:
+            _fill_payload(check, counts[c], fields[c])
     return PtychoDataset(
         n=n,
         unitary=UnitarySpec.from_dict(doc.get("unitary")),
         shots_per_circuit=doc.get("shots"),
-        counts=_Owned(counts),
+        counts=_Owned(counts.astype(np.float64, copy=False)),  # a copy only where float64 is big-endian
         mitigated=doc.get("mitigated", False),
         seed=doc.get("seed"),
         noise_model_id=doc.get("noise_model_id"),

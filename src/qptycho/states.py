@@ -228,6 +228,16 @@ def _check_payload(value: dict, field: str, size: int | None = None):
     return shape, raw, encoding
 
 
+def _fill_payload(checked: tuple, out: np.ndarray, field: str):
+    """Write the payload that :func:`_check_payload` returned as ``checked``
+    into ``out``, a C-contiguous ``_PAYLOAD_DTYPE`` array of its shape."""
+    shape, raw, encoding = checked
+    if encoding is None:
+        out[...] = np.frombuffer(raw, _PAYLOAD_DTYPE).reshape(shape)
+    else:
+        _check_length(_inflate_into(raw, out.reshape(-1).view(np.uint8), field), shape, field)
+
+
 def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
     """Owned, writable, C-contiguous float64 array from a payload object or
     from a plain JSON list of numbers, the form that older files hold. A
@@ -246,12 +256,9 @@ def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
         return arr.astype(np.float64)
     if not isinstance(value, dict):
         raise ValueError(f"{field} must be a payload object or a list of numbers")
-    shape, raw, encoding = _check_payload(value, field, size)
-    if encoding is None:
-        out = np.frombuffer(raw, _PAYLOAD_DTYPE).reshape(shape).copy()
-    else:
-        out = np.empty(shape, dtype=_PAYLOAD_DTYPE)
-        _check_length(_inflate_into(raw, out.reshape(-1).view(np.uint8), field), shape, field)
+    checked = _check_payload(value, field, size)
+    out = np.empty(checked[0], dtype=_PAYLOAD_DTYPE)
+    _fill_payload(checked, out, field)
     return out.astype(np.float64, copy=False)  # a copy only where float64 is big-endian
 
 

@@ -3,8 +3,11 @@
 Four families are supported: the full Fourier transform on basis indices,
 its degree-m approximation, the Hadamard transform, and per-qubit random
 unitaries. All are defined as index-space sums, so there is no swap or
-bit-reversal ambiguity; each is realized matrix-free in O(n 2^n) (FFT, staged
-butterflies, per-qubit kernels) and agrees with the dense definition.
+bit-reversal ambiguity; each is realized in O(n 2^n) (FFT, staged
+butterflies, per-qubit kernels) and agrees with the dense definition. No
+kernel holds a matrix wider than 2^5: the AQFT applies its stages in runs of
+three or more as cached blocks of at most 2^5 x 2^5 where they fit, and one
+by one where they do not.
 """
 from __future__ import annotations
 
@@ -79,18 +82,9 @@ def _aqft_stages(n: int, m: int, adjoint: bool) -> tuple:
     return tuple(stages), reverse
 
 
-def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
-    # Staged form (Coppersmith, IBM RC19642; arXiv:quant-ph/0201067) of
-    # entry (j, k) = 2^{-n/2} e^{2 pi i Y_jk / 2^n}, with Y_jk the sum over
-    # bit pairs n-m <= a+b <= n-1 of j_a k_b 2^{a+b}. Stage a turns input bit
-    # n-1-a into output bit j_a with one butterfly, then phases the j_a = 1
-    # half by its terms with the lower input bits; a bit reversal ends it.
-    # O(n 2^n) and no matrix. The matrix is symmetric, so the adjoint is
-    # conj(forward(conj(x))): the same stages with conjugated phases, which
-    # round to exactly those bits. Rows never mix, and they run innermost
-    # (index-major layout), so a batch's loops stay long even at small n.
-    stages, reverse = _aqft_stages(n, m, adjoint)
-    x = amps.reshape(-1, 1 << n).T
+def _run_stages(x: np.ndarray, stages) -> np.ndarray:
+    """``stages`` run on the index-major ``(2^w, rows)`` array ``x``: per
+    stage one butterfly on its bit, then its phase on the bit-1 half."""
     rows = x.shape[1]
     for bit, lowest, phase in stages:
         v = x.reshape(-1, 2, rows << bit)
@@ -100,9 +94,72 @@ def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
         if phase is not None:
             half = x[:, 1].reshape(-1, len(phase), rows << lowest)  # a view
             half *= phase
-    x = np.take(x.reshape(1 << n, rows), reverse, axis=0)
-    out = np.empty((rows, 1 << n), dtype=np.complex128)
-    np.multiply(x.T, 2.0 ** (-n / 2), out=out)
+    return x.reshape(-1, rows)
+
+
+#: Widest fused window, in bits: no AQFT block is larger than 2^5 x 2^5.
+_WINDOW_BITS = 5
+
+
+@lru_cache(maxsize=8)
+def _aqft_blocks(n: int, m: int, adjoint: bool) -> tuple | None:
+    """The staged transform's stages in groups, each the longest run of
+    consecutive stages that spans at most m + 2 bits (three stages, or more
+    at the end, where the lowest bit stays 0), as the group's lowest bit and
+    one read-only 2^w x 2^w block over bits lowest..lowest+w-1, built by
+    running its stages on the identity. None when m + 2 bits would span the
+    register or exceed ``_WINDOW_BITS``."""
+    if not (m + 2 < n and m + 2 <= _WINDOW_BITS):
+        return None
+    stages, _ = _aqft_stages(n, m, adjoint)
+    blocks, a = [], 0
+    while a < n:
+        top, b = stages[a][0], a + 1
+        while b < n and top - stages[b][1] < m + 2:
+            b += 1
+        low = stages[b - 1][1]
+        local = [(bit - low, lowest - low, phase) for bit, lowest, phase in stages[a:b]]
+        block = _run_stages(np.eye(2 << (top - low), dtype=np.complex128), local)
+        block.flags.writeable = False
+        blocks.append((low, block))
+        a = b
+    return tuple(blocks)
+
+
+def _aqft_amps(amps: np.ndarray, n: int, m: int, adjoint: bool) -> np.ndarray:
+    # Staged form (Coppersmith, IBM RC19642; arXiv:quant-ph/0201067) of
+    # entry (j, k) = 2^{-n/2} e^{2 pi i Y_jk / 2^n}, with Y_jk the sum over
+    # bit pairs n-m <= a+b <= n-1 of j_a k_b 2^{a+b}. Stage a turns input bit
+    # n-1-a into output bit j_a with one butterfly, then phases the j_a = 1
+    # half by its terms with the lower input bits; a bit reversal ends it.
+    # O(n 2^n) and no matrix of the register. The matrix is symmetric, so the
+    # adjoint is conj(forward(conj(x))): the same stages (and so blocks) with
+    # conjugated phases, which round to exactly those bits.
+    #
+    # Stage a touches only bits max(0, n-m-a) .. n-1-a, so three stages (more
+    # at the end) fuse into one local block (Barenco et al., PRA 54, 139
+    # (1996)), applied by one stacked matmul whose GEMMs have the same shape
+    # for every row, however many share the call: a batched row rounds as a
+    # lone one. Where no block fits, the stages run one by one on the
+    # index-major layout, rows innermost, so a batch's loops stay long even
+    # at small n.
+    stages, reverse = _aqft_stages(n, m, adjoint)
+    blocks = _aqft_blocks(n, m, adjoint)
+    if blocks is None:
+        x = np.take(_run_stages(amps.reshape(-1, 1 << n).T, stages), reverse, axis=0).T
+    else:
+        x = amps.reshape(-1, 1 << n)
+        rows = x.shape[0]
+        for low, block in blocks:
+            size = len(block)
+            above = (1 << n) // (size << low)
+            if low:
+                x = block @ x.reshape(rows * above, size, 1 << low)
+            else:
+                x = x.reshape(rows, above, size) @ block.T
+        x = np.take(x.reshape(rows, 1 << n), reverse, axis=1)
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.multiply(x, 2.0 ** (-n / 2), out=out)
     return out.reshape(amps.shape)
 
 

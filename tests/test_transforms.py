@@ -11,6 +11,7 @@ from qptycho import (
     random_arbitrary,
     u3_matrix,
 )
+from qptycho.transforms import _WINDOW_BITS, _aqft_blocks
 
 from oracles import (
     aqft_matrix,
@@ -133,8 +134,9 @@ class TestAqft:
 
 
 EXACT_AQFT_CASES = [(n, m) for n in range(1, 9) for m in range(1, n + 1)] + [(10, 2), (10, 10)]
-EXTENDED_AQFT_CASES = [(n, m) for n in range(1, 7) for m in range(1, n + 1)] + [(10, 2), (10, 10)]
-BITWISE_AQFT_CASES = [(1, 1), (3, 2), (4, 4), (6, 2), (6, 5), (10, 2)]
+EXTENDED_AQFT_CASES = ([(n, m) for n in range(1, 7) for m in range(1, n + 1)]
+                       + [(n, m) for n in (7, 8) for m in (1, 2, 3)] + [(10, 2), (10, 10)])
+BITWISE_AQFT_CASES = [(1, 1), (3, 2), (4, 4), (6, 2), (6, 5), (8, 1), (8, 3), (10, 2), (12, 2), (12, 10)]
 
 
 class TestAqftKernel:
@@ -168,6 +170,18 @@ class TestAqftKernel:
             for k in range(4):
                 lone = spec.apply_amps(amps[s, k], n, adjoint)
                 assert np.array_equal(batched[s, k].view(np.float64), lone.view(np.float64))
+
+    def test_no_fused_block_spans_the_register_or_the_window_cap(self):
+        # Only the cached blocks are read. Uncapped, n=16, m=13 would fuse
+        # into a 2^15-square block, 16 GiB.
+        for n in range(1, 17):
+            for m in range(1, n + 1):
+                for adjoint in (False, True):
+                    for low, block in _aqft_blocks(n, m, adjoint) or ():
+                        side = len(block)
+                        assert block.shape == (side, side) and not block.flags.writeable
+                        assert side < 1 << n and side <= 1 << _WINDOW_BITS, (n, m)
+                        assert (side << low) <= 1 << n, (n, m)
 
     @pytest.mark.parametrize("n, m, message", [
         (10.0, 2, "qubit count must be an integer >= 1, got 10.0"),

@@ -1,31 +1,37 @@
 """Iterative phase-retrieval engine that reconstructs a state from count data.
 
-One engine iteration sweeps all 6n projectors. Each is a rank-1 Pauli
-projector P = |k><b| on one qubit q, with amplitude targets t (square roots
-of the jointly normalized counts); U is the final unitary. The estimate phi
-is corrected by one rank-1 step, the ePIE update with a rank-1 probe
-(Maiden & Rodenburg, Ultramicroscopy 109, 1256 (2009)):
+One engine iteration sweeps the 3n circuits of ``circuit_settings(n)``.
+Circuit (axis, q) measures qubit q in a Pauli eigenbasis and records both
+signs s = +, -, whose rank-1 projectors P_s = |k_s><b_s| are orthogonal and
+sum to I; t_s are their amplitude targets (square roots of the jointly
+normalized counts) and U is the final unitary. The ePIE update with a
+rank-1 probe (Maiden & Rodenburg, Ultramicroscopy 109, 1256 (2009)) by P_s
+changes only the range of P_s and reads only P_s phi, so the corrections of
+the two signs commute exactly and run as one step on a sign-major stack:
 
-    c         = <b| phi                     (on qubit q)
-    phi_tilde = U (k (x) c)                 (= U P phi)
-    corrected = t * phase(phi_tilde)        (phase 1 where phi_tilde is 0)
-    phi      <- phi + beta * k (x) (<b| U^dagger corrected - c)
+    c_s         = <b_s| phi                 (on qubit q)
+    phi_tilde_s = U (k_s (x) c_s)           (= U P_s phi)
+    corrected_s = t_s * phase(phi_tilde_s)  (phase 1 where phi_tilde_s is 0)
+    d_s         = beta * (<b_s| U^dagger corrected_s - c_s)
+    phi        <- phi + sum_s k_s (x) d_s
 
 The feedback parameter beta acts as a learning rate and by default shrinks
 linearly from 2.0 by delta_beta per iteration, which empirically converges
 much better than any constant beta. The working estimate is intentionally
 left unnormalized inside the loop; metrics and the returned estimate use
-normalized copies.
+normalized copies. Every step of a pass writes its elementwise work into
+one workspace of buffers allocated when the pass starts.
 
-The Fourier kinds take k = e and b = e^dagger / <e|e> for the eigenvector e
-of ``states._PAULI_EIGENVECTORS``, which is unnormalized so that both round
-exactly. The product kinds (hadamard, separable), whose U is one gate u_q
-per qubit, run the same step on psi = U phi, the measurement frame. There P
-becomes U P U^dagger = |f><f| on qubit q with f = u_q e / ||e||, so the step
-takes k = f, b = f^dagger and no U, and no transform runs inside the loop:
-the starts and the reference are rotated into the frame once, distances and
-fidelities are taken there (they do not depend on the frame), and the final
-estimate is rotated back by U^dagger and renormalized.
+The Fourier kinds take k_s = e_s and b_s = e_s^dagger / <e_s|e_s> for the
+eigenvectors e_s of ``states._PAULI_EIGENVECTORS``, which are unnormalized
+so that both round exactly. The product kinds (hadamard, separable), whose
+U is one gate u_q per qubit, run the same step on psi = U phi, the
+measurement frame. There P_s becomes U P_s U^dagger = |f_s><f_s| on qubit q
+with f_s = u_q e_s / ||e_s||, so the step takes k_s = f_s, b_s = f_s^dagger
+and no U, and no transform runs inside the loop: the starts and the
+reference are rotated into the frame once, distances and fidelities are
+taken there (they do not depend on the frame), and the final estimate is
+rotated back by U^dagger and renormalized.
 """
 from __future__ import annotations
 
@@ -39,8 +45,8 @@ import numpy as np
 from .protocol import PtychoDataset, normalize_dataset
 from .stateprep import random_arbitrary
 from .states import (
-    _PAULI_EIGENVECTORS, StateVector, _bra_on_qubit, _integer, _ket_on_qubit, _pauli_bra_ket,
-    _real, _write_csv, projector_ids,
+    _PAULI_EIGENVECTORS, SIGNS, StateVector, _integer, _pauli_bras_kets, _real, _write_csv,
+    circuit_settings,
 )
 from .transforms import UnitarySpec
 
@@ -181,19 +187,60 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return min(1.0, overlap * overlap)
 
 
-def _correction_amps(amps, n, q, bra, ket, target, beta, unitary=None):
-    """One engine correction by the rank-1 projector |ket><bra| on qubit q,
-    the module docstring's step; ``unitary`` None stands for the identity."""
-    c = _bra_on_qubit(amps, q, bra)
-    tilde = _ket_on_qubit(ket, c, amps.shape)
-    if unitary is not None:
-        tilde = unitary.apply_amps(tilde, n)
-    mag = np.abs(tilde)
-    phase = np.divide(tilde, mag, out=np.ones_like(tilde), where=mag >= _TINY)
-    corrected = target * phase
-    if unitary is not None:
-        corrected = unitary.apply_amps(corrected, n, adjoint=True)
-    return amps + _ket_on_qubit(ket, beta * (_bra_on_qubit(corrected, q, bra) - c), amps.shape)
+def _workspace(shape):
+    """The buffers that every circuit step on an estimate array of ``shape``
+    writes into, allocated once per pass: two complex sign-major
+    ``(2, *shape)`` stacks, the magnitudes of one and their mask, and a
+    complex array of ``shape`` for the step's c."""
+    stack = (2, *shape)
+    return (np.empty(stack, np.complex128), np.empty(stack, np.complex128), np.empty(stack),
+            np.empty(stack, bool), np.empty(shape, np.complex128))
+
+
+def _bras_on_qubit(bras, x, out, scratch):
+    """out[s] = <bras[s]| applied to bit q of ``x``, a ``(..., 2, 2^q)``
+    view, for both signs; ``scratch`` is a buffer of ``out``'s shape."""
+    np.multiply(bras[:, 0, None, None], x[..., 0, :], out=out)
+    np.multiply(bras[:, 1, None, None], x[..., 1, :], out=scratch)
+    np.add(out, scratch, out=out)
+
+
+def _kets_on_qubit(kets, c, out):
+    """out[s] = |kets[s]> on bit q tensored with c[s], the output of
+    :func:`_bras_on_qubit`, in the sign-major stack ``out``: one multiply
+    per value of bit q, so the loops run over c even at q = 0."""
+    halves = out.reshape(c.shape[:2] + (2, -1))
+    np.multiply(kets[:, 0, None, None], c, out=halves[..., 0, :])
+    np.multiply(kets[:, 1, None, None], c, out=halves[..., 1, :])
+
+
+def _correction_amps(amps, n, q, bras, kets, targets, beta, unitary, work):
+    """One engine correction by the two sign projectors |kets[s]><bras[s]|
+    of a circuit on qubit q, the module docstring's step. ``bras`` and
+    ``kets`` are 2x2 (row s for sign s), ``targets`` the circuit's sign-major
+    targets, ``unitary`` None stands for the identity and ``work`` is a
+    :func:`_workspace` of ``amps.shape``. Returns the corrected estimate."""
+    stack, spare, mag, mask, c = work
+    low = 1 << q
+    c = c.reshape(2, -1, low)
+    # Each stack also serves as two half-size scratch arrays while it holds
+    # nothing the step still reads: spare before the phase, stack after it.
+    _bras_on_qubit(bras, amps.reshape(-1, 2, low), c, spare.reshape(2, 2, -1, low)[0])
+    _kets_on_qubit(kets, c, stack)
+    tilde = stack if unitary is None else unitary.apply_amps(stack, n)
+    np.abs(tilde, out=mag)
+    np.greater_equal(mag, _TINY, out=mask)
+    spare.fill(1.0)
+    np.divide(tilde, mag, out=spare, where=mask)
+    np.multiply(targets, spare, out=spare)
+    back = spare if unitary is None else unitary.apply_amps(spare, n, adjoint=True)
+    d, scratch = stack.reshape(2, 2, -1, low)
+    _bras_on_qubit(bras, back.reshape(2, -1, 2, low), d, scratch)
+    np.subtract(d, c, out=d)
+    np.multiply(d, beta, out=d)
+    _kets_on_qubit(kets, d, spare)
+    np.add(spare[0], spare[1], out=spare[0])
+    return amps + spare[0]
 
 
 def pie_run(
@@ -251,8 +298,8 @@ def _run_datasets(jobs, config: PieConfig):
         rows = max(1, _CHUNK_AMPS >> n)
         while group := list(islice(run, max(1, rows // starts))):
             _, targets, seeds, references = zip(*group)
-            # One (S, 1, 2^n) block per projector, broadcast over the starts.
-            targets = np.stack(targets, axis=1)[:, :, None, :]
+            # One (2, S, 1, 2^n) block per circuit, + then -, broadcast over the starts.
+            targets = np.stack(targets, axis=1).reshape(3 * n, 2, len(group), 1, 1 << n)
             refs = None
             if references[0] is not None:
                 refs = np.stack([_normalized(reference.amps) for reference in references])
@@ -292,28 +339,33 @@ def _normalized_rows(amps: np.ndarray, iteration: int) -> np.ndarray:
 
 def _run_rows(n, unitary, targets, config, seeds, refs):
     """The engine loop on one pass of S datasets x K starts, laid out as an
-    ``(S, K, 2^n)`` array. ``targets`` is the ``(6n, S, 1, 2^n)`` array of
-    target blocks, one per projector of ``projector_ids(n)``, ``seeds`` the S
-    lists of K starts and ``refs`` the S unit references (or None). Every row
-    runs the whole schedule. Returns S lists of K ``(estimate, trace)``, each
-    trace with the pass's wall time.
+    ``(S, K, 2^n)`` array. ``targets`` is the ``(3n, 2, S, 1, 2^n)`` array of
+    target blocks, one per circuit of ``circuit_settings(n)`` and sign,
+    ``seeds`` the S lists of K starts and ``refs`` the S unit references (or
+    None). Every row runs the whole schedule. Returns S lists of K
+    ``(estimate, trace)``, each trace with the pass's wall time.
 
-    Each projector's step is a ``(qubit, bra, ket, unitary)`` entry. A product
-    unitary (hadamard, separable) runs in the measurement frame of the module
-    docstring: each step is |f><f| with no unitary.
+    Each circuit's step is a ``(qubit, bras, kets, unitary)`` entry. A
+    product unitary (hadamard, separable) runs in the measurement frame of
+    the module docstring: each step is the pair |f_s><f_s| with no unitary.
+    All steps share one workspace.
     """
     amps = np.stack([[random_arbitrary(n, seed).amps for seed in starts] for starts in seeds])
     gates = unitary.qubit_gates(n)
-    if gates is None:
-        steps = [(q, *_pauli_bra_ket(axis, sign), unitary) for axis, q, sign in projector_ids(n)]
-    else:
-        kets = [(q, gates[q] @ _normalized(_PAULI_EIGENVECTORS[axis, sign]))
-                for axis, q, sign in projector_ids(n)]
-        steps = [(q, f.conj(), f, None) for q, f in kets]
+    steps = []
+    for axis, q in circuit_settings(n):
+        if gates is None:
+            steps.append((q, *_pauli_bras_kets(axis), unitary))
+        else:
+            kets = np.array([gates[q] @ _normalized(_PAULI_EIGENVECTORS[axis, sign])
+                             for sign in SIGNS])
+            steps.append((q, kets.conj(), kets, None))
+    if gates is not None:
         amps = unitary.apply_amps(amps, n)
         if refs is not None:
             refs = unitary.apply_amps(refs, n)
     current = _normalized_rows(amps, 0)
+    work = _workspace(amps.shape)
     ref_conj = None if refs is None else refs.conj()
     order_rng = (
         np.random.default_rng(config.shuffle_seed)
@@ -330,8 +382,8 @@ def _run_rows(n, unitary, targets, config, seeds, refs):
             else order_rng.permutation(len(steps))
         )
         for idx in order:
-            q, bra, ket, step_unitary = steps[idx]
-            amps = _correction_amps(amps, n, q, bra, ket, targets[idx], beta, step_unitary)
+            q, bras, kets, step_unitary = steps[idx]
+            amps = _correction_amps(amps, n, q, bras, kets, targets[idx], beta, step_unitary, work)
         previous, current = current, _normalized_rows(amps, iteration)
         distance = _distance(current, previous)
         for s, dataset_rows in enumerate(rows):

@@ -258,16 +258,16 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
 
     # Every payload must be able to fill its row before the table is allocated,
     # and its checked bytes then fill it; any other record (another shape, a
-    # list, a non-payload) is decoded first, for the error it raises.
+    # list, a non-payload) is decoded first, for the error it raises, and its
+    # row is kept to fill the table.
     checked = [_check_payload(value, fields[c], size) if isinstance(value, dict) else None
                for c, value in enumerate(payloads)]
-    unfit = [c for c, check in enumerate(checked) if check is None or check[0] != [size]]
-    for c in unfit:
-        decoded_row(c)
+    decoded = {c: decoded_row(c) for c, check in enumerate(checked)
+               if check is None or check[0] != [size]}
     counts = np.empty((3 * n, size), dtype=_PAYLOAD_DTYPE)
     for c, check in enumerate(checked):
-        if c in unfit:
-            counts[c] = decoded_row(c)
+        if c in decoded:
+            counts[c] = decoded[c]
         else:
             _fill_payload(check, counts[c], fields[c])
     return PtychoDataset(

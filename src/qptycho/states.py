@@ -107,24 +107,20 @@ def _pauli_bra_ket(axis: str, sign: int):
     return e.conj() / np.vdot(e, e).real, e
 
 
-def _bra_on_qubit(amps: np.ndarray, q: int, bra: np.ndarray) -> np.ndarray:
-    """<bra| applied to bit q of each row of ``amps``: an array of half the
-    size, laid out for :func:`_ket_on_qubit`."""
-    v = amps.reshape(-1, 2, 1 << q)
-    return bra[0] * v[:, 0] + bra[1] * v[:, 1]
-
-
-def _ket_on_qubit(ket: np.ndarray, c: np.ndarray, shape) -> np.ndarray:
-    """|ket> on bit q tensored with the output ``c`` of :func:`_bra_on_qubit`,
-    as an array of ``shape``."""
-    return (ket[:, None] * c[:, None]).reshape(shape)
+def _pauli_bras_kets(axis: str):
+    """The bras and kets of :func:`_pauli_bra_ket` for both signs of an
+    axis, as two 2x2 arrays whose row s is sign ``SIGNS[s]``."""
+    bras, kets = zip(*(_pauli_bra_ket(axis, sign) for sign in SIGNS))
+    return np.array(bras), np.array(kets)
 
 
 def _project_amps(amps: np.ndarray, axis: str, q: int, sign: int) -> np.ndarray:
-    """Matrix-free application of the rank-1 Pauli eigenprojector on bit q,
-    tensored with identity elsewhere. O(2**n), returns a new array."""
+    """Matrix-free application of the rank-1 Pauli eigenprojector |ket><bra|
+    on bit q, tensored with identity elsewhere. O(2**n), returns a new array."""
     bra, ket = _pauli_bra_ket(axis, sign)
-    return _ket_on_qubit(ket, _bra_on_qubit(amps, q, bra), amps.shape)
+    v = amps.reshape(-1, 2, 1 << q)
+    c = bra[0] * v[:, 0] + bra[1] * v[:, 1]
+    return (ket[:, None] * c[:, None]).reshape(amps.shape)
 
 
 # ---------------------------------------------------------------------------

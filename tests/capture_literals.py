@@ -14,6 +14,20 @@ the same values bit for bit. pytest does not collect this file. Run it from
 the repository root:
 
     python tests/capture_literals.py > literals.txt
+
+Re-capture procedure, for a change that moves a rounding-pinned value:
+
+1. Test the changed kernel or step against an extended-precision oracle
+   within a fixed bound, as ``oracles.extended_aqft`` (``mpmath``, 1e-15 on
+   unit vectors) or ``oracles.dense_correction`` (1e-12) are used today.
+2. Run Tier-1 and the acceptance tests: every acceptance statistic must
+   stay inside its existing tolerance. No tolerance, bound or ``==`` of a
+   pinned test is loosened.
+3. Run this script at the parent commit and at the change, ``diff`` the two
+   outputs, and replace each constant whose test no longer passes with its
+   new table. List each moved literal, old -> new, in CHANGES.md.
+4. Run the paper-scale test once (``QPTYCHO_FULL_SCALE=1``, about 16 min)
+   and report its two means against the paper's 0.992 / 0.989 +- 0.01.
 """
 from __future__ import annotations
 

@@ -1,12 +1,13 @@
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from qptycho import pie
-from qptycho.pie import _correction_amps
-from qptycho.states import _pauli_bra_ket
+from qptycho.pie import _correction_amps, _workspace
+from qptycho.states import _pauli_bras_kets
 
 ACCEPTANCE_LINES = []
 
@@ -38,13 +39,22 @@ def with_counts(dataset, index, counts):
     return replace(dataset, counts=table)
 
 
-def pauli_correction(amps, n, pid, target, unitary, beta):
-    """The engine's correction by the Pauli projector ``pid``, an ``(axis,
-    qubit, sign)`` triple, in the computational frame: the rank-1 step on its
-    bra and ket, through ``unitary``."""
-    axis, q, sign = pid
-    bra, ket = _pauli_bra_ket(axis, sign)
-    return _correction_amps(amps, n, q, bra, ket, target, beta, unitary)
+def frame_correction(amps, n, q, kets, targets, beta):
+    """The engine's circuit step in a measurement frame: both sign
+    projectors |kets[s]><kets[s]| on qubit q, ``targets`` holding the +
+    row then the - row, with no unitary."""
+    kets = np.asarray(kets)
+    return _correction_amps(amps, n, q, kets.conj(), kets, np.asarray(targets), beta, None,
+                            _workspace(np.shape(amps)))
+
+
+def circuit_correction(amps, n, circuit, targets, unitary, beta):
+    """The engine's circuit step in the computational frame: both sign
+    projectors of the Pauli circuit ``circuit``, an ``(axis, qubit)`` pair,
+    through ``unitary``, ``targets`` holding the + row then the - row."""
+    axis, q = circuit
+    return _correction_amps(amps, n, q, *_pauli_bras_kets(axis), np.asarray(targets), beta,
+                            unitary, _workspace(np.shape(amps)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

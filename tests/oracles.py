@@ -9,8 +9,10 @@ the mitigation guard's bound that the package replaced, kept as their
 references, and ``basis_state``, which wraps a one-hot vector in the
 package's StateVector. ``extended_aqft`` rounds each entry of the AQFT
 once, from 40-digit ``mpmath`` values. ``dense_correction`` is the engine's
-computational-frame correction, the reference for the measurement frame
-that the hadamard and separable kinds run in.
+computational-frame correction by one projector: two in a row, + then -, are
+the reference for the engine's one step per circuit and for the measurement
+frame that the hadamard and separable kinds run in. ``dense_unitary`` is the
+dense matrix of any spec.
 Qubit k owns bit weight 2**k throughout.
 """
 import math
@@ -178,6 +180,16 @@ def dense_qubit_gates(spec, n: int) -> list:
 def dense_product_unitary(spec, n: int) -> np.ndarray:
     """u_{n-1} (x) ... (x) u_0 of a hadamard or separable spec."""
     return reduce(np.kron, reversed(dense_qubit_gates(spec, n)))
+
+
+def dense_unitary(spec, n: int) -> np.ndarray:
+    """The dense matrix of any spec: ``dense_qft``, ``extended_aqft`` or
+    ``dense_product_unitary``."""
+    if spec.kind == "qft":
+        return dense_qft(n)
+    if spec.kind == "aqft":
+        return extended_aqft(n, spec.m)
+    return dense_product_unitary(spec, n)
 
 
 def frame_vector(spec, n: int, axis: str, sign: int, q: int) -> np.ndarray:

@@ -869,22 +869,22 @@ class TestListFormFiles:
 
 #: Estimate of the n=4 README chain below, written by the list-format code.
 README_CHAIN_N4_ESTIMATE = [
-    complex(-0.038591778644525, 0.15974439871963494),
-    complex(0.2688794139745245, 0.037163106838097607),
-    complex(0.2414067280493895, 0.03998333569032591),
-    complex(-0.13367955655002833, 0.10058141810313087),
-    complex(-0.006779287452940065, -0.18340883321669327),
-    complex(-0.015809600121973952, -0.31836444628239846),
-    complex(0.08668014016681615, 0.10489884753657419),
-    complex(0.02627899430039755, -0.12897429179583775),
-    complex(0.24563742624494675, -0.32234562948161716),
-    complex(-0.30686616346388895, -0.25761423776092124),
-    complex(0.3239988536470972, -0.0022569274935974677),
-    complex(0.04923186976012895, -0.23140966586724585),
-    complex(0.21182982021348212, -0.2471856318987724),
-    complex(-0.027784569648326284, -0.0005916500250077283),
-    complex(-0.12121703006269673, 0.14870168683084903),
-    complex(0.10351815459046708, -0.017944201557282196),
+    complex(-0.03859177864452465, 0.15974439871963503),
+    complex(0.26887941397452464, 0.03716310683809701),
+    complex(0.24140672804938962, 0.03998333569032535),
+    complex(-0.1336795565500281, 0.10058141810313118),
+    complex(-0.006779287452940495, -0.1834088332166932),
+    complex(-0.015809600121974687, -0.3183644462823985),
+    complex(0.08668014016681641, 0.10489884753657397),
+    complex(0.026278994300397273, -0.12897429179583783),
+    complex(0.245637426244946, -0.3223456294816177),
+    complex(-0.3068661634638895, -0.25761423776092046),
+    complex(0.32399885364709713, -0.002256927493598171),
+    complex(0.04923186976012842, -0.23140966586724593),
+    complex(0.21182982021348148, -0.24718563189877293),
+    complex(-0.02778456964832628, -0.0005916500250076541),
+    complex(-0.1212170300626964, 0.1487016868308493),
+    complex(0.10351815459046701, -0.01794420155728244),
 ]
 
 

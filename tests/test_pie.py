@@ -11,24 +11,24 @@ from qptycho import (
     StateVector,
     UnitarySpec,
     beta_schedule,
+    circuit_settings,
     fidelity,
     generate_dataset,
     named_state,
     normalize_dataset,
     pie_run,
     pie_run_batch,
-    projector_ids,
     random_arbitrary,
     trace_distance,
 )
 from qptycho import pie
-from qptycho.pie import _correction_amps, _normalized_rows
+from qptycho.pie import _normalized_rows
 from qptycho.protocol import dataset_from_dict, dataset_to_dict
-from qptycho.states import _project_amps
+from qptycho.states import SIGNS, _project_amps
 
-from conftest import pauli_correction, with_counts
+from conftest import circuit_correction, frame_correction, with_counts
 from oracles import (
-    basis_state, dense_correction, dense_pauli_projector, dense_product_unitary, frame_vector,
+    basis_state, dense_correction, dense_pauli_projector, dense_unitary, frame_vector,
     haar_state,
 )
 
@@ -190,29 +190,30 @@ class TestCorrectionStep:
         # targets consistent with the estimate leave it untouched
         rng = np.random.default_rng(92)
         estimate = StateVector(2, haar_state(2, rng))
-        for pid in projector_ids(2):
-            tilde = QFT.apply_amps(_project_amps(estimate.amps, *pid), 2)
-            target = np.abs(tilde)
-            out = pauli_correction(estimate.amps, 2, pid, target, QFT, 1.7)
+        for circuit in circuit_settings(2):
+            axis, q = circuit
+            targets = [np.abs(QFT.apply_amps(_project_amps(estimate.amps, axis, q, sign), 2))
+                       for sign in SIGNS]
+            out = circuit_correction(estimate.amps, 2, circuit, targets, QFT, 1.7)
             np.testing.assert_allclose(out, estimate.amps, atol=1e-12)
 
     def test_zero_beta_is_identity(self):
         rng = np.random.default_rng(93)
         estimate = StateVector(2, haar_state(2, rng))
-        pid = ("y", 1, -1)
-        target = np.abs(haar_state(2, rng))
-        out = pauli_correction(estimate.amps, 2, pid, target, QFT, 0.0)
+        targets = [np.abs(haar_state(2, rng)) for _ in SIGNS]
+        out = circuit_correction(estimate.amps, 2, ("y", 1), targets, QFT, 0.0)
         np.testing.assert_allclose(out, estimate.amps, atol=1e-15)
 
     def test_orthogonal_estimate_hand_computed(self):
-        # estimate |1>, projector (z, 0, +), target (1,1)/sqrt(2): the
-        # projected estimate vanishes, the zero-phase convention makes the
-        # corrected transform equal the target, and U^dag maps it to |0>,
-        # so the update is |1> + beta |0>.
+        # estimate |1>, circuit (z, 0), target (1,1)/sqrt(2) for both signs:
+        # the + projection of the estimate vanishes, the zero-phase
+        # convention makes the corrected transform equal the target, and U^dag
+        # maps it to |0>; the - projection is |1> itself, whose transform
+        # (1,-1)/sqrt(2) the target fits. So the update is |1> + beta |0>.
         beta = 1.3
         target = np.array([1, 1]) / math.sqrt(2)
-        out = pauli_correction(
-            basis_state(1, 1).amps, 1, ("z", 0, 1), target, QFT, beta
+        out = circuit_correction(
+            basis_state(1, 1).amps, 1, ("z", 0), [target, target], QFT, beta
         )
         np.testing.assert_allclose(out, [beta, 1.0], atol=1e-12)
 
@@ -220,11 +221,12 @@ class TestCorrectionStep:
         # numpy divides by a real magnitude through 1/mag, which overflows
         # below the smallest normal double: such entries take phase 1, as an
         # exact zero does, not inf or nan with a RuntimeWarning.
+        # The - sign's target fits its projection, so only the + half moves.
         identity = UnitarySpec.separable([(0.0, 0.0, 0.0)] * 3)
         amps = np.full(8, 0.5, dtype=complex)
         amps[:4] = [1e-310, 1e-310 + 1e-310j, 3e-320j, 0.0]
         target = np.full(8, 0.25)
-        out = pauli_correction(amps, 3, ("z", 2, 1), target, identity, 1.5)
+        out = circuit_correction(amps, 3, ("z", 2), [target, np.full(8, 0.5)], identity, 1.5)
         expected = amps.copy()
         expected[:4] += 1.5 * (target[:4] - amps[:4])
         np.testing.assert_array_equal(out, expected)
@@ -300,8 +302,8 @@ class TestPieRun:
         cfg = PieConfig(iterations=1, init_seed=3)
         estimate, _ = pie_run(dataset, cfg)
         amps = random_arbitrary(2, 3).amps
-        for pid, target in zip(projector_ids(2), targets):
-            amps = pauli_correction(amps, 2, pid, target, QFT, 2.0)
+        for circuit, pair in zip(circuit_settings(2), targets.reshape(6, 2, 4)):
+            amps = circuit_correction(amps, 2, circuit, pair, QFT, 2.0)
         np.testing.assert_allclose(
             estimate.amps, amps / np.linalg.norm(amps), atol=1e-13
         )
@@ -602,21 +604,75 @@ class TestGroupedPasses:
 PRODUCT_KINDS = ("hadamard", "separable")
 
 
+def dense_circuit_correction(amps, n, circuit, unitary, targets, beta):
+    """The engine's step for one circuit from explicit matrices: the dense
+    correction by its + projector, then by its - projector."""
+    axis, q = circuit
+    for sign, target in zip(SIGNS, targets):
+        amps = dense_correction(amps, dense_pauli_projector(axis, sign, q, n), unitary, target, beta)
+    return amps
+
+
 def dense_run(dataset, config, seed, reference):
     """The engine in the computational frame, from explicit matrices: the
-    normalized estimate and its (distance, fidelity) per iteration."""
+    normalized estimate and its (distance, fidelity) per iteration. With
+    ``config.shuffle_seed`` it takes the circuit order that a lone run
+    draws: one permutation of the 3n circuits per iteration."""
     n = dataset.n
-    unitary = dense_product_unitary(dataset.unitary, n)
-    projectors = [dense_pauli_projector(axis, sign, q, n) for axis, q, sign in projector_ids(n)]
+    unitary = dense_unitary(dataset.unitary, n)
+    circuits = circuit_settings(n)
+    targets = normalize_dataset(dataset).reshape(3 * n, 2, 1 << n)
+    order_rng = None if config.shuffle_seed is None else np.random.default_rng(config.shuffle_seed)
     amps = random_arbitrary(n, seed).amps
     current, rows = StateVector(n, amps), []
     for iteration in range(1, config.resolved_iterations() + 1):
         beta = beta_schedule(iteration, config)
-        for projector, target in zip(projectors, normalize_dataset(dataset)):
-            amps = dense_correction(amps, projector, unitary, target, beta)
+        order = range(3 * n) if order_rng is None else order_rng.permutation(3 * n)
+        for c in order:
+            amps = dense_circuit_correction(amps, n, circuits[c], unitary, targets[c], beta)
         previous, current = current, StateVector(n, amps / np.linalg.norm(amps))
         rows.append((trace_distance(current, previous), fidelity(current, reference)))
     return current.amps, rows
+
+
+def assert_run_matches_the_dense_engine(dataset, config, reference):
+    """A lone pie_run's estimate and trace equal dense_run's to 1e-12."""
+    estimate, trace = pie_run(dataset, config, reference=reference)
+    amps, rows = dense_run(dataset, config, config.init_seed, reference)
+    np.testing.assert_allclose(estimate.amps, amps, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        [(row.distance, row.fidelity) for row in trace.rows], rows, rtol=0, atol=1e-12
+    )
+
+
+class TestCircuitStep:
+    """The engine corrects both signs of a circuit in one step; it must be
+    the two sign corrections run one after the other."""
+
+    @pytest.mark.parametrize("shots", [0, 4096])
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_step_is_two_sequential_dense_corrections(self, kind, n, shots):
+        spec = spec_for(kind, n, seed=370 + n)
+        rng = np.random.default_rng(380 + n)
+        state = StateVector(n, haar_state(n, rng))
+        targets = normalize_dataset(generate_dataset(state, spec, shots, seed=390 + n))
+        unitary = dense_unitary(spec, n)
+        phi = haar_state(n, rng)
+        for circuit, pair in zip(circuit_settings(n), targets.reshape(3 * n, 2, 1 << n)):
+            step = circuit_correction(phi, n, circuit, pair, spec, 1.7)
+            expected = dense_circuit_correction(phi, n, circuit, unitary, pair, 1.7)
+            np.testing.assert_allclose(step, expected, rtol=0, atol=1e-12, err_msg=str(circuit))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shuffled_lone_run_matches_the_dense_engine(self, kind):
+        # Two iterations only, as in the measurement-frame run below.
+        n = 3
+        spec = spec_for(kind, n, seed=400)
+        state = StateVector(n, haar_state(n, np.random.default_rng(401)))
+        dataset = generate_dataset(state, spec, 4096, seed=402)
+        config = PieConfig(iterations=2, init_seed=7, shuffle_seed=403)
+        assert_run_matches_the_dense_engine(dataset, config, state)
 
 
 class TestMeasurementFrame:
@@ -632,16 +688,15 @@ class TestMeasurementFrame:
         rng = np.random.default_rng(310 + n)
         state = StateVector(n, haar_state(n, rng))
         targets = normalize_dataset(generate_dataset(state, spec, shots, seed=320 + n))
-        unitary = dense_product_unitary(spec, n)
+        unitary = dense_unitary(spec, n)
         phi = haar_state(n, rng)
         psi = unitary @ phi
-        for pid, target in zip(projector_ids(n), targets):
-            axis, q, sign = pid
-            f = frame_vector(spec, n, axis, sign, q)
-            projector = dense_pauli_projector(axis, sign, q, n)
-            frame = _correction_amps(psi, n, q, f.conj(), f, target, 1.7)
-            expected = unitary @ dense_correction(phi, projector, unitary, target, 1.7)
-            np.testing.assert_allclose(frame, expected, rtol=0, atol=1e-12, err_msg=str(pid))
+        for circuit, pair in zip(circuit_settings(n), targets.reshape(3 * n, 2, 1 << n)):
+            axis, q = circuit
+            kets = [frame_vector(spec, n, axis, sign, q) for sign in SIGNS]
+            frame = frame_correction(psi, n, q, kets, pair, 1.7)
+            expected = unitary @ dense_circuit_correction(phi, n, circuit, unitary, pair, 1.7)
+            np.testing.assert_allclose(frame, expected, rtol=0, atol=1e-12, err_msg=str(circuit))
 
     @pytest.mark.parametrize("shots", [0, 4096])
     @pytest.mark.parametrize("n", [1, 2])
@@ -652,22 +707,15 @@ class TestMeasurementFrame:
         spec = spec_for(kind, n, seed=330 + n)
         state = StateVector(n, haar_state(n, np.random.default_rng(340 + n)))
         dataset = generate_dataset(state, spec, shots, seed=350 + n)
-        config = PieConfig(iterations=2, init_seed=7)
-        estimate, trace = pie_run(dataset, config, reference=state)
-        amps, rows = dense_run(dataset, config, 7, state)
-        np.testing.assert_allclose(estimate.amps, amps, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            [(row.distance, row.fidelity) for row in trace.rows], rows, rtol=0, atol=1e-12
-        )
+        assert_run_matches_the_dense_engine(dataset, PieConfig(iterations=2, init_seed=7), state)
 
     def test_subnormal_magnitudes_get_phase_one(self):
         # The frame step keeps the computational step's _TINY rule; with
-        # f = |0> it is the same step as the identity-unitary case above.
+        # f = |0>, |1> it is the same step as the identity-unitary case above.
         amps = np.full(8, 0.5, dtype=complex)
         amps[:4] = [1e-310, 1e-310 + 1e-310j, 3e-320j, 0.0]
         target = np.full(8, 0.25)
-        f = np.array([1, 0], dtype=complex)
-        out = _correction_amps(amps, 3, 2, f.conj(), f, target, 1.5)
+        out = frame_correction(amps, 3, 2, np.eye(2, dtype=complex), [target, np.full(8, 0.5)], 1.5)
         expected = amps.copy()
         expected[:4] += 1.5 * (target[:4] - amps[:4])
         np.testing.assert_array_equal(out, expected)
@@ -693,4 +741,4 @@ class TestMeasurementFrame:
                 # Start rows, then the reference, then the final rotation back.
                 assert calls == [False] * (1 + reference) + [True]
             else:
-                assert calls == [False, True] * (6 * n * iterations)
+                assert calls == [False, True] * (3 * n * iterations)

@@ -2,7 +2,7 @@
 unitary kind is unitary with an inverting adjoint, the per-qubit kinds
 round bit for bit as the in-place reference loop (n <= 8), the two Pauli
 eigenprojectors of a qubit sum to the identity, and exact data is a fixed
-point of every correction."""
+point of every circuit's correction."""
 import math
 
 import numpy as np
@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from qptycho import (
     StateVector,
     UnitarySpec,
+    circuit_settings,
     generate_dataset,
     normalize_dataset,
-    projector_ids,
     u3_matrix,
 )
 from qptycho.states import PAULI_AXES, _project_amps
 
-from conftest import pauli_correction
+from conftest import circuit_correction
 from oracles import gates_in_place, haar_state
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -93,6 +93,6 @@ def test_exact_data_is_a_fixed_point_of_every_correction(case, seed, beta):
     n, spec = case
     state = StateVector(n, haar_state(n, np.random.default_rng(seed)))
     targets = normalize_dataset(generate_dataset(state, spec, 0))
-    for pid, target in zip(projector_ids(n), targets):
-        out = pauli_correction(state.amps, n, pid, target, spec, beta)
+    for circuit, pair in zip(circuit_settings(n), targets.reshape(3 * n, 2, 1 << n)):
+        out = circuit_correction(state.amps, n, circuit, pair, spec, beta)
         np.testing.assert_allclose(out, state.amps, rtol=0, atol=1e-12)

@@ -49,7 +49,6 @@ from .states import (
     StateVector,
     circuit_settings,
     load_state,
-    projector_ids,
     save_state,
 )
 from .transforms import (
@@ -86,7 +85,6 @@ __all__ = [
     "normalize_dataset",
     "pie_run",
     "pie_run_batch",
-    "projector_ids",
     "random_arbitrary",
     "random_separable",
     "run_aqft_study",

@@ -17,7 +17,7 @@ from .pie import PieConfig, _run_datasets, pie_run
 from .protocol import generate_dataset
 from .seeding import derive_seed, shot_count
 from .stateprep import random_arbitrary, random_separable, table_states
-from .states import _integer
+from .states import _integer, _integers
 from .states import _write_csv as write_csv  # the CLI's table writer
 from .transforms import UnitarySpec
 
@@ -28,9 +28,7 @@ ENSEMBLES = ("separable", "arbitrary", "table")
 
 def _qubit_counts(n_values, minimum: int = 1) -> tuple:
     """``n_values`` as a non-empty tuple of ints within minimum..MAX_QUBITS."""
-    counts = tuple(_integer(n, "n_values must hold integers", minimum) for n in n_values)
-    if not counts:
-        raise ValueError("n_values must be non-empty")
+    counts = _integers(n_values, "n_values", minimum)
     if max(counts) > MAX_QUBITS:
         raise ValueError(f"qubit counts must be within {minimum}..{MAX_QUBITS}, got {max(counts)}")
     return counts
@@ -53,10 +51,8 @@ class SweepConfig:
     def __post_init__(self):
         minimum = 2 if self.ensemble == "table" else 1  # the benchmark table starts at n=2
         object.__setattr__(self, "n_values", _qubit_counts(self.n_values, minimum))
-        shots = tuple(shot_count(s, what="shots must hold integers") for s in self.shots)
-        if not shots:
-            raise ValueError("shots must be non-empty")
-        object.__setattr__(self, "shots", shots)  # 0 means exact
+        # 0 means exact.
+        object.__setattr__(self, "shots", _integers(self.shots, "shots", 0, shot_count))
         for name, minimum in (("states_per_n", 1), ("runs_per_state", 1), ("master_seed", 0)):
             value = _integer(getattr(self, name), f"{name} must be an integer", minimum)
             object.__setattr__(self, name, value)
@@ -146,9 +142,7 @@ def run_aqft_study(
     """
     pie = pie if pie is not None else PieConfig(delta_beta=0.04)
     n_values = _qubit_counts(n_values, 2)
-    m_values = [_integer(m, "m_values must hold integers", 1) for m in m_values]
-    if not m_values:
-        raise ValueError("m_values must be non-empty")
+    m_values = _integers(m_values, "m_values", 1)
     shots = shot_count(shots)
     runs_per_state = _integer(runs_per_state, "runs_per_state must be an integer", 1)
     master_seed = _integer(master_seed, "master_seed must be an integer", 0)

@@ -23,8 +23,10 @@ normalized copies. Every step of a pass writes its elementwise work into
 one workspace of buffers allocated when the pass starts.
 
 The Fourier kinds take k_s = e_s and b_s = e_s^dagger / <e_s|e_s> for the
-eigenvectors e_s of ``states._PAULI_EIGENVECTORS``, which are unnormalized
-so that both round exactly. The product kinds (hadamard, separable), whose
+eigenvectors e_s that ``states._pauli_bras_kets`` gives, which are
+unnormalized so that both round exactly. Every step projects through
+``states._bras_on_qubit`` and ``states._kets_on_qubit``, the kernels that
+``generate_dataset`` uses. The product kinds (hadamard, separable), whose
 U is one gate u_q per qubit, run the same step on psi = U phi, the
 measurement frame. There P_s becomes U P_s U^dagger = |f_s><f_s| on qubit q
 with f_s = u_q e_s / ||e_s||, so the step takes k_s = f_s, b_s = f_s^dagger
@@ -45,8 +47,8 @@ import numpy as np
 from .protocol import PtychoDataset, normalize_dataset
 from .stateprep import random_arbitrary
 from .states import (
-    _PAULI_EIGENVECTORS, SIGNS, StateVector, _integer, _pauli_bras_kets, _real, _write_csv,
-    circuit_settings,
+    StateVector, _bras_on_qubit, _integer, _integers, _kets_on_qubit, _pauli_bras_kets, _real,
+    _write_csv, circuit_settings,
 )
 from .transforms import UnitarySpec
 
@@ -197,23 +199,6 @@ def _workspace(shape):
             np.empty(stack, bool), np.empty(shape, np.complex128))
 
 
-def _bras_on_qubit(bras, x, out, scratch):
-    """out[s] = <bras[s]| applied to bit q of ``x``, a ``(..., 2, 2^q)``
-    view, for both signs; ``scratch`` is a buffer of ``out``'s shape."""
-    np.multiply(bras[:, 0, None, None], x[..., 0, :], out=out)
-    np.multiply(bras[:, 1, None, None], x[..., 1, :], out=scratch)
-    np.add(out, scratch, out=out)
-
-
-def _kets_on_qubit(kets, c, out):
-    """out[s] = |kets[s]> on bit q tensored with c[s], the output of
-    :func:`_bras_on_qubit`, in the sign-major stack ``out``: one multiply
-    per value of bit q, so the loops run over c even at q = 0."""
-    halves = out.reshape(c.shape[:2] + (2, -1))
-    np.multiply(kets[:, 0, None, None], c, out=halves[..., 0, :])
-    np.multiply(kets[:, 1, None, None], c, out=halves[..., 1, :])
-
-
 def _correction_amps(amps, n, q, bras, kets, targets, beta, unitary, work):
     """One engine correction by the two sign projectors |kets[s]><bras[s]|
     of a circuit on qubit q, the module docstring's step. ``bras`` and
@@ -317,9 +302,7 @@ def _checked(jobs):
     for dataset, init_seeds, reference in jobs:
         targets = normalize_dataset(dataset)
         n = dataset.n
-        seeds = [_integer(seed, "init_seeds must hold integers", 0) for seed in init_seeds]
-        if not seeds:
-            raise ValueError("init_seeds must hold at least one seed")
+        seeds = _integers(init_seeds, "init_seeds", 0)
         if reference is not None and reference.n != n:
             raise ValueError(f"reference has n={reference.n}, dataset has n={n}")
         yield (n, dataset.unitary, len(seeds), reference is None), targets, seeds, reference
@@ -357,8 +340,7 @@ def _run_rows(n, unitary, targets, config, seeds, refs):
         if gates is None:
             steps.append((q, *_pauli_bras_kets(axis), unitary))
         else:
-            kets = np.array([gates[q] @ _normalized(_PAULI_EIGENVECTORS[axis, sign])
-                             for sign in SIGNS])
+            kets = np.array([gates[q] @ _normalized(e) for e in _pauli_bras_kets(axis)[1]])
             steps.append((q, kets.conj(), kets, None))
     if gates is not None:
         amps = unitary.apply_amps(amps, n)

@@ -16,7 +16,6 @@ import numpy as np
 from .mitigation import CalibrationMatrix, ReadoutNoiseModel, corrupt_counts, mitigate
 from .seeding import shot_count, shot_streams
 from .states import (
-    SIGNS,
     StateVector,
     _PAYLOAD_DTYPE,
     _check_payload,
@@ -171,9 +170,7 @@ def generate_dataset(
         # flattened law is indexed s * 2^n + j. No name holds the branches or
         # the amplitudes: alive while the samples are allocated, they left a
         # heap hole per circuit, +0.3 MB of peak RSS at n=10.
-        p = unitary.apply_amps(
-            np.stack([_project_amps(state.amps, axis, q, sign) for sign in SIGNS]), n
-        )
+        p = unitary.apply_amps(_project_amps(state.amps, axis, q), n)
         p = (p.real**2 + p.imag**2).reshape(-1)
         if noise is not None:
             p = corrupt_counts(p, noise)
@@ -200,10 +197,11 @@ def mitigate_dataset(dataset: PtychoDataset, cal: CalibrationMatrix) -> PtychoDa
 
 def normalize_dataset(dataset: PtychoDataset) -> np.ndarray:
     """Amplitude targets: sqrt of the jointly normalized counts, as a
-    ``(6n, 2^n)`` array whose rows follow ``projector_ids(n)``.
+    ``(6n, 2^n)`` array whose rows follow the circuits of
+    ``circuit_settings(n)``, each for both ``SIGNS``.
 
-    Row i of ``dataset.counts`` holds the + block then the - block, so
-    target row 2i + s is its sign-s block. Both sign blocks of a circuit
+    Row c of ``dataset.counts`` holds the + block then the - block, so
+    target row 2c + s is its sign-s block. Both sign blocks of a circuit
     share one normalization (the projected states are sub-normalized, so
     targets must be joint probabilities). Negative mitigated entries are
     clipped to zero before the square root.

@@ -4,9 +4,11 @@ Conventions used everywhere in this package:
 
 * A basis index ``j`` has binary expansion ``j_{n-1} ... j_1 j_0`` and qubit
   ``k`` owns bit weight ``2**k``, so qubit 0 is the least significant bit.
-* Amplitude buffers are double-precision complex and frozen after
-  construction; all operations return new values, which makes every type in
-  this module safe to share across threads.
+* Amplitude buffers are double-precision complex. A ``StateVector`` is
+  frozen after construction, which makes every type in this module safe to
+  share across threads. The Pauli projection kernels ``_bras_on_qubit`` and
+  ``_kets_on_qubit`` write into ``out=`` buffers that their caller owns;
+  ``_project_amps`` allocates its own and returns a new array.
 """
 from __future__ import annotations
 
@@ -34,6 +36,19 @@ def _integer(value, what: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{what} >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _integers(values, field: str, minimum: int, check=_integer) -> tuple:
+    """``values``, a non-empty iterable such as a list, tuple or numpy array,
+    as a tuple of ints, each from ``check(value, what="<field> must hold
+    integers", minimum=minimum)``. A str, bytes, a non-iterable or an empty
+    iterable raises a ``ValueError`` that names ``field``."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise ValueError(f"{field} must be a sequence of integers, got {values!r}")
+    checked = tuple(check(v, what=f"{field} must hold integers", minimum=minimum) for v in values)
+    if not checked:
+        raise ValueError(f"{field} must be non-empty")
+    return checked
 
 
 def _real(value) -> bool:
@@ -80,13 +95,6 @@ def circuit_settings(n: int):
     return [(axis, q) for axis in PAULI_AXES for q in range(n)]
 
 
-def projector_ids(n: int):
-    """The 6n projectors as ``(axis, qubit, sign)`` in canonical order: the
-    circuits of :func:`circuit_settings`, sign + before - within each. An
-    n-qubit protocol records all of them (3n circuits, both signs each)."""
-    return [(axis, q, sign) for axis, q in circuit_settings(n) for sign in SIGNS]
-
-
 #: An eigenvector e of each (axis, sign) Pauli projector |e><e| / <e|e>: the
 #: one place the axes are spelt. Unnormalized, so that every product with an
 #: entry, and with its bra e^dagger / <e|e>, is exact.
@@ -100,27 +108,44 @@ _PAULI_EIGENVECTORS = {
 }
 
 
-def _pauli_bra_ket(axis: str, sign: int):
-    """``(e^dagger / <e|e>, e)`` of the (axis, sign) Pauli projector, so that
-    the projector is |ket><bra|."""
-    e = _PAULI_EIGENVECTORS[axis, sign]
-    return e.conj() / np.vdot(e, e).real, e
-
-
 def _pauli_bras_kets(axis: str):
-    """The bras and kets of :func:`_pauli_bra_ket` for both signs of an
-    axis, as two 2x2 arrays whose row s is sign ``SIGNS[s]``."""
-    bras, kets = zip(*(_pauli_bra_ket(axis, sign) for sign in SIGNS))
-    return np.array(bras), np.array(kets)
+    """The bras and kets of both sign projectors |ket><bra| of an axis, as
+    two 2x2 arrays whose row s is sign ``SIGNS[s]``: the eigenvector e and
+    e^dagger / <e|e>."""
+    kets = np.array([_PAULI_EIGENVECTORS[axis, sign] for sign in SIGNS])
+    return np.array([e.conj() / np.vdot(e, e).real for e in kets]), kets
 
 
-def _project_amps(amps: np.ndarray, axis: str, q: int, sign: int) -> np.ndarray:
-    """Matrix-free application of the rank-1 Pauli eigenprojector |ket><bra|
-    on bit q, tensored with identity elsewhere. O(2**n), returns a new array."""
-    bra, ket = _pauli_bra_ket(axis, sign)
-    v = amps.reshape(-1, 2, 1 << q)
-    c = bra[0] * v[:, 0] + bra[1] * v[:, 1]
-    return (ket[:, None] * c[:, None]).reshape(amps.shape)
+def _bras_on_qubit(bras, x, out, scratch):
+    """out[s] = <bras[s]| applied to bit q of ``x``, a ``(..., 2, 2^q)``
+    view, for both signs; ``scratch`` is a buffer of ``out``'s shape."""
+    np.multiply(bras[:, 0, None, None], x[..., 0, :], out=out)
+    np.multiply(bras[:, 1, None, None], x[..., 1, :], out=scratch)
+    np.add(out, scratch, out=out)
+
+
+def _kets_on_qubit(kets, c, out):
+    """out[s] = |kets[s]> on bit q tensored with c[s], the output of
+    :func:`_bras_on_qubit`, in the sign-major stack ``out``: one multiply
+    per value of bit q, so the loops run over c even at q = 0."""
+    halves = out.reshape(c.shape[:2] + (2, -1))
+    np.multiply(kets[:, 0, None, None], c, out=halves[..., 0, :])
+    np.multiply(kets[:, 1, None, None], c, out=halves[..., 1, :])
+
+
+def _project_amps(amps: np.ndarray, axis: str, q: int) -> np.ndarray:
+    """Both sign projections of the Pauli circuit (axis, q): the sign-major
+    ``(2, *amps.shape)`` stack whose row s is the rank-1 projector of sign
+    ``SIGNS[s]`` on bit q, tensored with identity elsewhere, applied to
+    ``amps``. Matrix-free, O(2**n); returns a new array."""
+    bras, kets = _pauli_bras_kets(axis)
+    low = 1 << q
+    stack = np.empty((2, *amps.shape), np.complex128)
+    c = np.empty((2, amps.size // (2 * low), low), np.complex128)
+    # The stack holds nothing yet, so half of it is the bras' scratch.
+    _bras_on_qubit(bras, amps.reshape(-1, 2, low), c, stack.reshape(2, *c.shape)[0])
+    _kets_on_qubit(kets, c, stack)
+    return stack
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qptycho import pie
 from qptycho.pie import _correction_amps, _workspace
-from qptycho.states import _pauli_bras_kets
+from qptycho.states import SIGNS, _pauli_bras_kets, _project_amps
 
 ACCEPTANCE_LINES = []
 
@@ -37,6 +37,11 @@ def with_counts(dataset, index, counts):
     table = dataset.counts.copy()
     table[index] = counts
     return replace(dataset, counts=table)
+
+
+def project_sign(amps, axis, q, sign):
+    """The sign-``sign`` row of the two-sign projection of circuit (axis, q)."""
+    return _project_amps(amps, axis, q)[SIGNS.index(sign)]
 
 
 def frame_correction(amps, n, q, kets, targets, beta):

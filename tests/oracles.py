@@ -4,8 +4,9 @@ Everything here is built from explicit 2^n x 2^n matrices and plain tensor
 products, deliberately sharing no code path with the package's matrix-free
 kernels. The exceptions are ``gates_in_place``, ``looped_aqft``,
 ``aqft_matrix``, ``looped_joint_laws`` and ``full_size_neumann_bound``, the
-per-qubit loop, the two dense AQFT builds, the per-circuit outcome laws and
-the mitigation guard's bound that the package replaced, kept as their
+per-qubit loop, the two dense AQFT builds, the per-circuit outcome laws
+(with the per-sign projection they were first computed with) and the
+mitigation guard's bound that the package replaced, kept as their
 references, and ``basis_state``, which wraps a one-hot vector in the
 package's StateVector. ``extended_aqft`` rounds each entry of the AQFT
 once, from 40-digit ``mpmath`` values. ``dense_correction`` is the engine's
@@ -22,16 +23,18 @@ import mpmath
 import numpy as np
 
 from qptycho import StateVector, circuit_settings
-from qptycho.states import _project_amps
 
-_EIGENVECTORS = {
+#: An eigenvector e of each (axis, sign) Pauli projector, unnormalized: every
+#: entry is 0, 1 or +-i, so products with e and with e^dagger / <e|e> are exact.
+_PAULI_KETS = {
     ("z", 1): np.array([1, 0], dtype=complex),
     ("z", -1): np.array([0, 1], dtype=complex),
-    ("x", 1): np.array([1, 1], dtype=complex) / np.sqrt(2),
-    ("x", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
-    ("y", 1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
+    ("x", 1): np.array([1, 1], dtype=complex),
+    ("x", -1): np.array([1, -1], dtype=complex),
+    ("y", 1): np.array([1, 1j], dtype=complex),
+    ("y", -1): np.array([1, -1j], dtype=complex),
 }
+_EIGENVECTORS = {key: e / np.sqrt(np.vdot(e, e).real) for key, e in _PAULI_KETS.items()}
 
 
 def basis_state(n: int, j: int) -> StateVector:
@@ -144,14 +147,21 @@ def aqft_matrix(n: int, m: int) -> np.ndarray:
 def looped_joint_laws(state: StateVector, unitary) -> list:
     """The 3n exact circuit laws, canonical order, as the package first
     computed them: one projected sign branch and one transform call at a
-    time, entry s * 2^n + j = |<j| U P_s |psi>|^2. ``generate_dataset``
-    with ``shots = 0`` must match them bit for bit."""
+    time, entry s * 2^n + j = |<j| U P_s |psi>|^2, with P_s = |e><e| / <e|e>
+    applied to bit q as ket e tensored with c = <bra|v>, bra = e^dagger / <e|e>.
+    ``generate_dataset`` with ``shots = 0`` must match them bit for bit."""
     n = state.n
+    v = state.amps
     laws = []
     for axis, q in circuit_settings(n):
         p = np.empty(2 << n)
+        pairs = v.reshape(-1, 2, 1 << q)
         for s_index, sign in enumerate((1, -1)):
-            transformed = unitary.apply_amps(_project_amps(state.amps, axis, q, sign), n)
+            ket = _PAULI_KETS[axis, sign]
+            bra = ket.conj() / np.vdot(ket, ket).real
+            c = bra[0] * pairs[:, 0] + bra[1] * pairs[:, 1]
+            branch = (ket[:, None] * c[:, None]).reshape(v.shape)
+            transformed = unitary.apply_amps(branch, n)
             p[s_index << n : (s_index + 1) << n] = transformed.real**2 + transformed.imag**2
         laws.append(p)
     return laws

@@ -13,7 +13,9 @@ from qptycho import (
     SweepConfig,
     UnitarySpec,
     generate_dataset,
+    named_state,
     pie_run,
+    pie_run_batch,
     random_arbitrary,
     run_aqft_study,
     run_fidelity_sweep,
@@ -197,7 +199,40 @@ class TestSerialRowsReproduced:
         assert_rows_close(rows, SERIAL_AQFT_ROWS_5_ITERATIONS)
 
 
+def _psi5_dataset():
+    return generate_dataset(named_state("psi5", 2), UnitarySpec.qft(), 0)
+
+
+#: Each entry point that takes a list of integers, called with ``value`` in
+#: place of that list, and the field it names.
+SEQUENCE_FIELDS = {
+    "sweep-n_values": (lambda value: SweepConfig(n_values=value), "n_values"),
+    "sweep-shots": (lambda value: SweepConfig(n_values=(4,), shots=value), "shots"),
+    "aqft-study-m_values": (lambda value: run_aqft_study((3,), value), "m_values"),
+    "aqft-study-n_values": (lambda value: run_aqft_study(value, (2,)), "n_values"),
+    "pie_run_batch-init_seeds": (
+        lambda value: pie_run_batch(_psi5_dataset(), PieConfig(), value), "init_seeds"),
+}
+
+
 class TestHarnessArguments:
+    @pytest.mark.parametrize("value", [4, "ab", b"4"], ids=["scalar", "str", "bytes"])
+    @pytest.mark.parametrize("entry", SEQUENCE_FIELDS)
+    def test_a_non_sequence_names_its_field(self, entry, value):
+        run, field = SEQUENCE_FIELDS[entry]
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence of integers, got {value!r}$"):
+            run(value)
+
+    def test_numpy_arrays_are_sequences(self):
+        cfg = small_sweep(n_values=np.array([2, 3]), shots=np.array([0, 64]))
+        assert cfg.n_values == (2, 3) and cfg.shots == (0, 64)
+        assert all(type(v) is int for v in cfg.n_values + cfg.shots)
+        rows = run_aqft_study(np.array([2]), np.array([1]), shots=64, runs_per_state=1,
+                              pie=PieConfig(delta_beta=0.1, iterations=1))
+        assert rows and {(n, m) for _, n, m, _, _ in rows} == {(2, 1)}
+        runs = pie_run_batch(_psi5_dataset(), PieConfig(delta_beta=0.1), np.array([3, 4]))
+        assert len(runs) == 2
+
     @pytest.mark.parametrize("run, field", [
         (lambda: small_sweep(shots=()), "shots"),
         (lambda: run_aqft_study((2,), ()), "m_values"),

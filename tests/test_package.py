@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import os
 import re
 import shlex
@@ -22,6 +23,30 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(qptycho, name, None) is not None, name
+
+
+def _traced_function_spans() -> dict:
+    """``FUNCTION_SPANS`` of ``perfbench/tracing.py``, read from its source,
+    so that nothing is imported from it or installed."""
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "tracing.py").read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["FUNCTION_SPANS"]:
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("perfbench/tracing.py defines no FUNCTION_SPANS")
+
+
+def test_every_name_the_benchmark_patches_resolves():
+    # The benchmark wraps these by name (tracing.py) or reads them
+    # (workloads.py); a rename would otherwise fail only the benchmark.
+    from qptycho import experiments, mitigation, pie, transforms
+
+    spans = _traced_function_spans()
+    assert spans
+    for module, attr in spans:
+        assert callable(getattr(importlib.import_module(f"qptycho.{module}"), attr, None)), (module, attr)
+    for fn in (transforms.UnitarySpec.apply_amps, mitigation.CalibrationMatrix.condition_number.func,
+               pie.PieTrace.to_csv, experiments.pie_run):
+        assert callable(fn)
 
 
 # In a fresh interpreter: the top-level modules that importing the package and

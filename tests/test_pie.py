@@ -192,8 +192,8 @@ class TestCorrectionStep:
         estimate = StateVector(2, haar_state(2, rng))
         for circuit in circuit_settings(2):
             axis, q = circuit
-            targets = [np.abs(QFT.apply_amps(_project_amps(estimate.amps, axis, q, sign), 2))
-                       for sign in SIGNS]
+            targets = [np.abs(QFT.apply_amps(branch, 2))
+                       for branch in _project_amps(estimate.amps, axis, q)]
             out = circuit_correction(estimate.amps, 2, circuit, targets, QFT, 1.7)
             np.testing.assert_allclose(out, estimate.amps, atol=1e-12)
 

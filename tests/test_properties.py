@@ -83,7 +83,8 @@ def test_per_qubit_kinds_round_as_the_in_place_loop(n, kind, adjoint, batch, str
 def test_the_two_projectors_of_a_qubit_sum_to_the_identity(n, axis, data, seed):
     qubit = data.draw(st.integers(0, n - 1))
     amps = haar_state(n, np.random.default_rng(seed))
-    total = _project_amps(amps, axis, qubit, 1) + _project_amps(amps, axis, qubit, -1)
+    plus, minus = _project_amps(amps, axis, qubit)
+    total = plus + minus
     np.testing.assert_allclose(total, amps, rtol=0, atol=1e-15)
 
 

@@ -15,7 +15,6 @@ from qptycho import (
     load_dataset,
     named_state,
     normalize_dataset,
-    projector_ids,
     random_arbitrary,
     sample_shots,
     save_dataset,
@@ -23,7 +22,7 @@ from qptycho import (
 from qptycho import protocol
 from qptycho.mitigation import build_calibration, corrupt_counts, mitigate
 from qptycho.protocol import CircuitRecord, PtychoDataset
-from qptycho.states import _project_amps
+from qptycho.states import SIGNS, _project_amps
 
 from conftest import peak_traced_bytes, with_counts
 from oracles import basis_state, dense_joint_distribution, dense_qft, haar_state, looped_joint_laws
@@ -49,8 +48,7 @@ class TestExactJointDistribution:
             for rec in generate_dataset(state, QFT, 0).records:
                 axis, q, p = rec.axis, rec.qubit, rec.counts
                 assert p.sum() == pytest.approx(1.0, abs=1e-10)
-                for s_index, sign in enumerate((1, -1)):
-                    branch = _project_amps(state.amps, axis, q, sign)
+                for s_index, branch in enumerate(_project_amps(state.amps, axis, q)):
                     block = p[s_index << n : (s_index + 1) << n].sum()
                     assert block == pytest.approx(np.linalg.norm(branch) ** 2, abs=1e-10)
 
@@ -238,16 +236,17 @@ class TestNormalizeDataset:
         )
         targets = normalize_dataset(dataset)
         assert targets.shape == (6, 2)
-        # Rows follow projector_ids(1): (x, 0, +) is row 0, (x, 0, -) row 1.
+        # Rows follow circuit_settings(1) x SIGNS: (x, 0, +) is row 0, (x, 0, -) row 1.
         np.testing.assert_allclose(targets[0], np.sqrt([0.5, 0.5]))
         np.testing.assert_allclose(targets[1], [0, 0])
 
-    def test_rows_follow_projector_ids(self):
+    def test_rows_follow_circuits_times_signs(self):
         state = StateVector(3, haar_state(3, np.random.default_rng(73)))
         targets = normalize_dataset(generate_dataset(state, QFT, 0))
         assert targets.shape == (18, 8)
         laws = dict(zip(circuit_settings(3), looped_joint_laws(state, QFT), strict=True))
-        for row, (axis, q, sign) in zip(targets, projector_ids(3), strict=True):
+        projectors = [(axis, q, sign) for axis, q in circuit_settings(3) for sign in SIGNS]
+        for row, (axis, q, sign) in zip(targets, projectors, strict=True):
             p = laws[axis, q]
             np.testing.assert_array_equal(row, np.sqrt(p[:8] if sign == 1 else p[8:]))
 

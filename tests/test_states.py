@@ -6,16 +6,17 @@ import pytest
 
 from qptycho import (
     StateVector,
+    circuit_settings,
     fidelity,
     load_state,
-    projector_ids,
     save_state,
     trace_distance,
 )
 from qptycho.pie import _normalized
-from qptycho.states import _project_amps, state_from_dict, state_to_dict
+from qptycho.states import SIGNS, _project_amps, state_from_dict, state_to_dict
 from qptycho.transforms import _apply_gates_amps
 
+from conftest import project_sign
 from oracles import basis_state, dense_gate_on_qubit, dense_pauli_projector, haar_state
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -115,24 +116,24 @@ class TestApplySingleQubit:
 class TestProjectorEnumeration:
     def test_enumeration_size(self):
         for n in (1, 3, 5):
-            ids = projector_ids(n)
+            ids = [(axis, q, sign) for axis, q in circuit_settings(n) for sign in SIGNS]
             assert len(ids) == 6 * n
             assert len(set(ids)) == 6 * n
 
 
 class TestApplyPauliProjector:
     def test_z_plus_keeps_eigenstate(self):
-        out = _project_amps(basis_state(1, 0).amps, "z", 0, 1)
+        out = project_sign(basis_state(1, 0).amps, "z", 0, 1)
         np.testing.assert_allclose(out, [1, 0], atol=1e-15)
 
     def test_x_plus_on_one(self):
         # <x+|1>|x+> = (1/2)(1, 1)
-        out = _project_amps(basis_state(1, 1).amps, "x", 0, 1)
+        out = project_sign(basis_state(1, 1).amps, "x", 0, 1)
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_y_minus_on_zero(self):
         # <y-|0>|y-> = (1/2)(1, -i)
-        out = _project_amps(basis_state(1, 0).amps, "y", 0, -1)
+        out = project_sign(basis_state(1, 0).amps, "y", 0, -1)
         np.testing.assert_allclose(out, [0.5, -0.5j], atol=1e-15)
 
     @pytest.mark.parametrize("axis,sign", AXES_SIGNS)
@@ -141,8 +142,8 @@ class TestApplyPauliProjector:
         for n in (1, 2, 4):
             state = StateVector(n, haar_state(n, rng))
             for q in range(n):
-                once = _project_amps(state.amps, axis, q, sign)
-                twice = _project_amps(once, axis, q, sign)
+                once = project_sign(state.amps, axis, q, sign)
+                twice = project_sign(once, axis, q, sign)
                 np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_completeness(self):
@@ -151,8 +152,7 @@ class TestApplyPauliProjector:
             state = StateVector(n, haar_state(n, rng))
             for axis in "xyz":
                 for q in range(n):
-                    plus = _project_amps(state.amps, axis, q, 1)
-                    minus = _project_amps(state.amps, axis, q, -1)
+                    plus, minus = _project_amps(state.amps, axis, q)
                     np.testing.assert_allclose(plus + minus, state.amps, atol=1e-12)
 
     def test_outcome_probabilities_sum_to_one(self):
@@ -162,8 +162,7 @@ class TestApplyPauliProjector:
             for axis in "xyz":
                 for q in range(n):
                     p = sum(
-                        np.linalg.norm(_project_amps(state.amps, axis, q, s)) ** 2
-                        for s in (1, -1)
+                        np.linalg.norm(branch) ** 2 for branch in _project_amps(state.amps, axis, q)
                     )
                     assert abs(p - 1.0) < 1e-12
 
@@ -174,7 +173,7 @@ class TestApplyPauliProjector:
             state = StateVector(n, haar_state(n, rng))
             for q in range(n):
                 expected = dense_pauli_projector(axis, sign, q, n) @ state.amps
-                out = _project_amps(state.amps, axis, q, sign)
+                out = project_sign(state.amps, axis, q, sign)
                 np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -183,8 +182,8 @@ class TestApplyPauliProjector:
         rng = np.random.default_rng(25)
         rows = np.stack([haar_state(3, rng) for _ in range(4)])
         for q in range(3):
-            batched = _project_amps(rows, axis, q, sign)
-            lone = np.stack([_project_amps(row, axis, q, sign) for row in rows])
+            batched = project_sign(rows, axis, q, sign)
+            lone = np.stack([project_sign(row, axis, q, sign) for row in rows])
             np.testing.assert_array_equal(batched, lone)
 
 

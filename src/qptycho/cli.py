@@ -3,7 +3,8 @@
 Subcommands cover the full workflow: prepare a state file, run the
 measurement protocol into a dataset file, build a calibration, mitigate a
 dataset, reconstruct an estimate, and run the batch studies. Every command
-is deterministic given its flags and ``--seed``; on failure a single JSON
+is deterministic given its flags, ``--seed`` among them where it draws;
+``mitigate`` draws nothing and takes no ``--seed``. On failure a single JSON
 error line goes to stderr and the exit code is nonzero.
 """
 from __future__ import annotations
@@ -40,8 +41,11 @@ def _require(value, flag: str):
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, seed=None):
-    p.add_argument("--seed", type=int, default=seed, help="master RNG seed")
+def _add_common(p: argparse.ArgumentParser, seed=None, seeded=True):
+    """The options every command takes, and ``--seed`` (default ``seed``) on
+    each command that draws from it."""
+    if seeded:
+        p.add_argument("--seed", type=int, default=seed, help="master RNG seed")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--config", default=None, help="JSON file with default option values")
 
@@ -74,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mitigate", help="apply a calibration to a dataset")
     p.add_argument("--data", default=None, help="input dataset file")
     p.add_argument("--calibration", default=None, help="calibration file")
-    _add_common(p)
+    _add_common(p, seeded=False)
 
     p = sub.add_parser("estimate", help="reconstruct a state from a dataset")
     p.add_argument("--data", default=None, help="input dataset file")

@@ -282,17 +282,9 @@ def save_calibration(cal: CalibrationMatrix, path):
 def calibration_from_dict(doc: dict) -> CalibrationMatrix:
     """Inverse of the document :func:`save_calibration` writes."""
     n = _qubit_count(doc)
-    entries = {}
-    for key, size in (("M1", 4), ("Mn", 4**n)):
-        values = _decode_array(doc.get(key), key, size).ravel()
-        if values.size != size:
-            raise ValueError(f"{key} has {values.size} entries, expected {size} for n={n}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{key} holds non-finite entries")
-        entries[key] = values
     return CalibrationMatrix(
-        entries["M1"].reshape(2, 2),
-        entries["Mn"].reshape(1 << n, 1 << n),
+        _decode_array(doc.get("M1"), "M1", [2, 2]),
+        _decode_array(doc.get("Mn"), "Mn", [1 << n, 1 << n]),
         doc.get("provenance"),
     )
 

@@ -19,7 +19,6 @@ from .states import (
     StateVector,
     _PAYLOAD_DTYPE,
     _check_payload,
-    _decode_array,
     _encode_array,
     _fill_payload,
     _integer,
@@ -70,14 +69,14 @@ class PtychoDataset:
 
     def __post_init__(self):
         n = _integer(self.n, "n must be an integer", 1)
-        shots = _integer(self.shots_per_circuit, "shots must be an integer", 0)
+        shots = shot_count(self.shots_per_circuit)
         if not isinstance(self.mitigated, bool):
             raise ValueError(f"mitigated must be true or false, got {self.mitigated!r}")
         seed = self.seed
         if seed is not None:
             if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
                 raise ValueError(f"seed must be an integer or null, got {seed!r}")
-            seed = int(seed)
+            seed = _integer(seed, "seed must be an integer", 0)
         noise_model_id = self.noise_model_id
         if noise_model_id is not None and not isinstance(noise_model_id, str):
             raise ValueError(f"noise_model_id must be a string or null, got {noise_model_id!r}")
@@ -242,32 +241,13 @@ def dataset_from_dict(doc: dict) -> PtychoDataset:
     order = [(entry.get("xi"), entry["q"]) for entry in entries]
     if len(order) != 3 * n or order != circuit_settings(n):
         raise ValueError(f"dataset must hold {3 * n} records in canonical (axis, qubit) order")
-    size = 2 << n
-    fields = [f"records[{c}].counts" for c in range(3 * n)]
-    payloads = [entry.get("counts") for entry in entries]
-
-    def decoded_row(c):
-        (axis, q), row = order[c], _decode_array(payloads[c], fields[c], size)
-        if row.ndim != 1:
-            raise ValueError(f"record ({axis}, {q}) has shape {row.shape}, expected {(size,)}")
-        if row.size != size:
-            raise ValueError(f"record ({axis}, {q}) has length {row.size}, expected {size}")
-        return row
-
-    # Every payload must be able to fill its row before the table is allocated,
-    # and its checked bytes then fill it; any other record (another shape, a
-    # list, a non-payload) is decoded first, for the error it raises, and its
-    # row is kept to fill the table.
-    checked = [_check_payload(value, fields[c], size) if isinstance(value, dict) else None
-               for c, value in enumerate(payloads)]
-    decoded = {c: decoded_row(c) for c, check in enumerate(checked)
-               if check is None or check[0] != [size]}
-    counts = np.empty((3 * n, size), dtype=_PAYLOAD_DTYPE)
-    for c, check in enumerate(checked):
-        if c in decoded:
-            counts[c] = decoded[c]
-        else:
-            _fill_payload(check, counts[c], fields[c])
+    # Every record must be a payload able to fill its row before the table is
+    # allocated; the checked bytes then fill it, each base64-decoded once.
+    shape, fields = [2 << n], [f"records[{c}].counts" for c in range(3 * n)]
+    raws = [_check_payload(entry.get("counts"), field, shape) for entry, field in zip(entries, fields)]
+    counts = np.empty((3 * n, *shape), dtype=_PAYLOAD_DTYPE)
+    for row, raw, field in zip(counts, raws, fields):
+        _fill_payload(raw, row, field)
     return PtychoDataset(
         n=n,
         unitary=UnitarySpec.from_dict(doc.get("unitary")),

@@ -219,67 +219,44 @@ def _check_length(length: int, shape: list, field: str):
         raise ValueError(f"{field}: data holds {length} bytes, shape {shape} needs {needed}")
 
 
-def _check_payload(value: dict, field: str, size: int | None = None):
-    """The ``(shape, raw data bytes, encoding)`` of the payload object
-    ``value``, checked as far as they can be before its array is allocated.
-
-    ``size`` is the entry count the reader expects: a shape that declares
-    more is refused, and so is data that cannot fill the shape (raw bytes of
-    another length, or a zlib stream too short to inflate to it, which is
-    only inflated to count it). Every ``ValueError`` names ``field``."""
+def _check_payload(value, field: str, shape: list) -> bytes:
+    """The compressed data bytes of ``value``, an array payload that must
+    declare exactly ``shape``, checked as far as they can be before its
+    array is allocated: the object, its dtype, shape and encoding before
+    the base64 is decoded, and then a zlib stream too short to inflate to
+    the shape, which is only inflated to count it. Every ``ValueError``
+    names ``field``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a zlib array payload object, got {type(value).__name__}")
     if value.get("dtype") != _PAYLOAD_DTYPE:
         raise ValueError(f"{field}: dtype must be {_PAYLOAD_DTYPE!r}, got {value.get('dtype')!r}")
-    shape = value.get("shape")
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-        raise ValueError(f"{field}: shape must be a list of integers >= 0, got {shape!r}")
-    count = math.prod(shape)
-    if size is not None and count > size:
-        raise ValueError(f"{field}: shape {shape} declares {count} entries, expected {size}")
-    encoding = value.get("encoding")
-    if encoding not in (None, "zlib"):
-        raise ValueError(f"{field}: encoding must be 'zlib' or absent, got {encoding!r}")
+    declared = value.get("shape")
+    if not (isinstance(declared, list) and all(type(d) is int for d in declared) and declared == shape):
+        raise ValueError(f"{field}: shape must be {shape}, got {declared!r}")
+    if value.get("encoding") != "zlib":
+        raise ValueError(f"{field}: encoding must be 'zlib', got {value.get('encoding')!r}")
     try:
         raw = base64.b64decode(value.get("data"), validate=True)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: data is not valid base64 ({exc})") from None
-    if encoding is None:
-        _check_length(len(raw), shape, field)
-    elif 8 * count > _MAX_INFLATE_RATIO * len(raw):
+    if 8 * math.prod(shape) > _MAX_INFLATE_RATIO * len(raw):
         _check_length(_inflate_into(raw, np.empty(0, np.uint8), field), shape, field)
-    return shape, raw, encoding
+    return raw
 
 
-def _fill_payload(checked: tuple, out: np.ndarray, field: str):
-    """Write the payload that :func:`_check_payload` returned as ``checked``
-    into ``out``, a C-contiguous ``_PAYLOAD_DTYPE`` array of its shape."""
-    shape, raw, encoding = checked
-    if encoding is None:
-        out[...] = np.frombuffer(raw, _PAYLOAD_DTYPE).reshape(shape)
-    else:
-        _check_length(_inflate_into(raw, out.reshape(-1).view(np.uint8), field), shape, field)
+def _fill_payload(raw: bytes, out: np.ndarray, field: str):
+    """Inflate the bytes that :func:`_check_payload` returned into ``out``, a
+    C-contiguous ``_PAYLOAD_DTYPE`` array of the payload's shape."""
+    _check_length(_inflate_into(raw, out.reshape(-1).view(np.uint8), field), list(out.shape), field)
 
 
-def _decode_array(value, field: str, size: int | None = None) -> np.ndarray:
-    """Owned, writable, C-contiguous float64 array from a payload object or
-    from a plain JSON list of numbers, the form that older files hold. A
-    payload without ``encoding`` holds the raw bytes, as older files do.
-
-    A payload passes :func:`_check_payload` with ``size`` before its buffer
-    is allocated. A smaller shape decodes, and the length check of the value
-    built from it names it."""
-    if isinstance(value, list):
-        try:
-            arr = np.array(value)
-        except ValueError:
-            arr = None  # ragged nesting
-        if arr is None or arr.dtype.kind not in "fiu":
-            raise ValueError(f"{field} must be a list of numbers")
-        return arr.astype(np.float64)
-    if not isinstance(value, dict):
-        raise ValueError(f"{field} must be a payload object or a list of numbers")
-    checked = _check_payload(value, field, size)
-    out = np.empty(checked[0], dtype=_PAYLOAD_DTYPE)
-    _fill_payload(checked, out, field)
+def _decode_array(value, field: str, shape: list) -> np.ndarray:
+    """Owned, writable, C-contiguous float64 array of ``shape`` from the array
+    payload ``value``, which passes :func:`_check_payload` before its buffer
+    is allocated."""
+    raw = _check_payload(value, field, shape)
+    out = np.empty(shape, dtype=_PAYLOAD_DTYPE)
+    _fill_payload(raw, out, field)
     return out.astype(np.float64, copy=False)  # a copy only where float64 is big-endian
 
 
@@ -308,9 +285,9 @@ def _json_object(doc) -> dict:
     return doc
 
 
-#: Most qubits a file may declare. A state's payload holds 2^(n+1) float64
-#: entries, 2^(n+4) bytes, and numpy holds no array of 2^63 bytes or more;
-#: the dataset and calibration payloads of an n are larger still.
+#: Most qubits a file may declare. A state holds 2^n complex amplitudes,
+#: 2^(n+4) bytes, and numpy holds no array of 2^63 bytes or more; the
+#: dataset and calibration payloads of an n are larger still.
 _MAX_FILE_QUBITS = 58
 
 
@@ -351,10 +328,15 @@ def state_to_dict(state: StateVector) -> dict:
 
 def state_from_dict(data: dict) -> StateVector:
     n = _qubit_count(data)
-    pairs = _decode_array(data.get("amps"), "amps", 2 << n)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("amps must be a list of [re, im] pairs")
-    return StateVector(n, pairs.view(np.complex128)[:, 0])
+    amps, pairs = data.get("amps"), None
+    if isinstance(amps, list):
+        try:
+            pairs = np.array(amps)
+        except ValueError:
+            pass  # ragged nesting
+    if pairs is None or pairs.dtype.kind not in "fiu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("amps must be a list of [re, im] pairs of numbers")
+    return StateVector(n, pairs.astype(np.float64).view(np.complex128)[:, 0])
 
 
 def save_state(state: StateVector, path, provenance: dict | None = None):

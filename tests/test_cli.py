@@ -111,6 +111,22 @@ def test_calibrate_and_mitigate(tmp_path):
     assert load_dataset(data_path).noise_model_id == "symmetric-0.05"
 
 
+def test_mitigate_takes_no_seed(tmp_path, capsys):
+    # Mitigation draws nothing, so a seed as a flag or a config key is an
+    # option the command lacks.
+    argv = ["mitigate", "--data", "d.json", "--calibration", "c.json", "--out", str(tmp_path / "m.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv, "--seed", "77")
+    assert exit_info.value.code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "unrecognized arguments: --seed 77"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 77}))
+    assert run_cli(*argv, "--config", str(config)) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"ValueError: config file {config}: mitigate has no option 'seed'"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(

@@ -354,6 +354,7 @@ PER_DATASET_AQFT_ROWS = [
 ]
 
 
+@pytest.mark.one_blas_thread
 class TestGroupedRows:
     def test_sweep(self, engine_passes):
         shapes = engine_passes

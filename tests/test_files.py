@@ -1,5 +1,6 @@
-"""File formats: float64 array payloads, reader checks, exact round trips,
-files in the older list form, and a pinned end-to-end CLI chain."""
+"""File formats: float64 array payloads, reader checks (each reader takes
+only the form its writer writes, its exact shape checked before anything is
+allocated), exact round trips, and a pinned end-to-end CLI chain."""
 import base64
 import copy
 import json
@@ -50,6 +51,12 @@ def payload(values, **change):
     return doc
 
 
+def raw_payload(values):
+    """Array payload in the uncompressed form, without ``encoding``."""
+    arr = np.asarray(values, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(arr.shape), "data": base64.b64encode(arr).decode()}
+
+
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return path
@@ -66,7 +73,7 @@ class TestArrayPayload:
     def test_round_trip_is_exact(self, values):
         arr = np.array(values, dtype=np.float64)
         doc = json.loads(json.dumps(_encode_array(arr)))
-        back = _decode_array(doc, "x")
+        back = _decode_array(doc, "x", [arr.size])
         assert np.array_equal(back, arr)
         assert np.array_equal(np.signbit(back), np.signbit(arr))
 
@@ -75,21 +82,15 @@ class TestArrayPayload:
         doc = _encode_array(arr)
         assert doc["dtype"] == "<f8" and doc["shape"] == [2, 3]
         assert zlib.decompress(base64.b64decode(doc["data"])) == arr.astype("<f8").tobytes()
-        assert np.array_equal(_decode_array(doc, "x"), arr)
-
-    def test_uncompressed_payload_still_reads(self):
-        doc = {"dtype": "<f8", "shape": [2, 3],
-               "data": "AAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAAAAAACEAAAAAAAAAQQAAAAAAAABRA"}
-        assert np.array_equal(_decode_array(doc, "x"), np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(_decode_array(doc, "x", [2, 3]), arr)
 
     def test_returns_owned_writable_float64(self):
-        for value in (payload([1.0, 2.0]), [1, 2]):
-            arr = _decode_array(value, "x")
-            assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
-            arr[0] = 7.0
+        arr = _decode_array(payload([1.0, 2.0]), "x", [2])
+        assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
+        arr[0] = 7.0
 
     @pytest.mark.parametrize("shape", [[0], [2, 0], [1], [7], [3, 4], [2, 5000]])
-    def test_every_form_decodes_to_an_owned_contiguous_copy(self, shape):
+    def test_decodes_to_an_owned_contiguous_copy(self, shape):
         arr = np.random.default_rng(len(shape)).standard_normal(shape)
         arr.flat[: len(SPECIALS)] = SPECIALS[: arr.size]
         doc = payload(arr)
@@ -97,12 +98,11 @@ class TestArrayPayload:
         expected = np.frombuffer(
             zlib.decompress(base64.b64decode(doc["data"])), dtype="<f8"
         ).reshape(shape).astype(np.float64)
-        for value in (doc, raw_payload(arr), arr.tolist()):
-            back = _decode_array(value, "x")
-            assert back.dtype == np.float64 and back.shape == tuple(shape)
-            assert back.flags.owndata and back.flags.writeable and back.flags.c_contiguous
-            assert np.array_equal(back, expected)
-            assert np.array_equal(np.signbit(back), np.signbit(expected))
+        back = _decode_array(doc, "x", shape)
+        assert back.dtype == np.float64 and back.shape == tuple(shape)
+        assert back.flags.owndata and back.flags.writeable and back.flags.c_contiguous
+        assert np.array_equal(back, expected)
+        assert np.array_equal(np.signbit(back), np.signbit(expected))
 
     @given(values=st.lists(st.floats(allow_nan=False) | st.sampled_from(SPECIALS), max_size=60),
            step=st.sampled_from([1, 7, 64]), level=st.sampled_from([0, 1, 9]),
@@ -113,35 +113,40 @@ class TestArrayPayload:
         stream = zlib.compress(arr.tobytes(), level)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(states, "_INFLATE_STEP", step)
-            back = _decode_array(payload(arr, data=base64.b64encode(stream).decode()), "x")
+            back = _decode_array(payload(arr, data=base64.b64encode(stream).decode()), "x", [arr.size])
             assert np.array_equal(back, arr) and np.array_equal(np.signbit(back), np.signbit(arr))
             for bad in (stream + junk, stream[: max(0, len(stream) - cut)]):
                 with pytest.raises(ValueError, match="x: data is not a valid zlib stream"):
-                    _decode_array(payload(arr, data=base64.b64encode(bad).decode()), "x")
-
-    def test_list_form_still_reads(self):
-        assert np.array_equal(_decode_array([[1, 2.5], [0, -3]], "x"), [[1, 2.5], [0, -3]])
+                    _decode_array(payload(arr, data=base64.b64encode(bad).decode()), "x", [arr.size])
 
     def test_rejects_other_dtype(self):
         with pytest.raises(ValueError, match="x: dtype must be '<f8', got '>f8'"):
-            _decode_array(payload([1.0], dtype=">f8"), "x")
+            _decode_array(payload([1.0], dtype=">f8"), "x", [1])
 
     @pytest.mark.parametrize(
         "data", ["AAAA AAAAAAA=", "AAAAAAAAAAA=\n", "AAAA*AAAAAA=", "AAAAAAAAAAA", "é", None, 5]
     )
     def test_rejects_invalid_base64(self, data):
         with pytest.raises(ValueError, match="x: data is not valid base64"):
-            _decode_array(payload([1.0], data=data), "x")
+            _decode_array(payload([1.0], data=data), "x", [1])
 
-    @pytest.mark.parametrize("shape", [None, 1, "1", [-1], [1.0], [True], [[1]]])
-    def test_rejects_bad_shape(self, shape):
-        with pytest.raises(ValueError, match="x: shape must be a list of integers >= 0"):
-            _decode_array(payload([1.0], shape=shape), "x")
+    @pytest.mark.parametrize("shape", [None, 1, "1", [-1], [1.0], [True], [[1]], [], [1, 1], [2]])
+    def test_rejects_any_shape_but_the_expected_one(self, shape):
+        with pytest.raises(ValueError, match=rf"^x: shape must be \[1\], got {re.escape(repr(shape))}$"):
+            _decode_array(payload([1.0], shape=shape), "x", [1])
+
+    @pytest.mark.parametrize("value, got", [
+        (raw_payload([1.0]), "None"), (payload([1.0], encoding=None), "None"),
+        (payload([1.0], encoding="gzip"), "'gzip'"), (payload([1.0], encoding=5), "5"),
+    ], ids=["absent", "null", "gzip", "int"])
+    def test_rejects_any_encoding_but_zlib(self, value, got):
+        with pytest.raises(ValueError, match=rf"^x: encoding must be 'zlib', got {got}$"):
+            _decode_array(value, "x", [1])
 
     @pytest.mark.parametrize("shape", [[2], [1, 0], [3, 1]])
     def test_rejects_byte_count_other_than_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"x: data holds 8 bytes, shape {shape} needs")):
-            _decode_array(payload([1.0], shape=shape), "x")
+            _decode_array(payload([1.0], shape=shape), "x", shape)
 
     def test_rejects_a_zlib_stream_too_short_for_its_shape_before_allocating(self):
         # No stream of 11 bytes inflates to the 8 MiB the shape declares.
@@ -149,7 +154,7 @@ class TestArrayPayload:
 
         def decode():
             with pytest.raises(ValueError, match=r"^x: data holds 8 bytes, shape \[1048576\] needs 8388608$"):
-                _decode_array(value, "x")
+                _decode_array(value, "x", [1 << 20])
 
         assert peak_traced_bytes(decode) < 1 << 20
 
@@ -157,13 +162,16 @@ class TestArrayPayload:
         # 2^20 zero bytes at level 9 compress about 1028:1; deflate's ceiling is 1032:1.
         stream = zlib.compress(bytes(1 << 20), 9)
         assert len(stream) * 1000 < 1 << 20
-        back = _decode_array(payload([0.0], shape=[1 << 17], data=base64.b64encode(stream).decode()), "x")
+        value = payload([0.0], shape=[1 << 17], data=base64.b64encode(stream).decode())
+        back = _decode_array(value, "x", [1 << 17])
         assert back.shape == (1 << 17,) and not back.any()
 
-    @pytest.mark.parametrize("value", [["1.0"], [1.0, "a"], [[1.0], [1.0, 2.0]], [{"a": 1}], "AAAA", 3])
-    def test_rejects_non_numeric_values(self, value):
-        with pytest.raises(ValueError, match="x must be"):
-            _decode_array(value, "x")
+    @pytest.mark.parametrize("value, kind", [
+        ([1.0], "list"), ([], "list"), ("AAAA", "str"), (3, "int"), (None, "NoneType"),
+    ])
+    def test_rejects_anything_but_a_payload_object(self, value, kind):
+        with pytest.raises(ValueError, match=rf"^x must be a zlib array payload object, got {kind}$"):
+            _decode_array(value, "x", [1])
 
 
 # The dataset reader on a 10^7-qubit document with no records, in a child
@@ -264,7 +272,7 @@ class TestReaderChecks:
 
     def test_state_rejects_string_amplitudes(self, tmp_path):
         path = write_json(tmp_path / "s.json", {"n": 1, "amps": [["1", "0"], ["0", "0"]]})
-        with pytest.raises(ValueError, match=r"s\.json: amps must be a list of numbers"):
+        with pytest.raises(ValueError, match=r"s\.json: amps must be a list of \[re, im\] pairs of numbers$"):
             load_state(path)
 
     def test_state_rejects_amplitudes_that_are_not_pairs(self, tmp_path):
@@ -340,27 +348,29 @@ class TestReaderChecks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("n must be at most 58: ")
 
-    @pytest.mark.parametrize("kind, doc, field", [
-        ("calibration", {"n": 29, "M1": _encode_array(np.eye(2)), "Mn": empty_payload([1 << 40])}, "Mn"),
-        ("calibration", {"n": 29, "M1": _encode_array(np.eye(2)), "Mn": empty_payload([1 << 40], None)},
-         "Mn"),
-        ("state", {"n": 40, "amps": empty_payload([1 << 40, 2])}, "amps"),
-        ("dataset", empty_dataset(40), "records[0].counts"),
-        ("dataset", empty_dataset(58), "records[0].counts"),
+    @pytest.mark.parametrize("kind, doc, error", [
+        ("calibration", {"n": 29, "M1": _encode_array(np.eye(2)), "Mn": empty_payload([1 << 29] * 2)},
+         "Mn: data is not a valid zlib stream (the stream ends early)"),
+        ("calibration", {"n": 29, "M1": _encode_array(np.eye(2)), "Mn": empty_payload([1 << 29] * 2, None)},
+         "Mn: encoding must be 'zlib'"),
+        ("state", {"n": 40, "amps": empty_payload([1 << 40, 2])}, "amps must be a list"),
+        ("dataset", empty_dataset(40), "records[0].counts: data is not a valid zlib stream"),
+        ("dataset", empty_dataset(58), "records[0].counts: data is not a valid zlib stream"),
     ], ids=["calibration-zlib", "calibration-raw", "state", "dataset-40", "dataset-58"])
-    def test_a_huge_shape_with_no_data_fails_cleanly_under_a_memory_limit(self, tmp_path, kind, doc, field):
+    def test_a_huge_shape_with_no_data_fails_cleanly_under_a_memory_limit(self, tmp_path, kind, doc, error):
         # Each reader once allocated what the shape declares before it read
         # the data: 8 TiB to 1.9 PiB, a MemoryError under 1 GiB; at n = 58 the
         # dataset table was numpy's "array is too big".
         path = write_json(tmp_path / "f.json", doc)
         proc = run_child(LIMITED_READER_CHILD, kind, str(path))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith(f"{kind} file {path}: {field}: ")
+        assert proc.stdout.startswith(f"{kind} file {path}: {error}")
 
     @pytest.mark.parametrize("later_shape, message", [
         ([1 << 21], r"records\[1\]\.counts: data holds 0 bytes, shape \[2097152\] needs 16777216"),
-        ([0], r"record \(x, 1\) has length 0, expected 2097152"),
-    ], ids=["full-shape", "no-entries"])
+        ([0], r"records\[1\]\.counts: shape must be \[2097152\], got \[0\]"),
+        ([1, 1 << 21], r"records\[1\]\.counts: shape must be \[2097152\], got \[1, 2097152\]"),
+    ], ids=["full-shape", "no-entries", "one-row-matrix"])
     def test_records_that_cannot_fill_the_table_fail_before_it_is_allocated(self, tmp_path, later_shape,
                                                                             message):
         # Records 1-59 are empty streams. The table is 960 MiB, so the reader
@@ -370,10 +380,10 @@ class TestReaderChecks:
         assert re.fullmatch(rf"dataset file {re.escape(str(path))}: {message}\n", out)
 
     @pytest.mark.parametrize("filler, message", [
-        ([0.0], r"record \(x, 1\) has length 1, expected 2097152"),
-        ([], r"record \(x, 1\) has length 0, expected 2097152"),
-        (None, r"records\[1\]\.counts must be a payload object or a list of numbers"),
-        ("x", r"records\[1\]\.counts must be a payload object or a list of numbers"),
+        ([0.0], r"records\[1\]\.counts must be a zlib array payload object, got list"),
+        ([], r"records\[1\]\.counts must be a zlib array payload object, got list"),
+        (None, r"records\[1\]\.counts must be a zlib array payload object, got NoneType"),
+        ("x", r"records\[1\]\.counts must be a zlib array payload object, got str"),
     ], ids=["short-list", "empty-list", "null", "string"])
     def test_records_that_are_not_payloads_fail_before_the_table_is_allocated(self, tmp_path, filler,
                                                                               message):
@@ -394,10 +404,10 @@ class TestReaderChecks:
     @pytest.mark.parametrize("change, message", [
         ({"dtype": "<f4"}, "dtype must be '<f8'"),
         ({"data": "not base64!"}, "data is not valid base64"),
-        ({"shape": [-4]}, "shape must be a list of integers >= 0"),
-        ({"shape": [3]}, "data holds 32 bytes, shape \\[3\\] needs 24"),
-        ({"encoding": "gzip"}, "encoding must be 'zlib' or absent, got 'gzip'"),
-        ({"encoding": 5}, "encoding must be 'zlib' or absent, got 5"),
+        ({"shape": [-4]}, "shape must be \\[.*\\], got \\[-4\\]"),
+        ({"shape": [3]}, "shape must be \\[.*\\], got \\[3\\]"),
+        ({"encoding": "gzip"}, "encoding must be 'zlib', got 'gzip'"),
+        ({"encoding": 5}, "encoding must be 'zlib', got 5"),
         ({"data": base64.b64encode(b"not a zlib stream").decode()}, "data is not a valid zlib stream"),
         ({"data": base64.b64encode(zlib.compress(bytes(40))).decode()}, "data holds 40 bytes, shape .* needs 32"),
         ({"data": base64.b64encode(zlib.compress(bytes(32)) + b"junk").decode()},
@@ -419,35 +429,34 @@ class TestReaderChecks:
         with pytest.raises(ValueError, match=rf"c\.json: Mn: {message}"):
             load_calibration(cal_path)
 
-    def test_dataset_checks_the_declared_size_before_allocating(self, tmp_path):
+    def test_dataset_checks_the_declared_shape_before_allocating(self, tmp_path):
         doc = dataset_to_dict(small_dataset())
         doc["records"][2]["counts"]["shape"] = [1 << 34]
         path = write_json(tmp_path / "d.json", doc)
-        with pytest.raises(ValueError, match=r"d\.json: records\[2\]\.counts: shape \[17179869184\] "
-                                             r"declares 17179869184 entries, expected 4"):
+        with pytest.raises(ValueError, match=r"d\.json: records\[2\]\.counts: shape must be \[4\], "
+                                             r"got \[17179869184\]$"):
             load_dataset(path)
 
     @pytest.mark.parametrize("key, shape, message", [
-        ("Mn", [1 << 34], r"Mn: shape \[17179869184\] declares 17179869184 entries, expected 16"),
-        ("M1", [1 << 20, 1 << 20], r"M1: shape \[1048576, 1048576\] declares 1099511627776 entries, expected 4"),
+        ("Mn", [1 << 34], r"Mn: shape must be \[4, 4\], got \[17179869184\]"),
+        ("M1", [1 << 20, 1 << 20], r"M1: shape must be \[2, 2\], got \[1048576, 1048576\]"),
     ])
-    def test_calibration_checks_the_declared_size_before_allocating(self, tmp_path, key, shape, message):
+    def test_calibration_checks_the_declared_shape_before_allocating(self, tmp_path, key, shape, message):
         path = tmp_path / "c.json"
         save_calibration(CalibrationMatrix(np.eye(2), np.eye(4)), path)
         doc = json.loads(path.read_text())
         doc[key]["shape"] = shape
         write_json(path, doc)
-        with pytest.raises(ValueError, match=rf"c\.json: {message}"):
+        with pytest.raises(ValueError, match=rf"c\.json: {message}$"):
             load_calibration(path)
 
-    def test_state_checks_the_declared_size_before_allocating(self, tmp_path):
+    def test_state_refuses_a_payload_before_allocating(self, tmp_path):
         doc = {"n": 2, "amps": dict(raw_payload(np.eye(4, 2)), shape=[1 << 33, 2])}
         path = write_json(tmp_path / "s.json", doc)
-        with pytest.raises(ValueError, match=r"s\.json: amps: shape \[8589934592, 2\] "
-                                             r"declares 17179869184 entries, expected 8"):
+        with pytest.raises(ValueError, match=r"s\.json: amps must be a list of \[re, im\] pairs of numbers$"):
             load_state(path)
 
-    def test_length_and_finiteness_checks_run_after_decoding(self, tmp_path):
+    def test_shape_checks_run_before_decoding_and_finiteness_checks_after(self, tmp_path):
         path = tmp_path / "d.json"
         doc = dataset_to_dict(small_dataset(mitigated=True))
         doc["records"][0]["counts"] = payload([np.inf, 0, 0, 10.0])
@@ -456,18 +465,21 @@ class TestReaderChecks:
             load_dataset(path)
         doc["records"][0]["counts"] = payload([0, 10.0])
         write_json(path, doc)
-        with pytest.raises(ValueError, match="has length 2, expected 4"):
+        with pytest.raises(ValueError, match=r"records\[0\]\.counts: shape must be \[4\], got \[2\]$"):
             load_dataset(path)
         # The right number of entries in the wrong shape is no record either.
         doc["records"][0]["counts"] = payload([[0, 10.0], [0, 0]])
         write_json(path, doc)
-        with pytest.raises(ValueError, match=r"d\.json: record \(x, 0\) has shape \(2, 2\), expected \(4,\)$"):
+        with pytest.raises(ValueError, match=r"d\.json: records\[0\]\.counts: shape must be \[4\], "
+                                             r"got \[2, 2\]$"):
             load_dataset(path)
         cal_path = tmp_path / "c.json"
         save_calibration(CalibrationMatrix(np.eye(2), np.eye(4)), cal_path)
         doc = json.loads(cal_path.read_text())
-        for key, values, message in (("Mn", [1.0] * 15, "Mn has 15 entries, expected 16"),
-                                     ("M1", [1.0, np.nan, 0.0, 1.0], "M1 holds non-finite")):
+        for key, values, message in (
+            ("Mn", [1.0] * 15, r"Mn: shape must be \[4, 4\], got \[15\]$"),
+            ("M1", [[1.0, np.nan], [0.0, 1.0]], "intermediate calibration matrix holds non-finite entries$"),
+        ):
             write_json(cal_path, dict(doc, **{key: payload(values)}))
             with pytest.raises(ValueError, match=message):
                 load_calibration(cal_path)
@@ -499,6 +511,8 @@ class TestMetadataChecks:
         ("seed", "x", "seed must be an integer or null, got 'x'"),
         ("seed", True, "seed must be an integer or null, got True"),
         ("seed", 1.0, "seed must be an integer or null, got 1.0"),
+        ("seed", -5, "seed must be an integer >= 0, got -5"),
+        ("shots", 1 << 63, "shots must be at most 2\\^63 - 1, the most numpy draws, got 9223372036854775808"),
         ("noise_model_id", 5, "noise_model_id must be a string or null, got 5"),
         ("noise_model_id", ["ro"], "noise_model_id must be a string or null, got \\['ro'\\]"),
     ])
@@ -524,7 +538,9 @@ class TestDatasetOwnsItsChecks:
     @pytest.mark.parametrize("field, value, message", [
         ("mitigated", "no", "mitigated must be true or false, got 'no'"),
         ("seed", "x", "seed must be an integer or null, got 'x'"),
+        ("seed", -5, "seed must be an integer >= 0, got -5"),
         ("shots_per_circuit", 10.0, "shots must be an integer >= 0, got 10.0"),
+        ("shots_per_circuit", 1 << 63, "shots must be at most 2^63 - 1, the most numpy draws, got 9223372036854775808"),
         ("n", True, "n must be an integer >= 1, got True"),
         ("noise_model_id", 5, "noise_model_id must be a string or null, got 5"),
         ("unitary", {"kind": "qft"}, "unitary must be a UnitarySpec, got dict"),
@@ -751,39 +767,51 @@ class TestRoundTrips:
         assert np.array_equal(np.signbit(pairs(loaded)), np.signbit(pairs(state)))
 
 
-def raw_payload(values):
-    """Array payload in the uncompressed form, without ``encoding``."""
-    arr = np.asarray(values, dtype="<f8")
-    return {"dtype": "<f8", "shape": list(arr.shape), "data": base64.b64encode(arr).decode()}
+class TestOtherFormsAreRefused:
+    """Each reader takes only the form its writer writes. Any other, such as
+    the plain lists and raw payloads of early development files, is a
+    ValueError that names the file, the field and the expected form."""
 
+    @pytest.mark.parametrize("form, message", [
+        (lambda row: row.tolist(), r"records\[0\]\.counts must be a zlib array payload object, got list"),
+        (raw_payload, r"records\[0\]\.counts: encoding must be 'zlib', got None"),
+        (lambda row: payload(row[None]), r"records\[0\]\.counts: shape must be \[4\], got \[1, 4\]"),
+    ], ids=["list", "raw-payload", "one-row-matrix"])
+    def test_dataset(self, tmp_path, form, message):
+        dataset = small_dataset()
+        doc = dataset_to_dict(dataset)
+        for entry, row in zip(doc["records"], dataset.counts):
+            entry["counts"] = form(row)
+        path = write_json(tmp_path / "d.json", doc)
+        with pytest.raises(ValueError, match=rf"^dataset file {re.escape(str(path))}: {message}$"):
+            load_dataset(path)
 
-class TestOlderFiles:
-    """Files written before payloads were compressed hold raw base64 bytes."""
+    @pytest.mark.parametrize("forms, message", [
+        ({"M1": lambda m: m.ravel().tolist(), "Mn": lambda m: m.ravel().tolist()},
+         r"M1 must be a zlib array payload object, got list"),
+        ({"Mn": lambda m: m.tolist()}, r"Mn must be a zlib array payload object, got list"),
+        ({"M1": raw_payload, "Mn": raw_payload}, r"M1: encoding must be 'zlib', got None"),
+        ({"Mn": raw_payload}, r"Mn: encoding must be 'zlib', got None"),
+        ({"M1": lambda m: payload(m.ravel())}, r"M1: shape must be \[2, 2\], got \[4\]"),
+    ], ids=["list-file", "list-Mn", "raw-file", "raw-Mn", "flat-M1"])
+    def test_calibration(self, tmp_path, forms, message):
+        cal = build_calibration(2, ReadoutNoiseModel.symmetric(3, 0.05), shots=700, seed=3)
+        path = tmp_path / "c.json"
+        save_calibration(cal, path)
+        doc = json.loads(path.read_text())
+        matrices = {"M1": cal.intermediate, "Mn": cal.register}
+        write_json(path, {**doc, **{key: form(matrices[key]) for key, form in forms.items()}})
+        with pytest.raises(ValueError, match=rf"^calibration file {re.escape(str(path))}: {message}$"):
+            load_calibration(path)
 
-    def test_dataset(self, tmp_path):
-        state = StateVector(2, haar_state(2, np.random.default_rng(5)))
-        noise = ReadoutNoiseModel.symmetric(3, 0.05)
-        raw = generate_dataset(state, UnitarySpec.qft(), 4096, noise=noise, seed=5)
-        mitigated = with_specials(mitigate_dataset(raw, build_calibration(2, noise, shots=500, seed=5)))
-        for dataset in (raw, mitigated):
-            doc = dataset_to_dict(dataset)
-            for entry, rec in zip(doc["records"], dataset.records):
-                entry["counts"] = raw_payload(rec.counts)
-            assert_datasets_equal(load_dataset(write_json(tmp_path / "old.json", doc)), dataset)
-
-    def test_calibration(self, tmp_path):
-        cal = build_calibration(3, ReadoutNoiseModel.symmetric(4, 0.05), shots=700, seed=3)
-        cal = with_planted(cal, [-0.0, 5e-324, -5e-324])
-        doc = {"n": 3, "M1": raw_payload(cal.intermediate), "Mn": raw_payload(cal.register),
-               "provenance": cal.provenance}
-        loaded = load_calibration(write_json(tmp_path / "old.json", doc))
-        for a, b in ((loaded.intermediate, cal.intermediate), (loaded.register, cal.register)):
-            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-    def test_state(self, tmp_path):
+    @pytest.mark.parametrize("form", [payload, raw_payload], ids=["payload", "raw-payload"])
+    def test_state(self, tmp_path, form):
         state = StateVector(2, haar_state(2, np.random.default_rng(6)))
-        doc = {"n": 2, "amps": raw_payload(state.amps.view(np.float64).reshape(-1, 2))}
-        assert np.array_equal(load_state(write_json(tmp_path / "old.json", doc)).amps, state.amps)
+        pairs = state.amps.view(np.float64).reshape(-1, 2)
+        path = write_json(tmp_path / "s.json", {"n": 2, "amps": form(pairs)})
+        with pytest.raises(ValueError, match=rf"^state file {re.escape(str(path))}: "
+                                             r"amps must be a list of \[re, im\] pairs of numbers$"):
+            load_state(path)
 
 
 class TestCalibrationSize:
@@ -829,42 +857,6 @@ class TestTenQubitCalibrationMemory:
         proc = run_child(MITIGATION_PEAK_CHILD, str(n))
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 1.5 * 8 * 4**n
-
-
-class TestListFormFiles:
-    """Files written before the array payload hold plain JSON lists."""
-
-    def test_dataset(self, tmp_path):
-        state = StateVector(2, haar_state(2, np.random.default_rng(9)))
-        noise = ReadoutNoiseModel.symmetric(3, 0.05)
-        raw = generate_dataset(state, UnitarySpec.qft(), 4096, noise=noise, seed=9)
-        mitigated = mitigate_dataset(raw, build_calibration(2, noise, shots=500, seed=9))
-        for dataset in (raw, mitigated):
-            doc = dataset_to_dict(dataset)
-            for entry, rec in zip(doc["records"], dataset.records):
-                entry["counts"] = [float(c) for c in rec.counts]
-            legacy, new = tmp_path / "legacy.json", tmp_path / "new.json"
-            legacy.write_text(json.dumps(doc, indent=2) + "\n")
-            save_dataset(dataset, new)
-            assert_datasets_equal(load_dataset(legacy), load_dataset(new))
-            assert_datasets_equal(load_dataset(legacy), dataset)
-
-    def test_calibration(self, tmp_path):
-        cal = build_calibration(3, ReadoutNoiseModel.symmetric(4, 0.05), shots=700, seed=3)
-        doc = {
-            "n": 3,
-            "M1": [float(x) for x in cal.intermediate.ravel()],
-            "Mn": [float(x) for x in cal.register.ravel()],
-            "provenance": cal.provenance,
-        }
-        legacy, new = tmp_path / "legacy.json", tmp_path / "new.json"
-        legacy.write_text(json.dumps(doc, indent=2) + "\n")
-        save_calibration(cal, new)
-        a, b = load_calibration(legacy), load_calibration(new)
-        assert np.array_equal(a.intermediate, b.intermediate)
-        assert np.array_equal(a.register, b.register)
-        assert np.array_equal(a.register, cal.register)
-        assert a.provenance == b.provenance == cal.provenance
 
 
 #: Estimate of the n=4 README chain below, written by the list-format code.

@@ -21,6 +21,7 @@ from qptycho import (
     save_calibration,
 )
 from qptycho.mitigation import MAX_CONDITION_NUMBER, _condition_bound, _neumann_terms
+from qptycho.states import _encode_array
 
 from oracles import dense_calibration, dense_readout_channel, full_size_neumann_bound
 
@@ -512,12 +513,12 @@ class TestCalibrationFile:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"Mn": [1.0] * 15}, "Mn has 15 entries, expected 16"),
-            ({"M1": [1.0, 0.0, 0.0]}, "M1 has 3 entries, expected 4"),
-            ({"n": 3}, "Mn has 16 entries, expected 64"),
+            ({"Mn": _encode_array([1.0] * 15)}, r"Mn: shape must be \[4, 4\], got \[15\]"),
+            ({"M1": _encode_array([1.0, 0.0, 0.0])}, r"M1: shape must be \[2, 2\], got \[3\]"),
+            ({"n": 3}, r"Mn: shape must be \[8, 8\], got \[4, 4\]"),
             ({"n": 0}, "n must be an integer"),
-            ({"Mn": [float("nan")] + [0.0] * 15}, "Mn holds non-finite"),
-            ({"M1": [1.0, float("inf"), 0.0, 1.0]}, "M1 holds non-finite"),
+            ({"Mn": _encode_array(np.diag([np.nan, 1, 1, 1]))}, "register calibration matrix holds non-fin"),
+            ({"M1": _encode_array([[1.0, np.inf], [0.0, 1.0]])}, "intermediate calibration matrix holds"),
         ],
     )
     def test_bad_files_rejected(self, tmp_path, change, message):

@@ -24,7 +24,7 @@ from qptycho import (
 from qptycho import pie
 from qptycho.pie import _normalized_rows
 from qptycho.protocol import dataset_from_dict, dataset_to_dict
-from qptycho.states import SIGNS, _project_amps
+from qptycho.states import SIGNS, _encode_array, _project_amps
 
 from conftest import circuit_correction, frame_correction, with_counts
 from oracles import (
@@ -239,8 +239,8 @@ class TestCorrectionStep:
         dataset = generate_dataset(named_state("psi5", 2), QFT, 64, seed=1)
         counts = dataset.records[0].counts
         doc = dataset_to_dict(dataset)
-        doc["records"][0]["counts"] = counts[:6].tolist()
-        with pytest.raises(ValueError, match=r"record \(x, 0\) has length 6"):
+        doc["records"][0]["counts"] = _encode_array(counts[:6])
+        with pytest.raises(ValueError, match=r"records\[0\]\.counts: shape must be \[8\], got \[6\]"):
             pie_run(dataset_from_dict(doc))
         with pytest.raises(ValueError, match=r"record \(x, 0\) holds negative counts"):
             pie_run(with_counts(dataset, 0, np.r_[-1.0, counts[1:]]))
@@ -645,6 +645,7 @@ def assert_run_matches_the_dense_engine(dataset, config, reference):
     )
 
 
+@pytest.mark.one_blas_thread
 class TestCircuitStep:
     """The engine corrects both signs of a circuit in one step; it must be
     the two sign corrections run one after the other."""
@@ -675,6 +676,7 @@ class TestCircuitStep:
         assert_run_matches_the_dense_engine(dataset, config, state)
 
 
+@pytest.mark.one_blas_thread
 class TestMeasurementFrame:
     """The product kinds run the engine on psi = U phi, where a correction
     needs no transform; it must be the computational-frame correction

@@ -188,6 +188,7 @@ class TestGenerateDataset:
         for a, b in zip(dataset.records, reference.records):
             np.testing.assert_array_equal(a.counts, b.counts)
 
+    @pytest.mark.one_blas_thread
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10])
     @pytest.mark.parametrize("kind", ["qft", "aqft", "hadamard", "separable"])
     def test_records_match_the_looped_laws_bit_for_bit(self, kind, n):

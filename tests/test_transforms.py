@@ -139,6 +139,7 @@ EXTENDED_AQFT_CASES = ([(n, m) for n in range(1, 7) for m in range(1, n + 1)]
 BITWISE_AQFT_CASES = [(1, 1), (3, 2), (4, 4), (6, 2), (6, 5), (8, 1), (8, 3), (10, 2), (12, 2), (12, 10)]
 
 
+@pytest.mark.one_blas_thread
 class TestAqftKernel:
     @pytest.mark.parametrize("n, m", EXTENDED_AQFT_CASES)
     def test_within_1e_15_of_the_extended_precision_oracle(self, n, m):
